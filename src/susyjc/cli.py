@@ -1,14 +1,16 @@
 """Command-line surface: spectrum sweeps, crossing tables, Wigner grids,
 algebra verification, and factorizable-model reports, as CSV or JSON.
 
-Output is byte-reproducible: floats are printed via repr (shortest
-round-trip), row order is fixed, files are UTF-8 with LF endings. Sweep
-points are evaluated concurrently (SUSYJC_THREADS caps the pool) but always
-assembled in sweep order, so parallelism never changes the bytes.
+Each subcommand builds one table of row dicts, and one emitter writes it as
+CSV or JSON. Output is byte-reproducible: floats are printed via repr
+(shortest round-trip), sweep points are evaluated one after another in sweep
+order, files are UTF-8 with LF endings.
 
-Exit codes: 0 ok, 2 usage or parameter error, 3 truncation did not converge,
-4 internal consistency failure (non-Hermitian build, factorization mismatch,
-phase-space support overflow, failed verification).
+Exit codes: 0 ok, 2 usage or parameter error (including a non-finite number,
+--points above MAX_POINTS, or a cutoff above oracle.CAP_N_MAX, all refused
+before any work), 3 truncation did not converge, 4 internal consistency
+failure (non-Hermitian build, factorization mismatch, phase-space support
+overflow, failed verification).
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .far import (constraint_check, far_from_alphas, far_hamiltonian,
 from .hilbert import HilbertConfig, ModelParams, build_hamiltonian, excitation_number
 from .jc import (DressedLabel, ground_state_critical, lowest_closed_levels,
                  reduced_density)
-from .oracle import EigenSolution, certify_truncation, diagonalize, find_crossings
+from .oracle import (CAP_N_MAX, certify_cutoff, certify_truncation, diagonalize,
+                     find_crossings)
 from .wigner import closed_evaluator, numeric_evaluator, wigner_grid
 
 __all__ = ["main"]
@@ -51,6 +52,20 @@ SWEEP_FLAG = {"jc": "lambda", "ajc": "mu", "ar": "lambda", "far": "alphaR"}
 # config-file key -> argparse dest (identity unless noted)
 CONFIG_TO_DEST = {"lambda": "lam"}
 
+# largest Wigner grid side; the grid holds MAX_POINTS^2 samples
+MAX_POINTS = 1001
+
+# CSV header of each row table: the keys of its JSON row dicts, in order
+COLUMNS = {
+    "spectrum": ("sweep_value", "level_index", "energy", "label_branch",
+                 "label_N", "closed_form_energy", "residual"),
+    "crossings": ("branch", "M", "N", "lambda_closed", "lambda_numeric",
+                  "residual"),
+    "wigner": ("re_alpha", "im_alpha", "w"),
+    "verify": ("identity", "projector", "truncation_sensitive", "residual",
+               "passed"),
+}
+
 
 class UsageError(Exception):
     pass
@@ -60,9 +75,16 @@ class UsageError(Exception):
 # formatting and output plumbing
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal text of a float."""
-    return repr(float(value))
+def _cell(value) -> str:
+    """CSV text of a table value: None is empty, bools are true/false, floats
+    are their shortest round-trip decimal."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
 
 
 def _csv(header, rows) -> str:
@@ -94,6 +116,18 @@ def _json(payload: dict) -> str:
                       ensure_ascii=False) + "\n"
 
 
+def _fields(payload: dict):
+    """(field, cell) pairs of a nested payload in insertion order; lists are
+    joined with ';'."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _fields(value)
+        elif isinstance(value, list):
+            yield key, ";".join(_cell(v) for v in value)
+        else:
+            yield key, _cell(value)
+
+
 def _write_text(path, text: str) -> None:
     data = text.encode("utf-8")
     if path is None or path == "-":
@@ -104,27 +138,20 @@ def _write_text(path, text: str) -> None:
             fh.write(data)
 
 
-def _max_workers() -> int:
-    env = os.environ.get("SUSYJC_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"SUSYJC_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise UsageError("SUSYJC_THREADS must be >= 1")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
-def _ordered_map(fn, items):
-    """Map preserving item order; parallel when the pool allows it."""
-    items = list(items)
-    workers = _max_workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _emit(merged: dict, payload: dict) -> None:
+    """Write one table as JSON, or as CSV under the `_cell` rules: the rows
+    under their kind's COLUMNS, or for far the payload without its kind,
+    flattened into a field,value table."""
+    if merged["format"] == "json":
+        text = _json(payload)
+    elif payload["kind"] == "far":
+        text = _csv(("field", "value"),
+                    _fields({k: v for k, v in payload.items() if k != "kind"}))
+    else:
+        columns = COLUMNS[payload["kind"]]
+        text = _csv(columns, ([_cell(row[c]) for c in columns]
+                              for row in payload["rows"]))
+    _write_text(merged.get("output"), text)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +164,12 @@ def _parse_sweep(text) -> tuple[list[float], int | None]:
     text = str(text)
     if ":" not in text:
         try:
-            return [float(text)], None
+            value = float(text)
         except ValueError:
             raise UsageError(f"expected a number or min:max:points, got {text!r}")
+        if not math.isfinite(value):
+            raise UsageError(f"expected a finite number, got {text!r}")
+        return [value], None
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"sweep must be min:max:points, got {text!r}")
@@ -208,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float)
     p.add_argument("--label", help="dressed level, e.g. minus:0 or plus:3")
     p.add_argument("--window", type=float)
-    p.add_argument("--points", type=int)
+    p.add_argument("--points", type=int,
+                   help=f"grid points per axis, 16 to {MAX_POINTS}")
     p.add_argument("--source", choices=("closed", "numeric"))
 
     p = sub.add_parser("verify", help="operator-identity residual table")
@@ -269,13 +300,23 @@ def _merge_config(args: argparse.Namespace) -> dict:
             merged[key] = value
     if merged.get("n_max") is not None and merged.get("auto"):
         raise UsageError("--n-max and --auto are mutually exclusive")
+    for key, value in merged.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{_flag(key)} must be finite, got {value!r}")
+    if merged.get("n_max") is not None and int(merged["n_max"]) > CAP_N_MAX:
+        raise UsageError(f"--n-max must be at most {CAP_N_MAX}")
+    if merged.get("points") is not None and int(merged["points"]) > MAX_POINTS:
+        raise UsageError(f"--points must be at most {MAX_POINTS}")
     return merged
+
+
+def _flag(key: str) -> str:
+    return "--" + {"lam": "lambda"}.get(key, key).replace("_", "-")
 
 
 def _require(merged: dict, key: str, why: str):
     if merged.get(key) is None:
-        flag = "--" + {"lam": "lambda", "n_max": "n-max"}.get(key, key)
-        raise UsageError(f"{flag} is required {why}")
+        raise UsageError(f"{_flag(key)} is required {why}")
     return merged[key]
 
 
@@ -318,6 +359,16 @@ def _point_params(merged: dict, model: str, x: float) -> ModelParams:
                        lam=x, mu=mu_vals[0], theta=merged["theta"])
 
 
+def _builder(merged: dict, model: str, x: float):
+    """n_max -> Hamiltonian of the model at sweep value x."""
+    if model == "far":
+        fp = far_from_alphas(merged["alpha0"], merged["alphaQ"], x)
+        return lambda n: far_hamiltonian(HilbertConfig(n), fp,
+                                         check_tol=FAR_BUILD_TOL)
+    params = _point_params(merged, model, x)
+    return lambda n: build_hamiltonian(HilbertConfig(n), params, model)
+
+
 def _solve(builder, merged: dict, k_levels: int):
     if merged.get("n_max") is not None:
         return diagonalize(builder(int(merged["n_max"])))
@@ -333,66 +384,35 @@ def cmd_spectrum(merged: dict) -> int:
     sweep, _ = _sweep_values(merged, model)
     unit, units_name = _energy_unit(merged, model)
 
-    def eval_point(x: float):
-        if model == "far":
-            try:
-                fp = far_from_alphas(merged["alpha0"], merged["alphaQ"], x)
-            except DegenerateCouplings as exc:
-                return ("skip", x, str(exc))
-            builder = lambda n: far_hamiltonian(HilbertConfig(n), fp,
-                                                check_tol=FAR_BUILD_TOL)
-            sol = _solve(builder, merged, levels)
-            return ("ok", x, sol.eigenvalues[:levels], None)
-        params = _point_params(merged, model, x)
-        builder = lambda n: build_hamiltonian(HilbertConfig(n), params, model)
-        sol = _solve(builder, merged, levels)
+    rows = []
+    for x in sweep:
+        try:
+            builder = _builder(merged, model, x)
+        except DegenerateCouplings as exc:
+            print(f"susyjc: skipping sweep point {x!r}: {exc}", file=sys.stderr)
+            continue
+        energies = _solve(builder, merged, levels).eigenvalues[:levels]
         closed = None
         if model in ("jc", "ajc"):
-            closed = lowest_closed_levels(params, levels, model)
-        return ("ok", x, sol.eigenvalues[:levels], closed)
-
-    results = _ordered_map(eval_point, sweep)
-
-    rows = []
-    json_rows = []
-    for res in results:
-        if res[0] == "skip":
-            print(f"susyjc: skipping sweep point {res[1]!r}: {res[2]}",
-                  file=sys.stderr)
-            continue
-        _, x, energies, closed = res
+            closed = lowest_closed_levels(_point_params(merged, model, x),
+                                          levels, model)
         for k, energy in enumerate(energies):
-            energy = float(energy)
+            row = {"sweep_value": x / unit, "level_index": k,
+                   "energy": float(energy) / unit, "label_branch": None,
+                   "label_N": None, "closed_form_energy": None,
+                   "residual": None}
             if closed is not None:
                 e_closed, label = closed[k]
-                branch, n_tot = label.branch, int(label.n_total)
-                residual = abs(energy - e_closed)
-                rows.append([_fmt(x / unit), str(k), _fmt(energy / unit),
-                             branch, str(n_tot), _fmt(e_closed / unit),
-                             _fmt(residual / unit)])
-                json_rows.append({"sweep_value": x / unit, "level_index": k,
-                                  "energy": energy / unit,
-                                  "label_branch": branch, "label_N": n_tot,
-                                  "closed_form_energy": e_closed / unit,
-                                  "residual": residual / unit})
-            else:
-                rows.append([_fmt(x / unit), str(k), _fmt(energy / unit),
-                             "", "", "", ""])
-                json_rows.append({"sweep_value": x / unit, "level_index": k,
-                                  "energy": energy / unit,
-                                  "label_branch": None, "label_N": None,
-                                  "closed_form_energy": None,
-                                  "residual": None})
+                row.update(label_branch=label.branch,
+                           label_N=int(label.n_total),
+                           closed_form_energy=e_closed / unit,
+                           residual=abs(float(energy) - e_closed) / unit)
+            rows.append(row)
 
-    if merged["format"] == "csv":
-        text = _csv(["sweep_value", "level_index", "energy", "label_branch",
-                     "label_N", "closed_form_energy", "residual"], rows)
-    else:
-        text = _json({"kind": "spectrum", "model": model,
-                      "sweep_parameter": SWEEP_FLAG[model],
-                      "units": units_name, "levels": levels,
-                      "n_max": merged.get("n_max"), "rows": json_rows})
-    _write_text(merged.get("output"), text)
+    _emit(merged, {"kind": "spectrum", "model": model,
+                   "sweep_parameter": SWEEP_FLAG[model], "units": units_name,
+                   "levels": levels, "n_max": merged.get("n_max"),
+                   "rows": rows})
     return 0
 
 
@@ -408,28 +428,17 @@ def cmd_crossings(merged: dict) -> int:
         n_max = int(merged["n_max"])
     else:
         # certify at the top of the range (the most demanding point)
-        if model == "far":
-            fp_hi = far_from_alphas(merged["alpha0"], merged["alphaQ"], hi)
-            top = lambda n: far_hamiltonian(HilbertConfig(n), fp_hi,
-                                            check_tol=FAR_BUILD_TOL)
-        else:
-            p_hi = _point_params(merged, model, hi)
-            top = lambda n: build_hamiltonian(HilbertConfig(n), p_hi, model)
-        n_max = certify_truncation(top, k_levels=int(merged["levels"]),
+        n_max = certify_truncation(_builder(merged, model, hi),
+                                   k_levels=int(merged["levels"]),
                                    tol=float(merged["conv_tol"])).n_max_used
-    cfg = HilbertConfig(n_max)
 
     sector_op = None
     if model in ("jc", "ajc"):
-        sector_op = excitation_number(cfg, "plus" if model == "jc" else "minus")
+        sector_op = excitation_number(HilbertConfig(n_max),
+                                      "plus" if model == "jc" else "minus")
 
-    def builder(x: float):
-        if model == "far":
-            fp = far_from_alphas(merged["alpha0"], merged["alphaQ"], x)
-            return far_hamiltonian(cfg, fp, check_tol=FAR_BUILD_TOL)
-        return build_hamiltonian(cfg, _point_params(merged, model, x), model)
-
-    records = find_crossings(builder, (lo, hi), mode="ground",
+    records = find_crossings(lambda x: _builder(merged, model, x)(n_max),
+                             (lo, hi), mode="ground",
                              grid_points=max(3, points),
                              xtol=float(merged["xtol"]),
                              min_gap=float(merged["min_gap"]),
@@ -437,35 +446,23 @@ def cmd_crossings(merged: dict) -> int:
                              label_model=model if model in ("jc", "ajc") else "jc")
 
     rows = []
-    json_rows = []
     for rec in records:
-        branch = rec.right.branch if rec.right is not None else ""
-        m_val = str(rec.left.n_total) if rec.left is not None else ""
-        n_val = str(rec.right.n_total) if rec.right is not None else ""
-        closed = residual = None
+        closed = None
         if model in ("jc", "ajc") and rec.right is not None and rec.right.n_total >= 1:
             closed = ground_state_critical(rec.right.n_total,
                                            _point_params(merged, model, rec.coupling))
-            residual = abs(closed - rec.coupling)
-        rows.append([branch, m_val, n_val,
-                     _fmt(closed / unit) if closed is not None else "",
-                     _fmt(rec.coupling / unit),
-                     _fmt(residual / unit) if residual is not None else ""])
-        json_rows.append({"branch": branch or None,
-                          "M": int(m_val) if m_val else None,
-                          "N": int(n_val) if n_val else None,
-                          "lambda_closed": closed / unit if closed is not None else None,
-                          "lambda_numeric": rec.coupling / unit,
-                          "residual": residual / unit if residual is not None else None})
+        rows.append({
+            "branch": rec.right.branch if rec.right is not None else None,
+            "M": rec.left.n_total if rec.left is not None else None,
+            "N": rec.right.n_total if rec.right is not None else None,
+            "lambda_closed": closed / unit if closed is not None else None,
+            "lambda_numeric": rec.coupling / unit,
+            "residual": (abs(closed - rec.coupling) / unit
+                         if closed is not None else None)})
 
-    if merged["format"] == "csv":
-        text = _csv(["branch", "M", "N", "lambda_closed", "lambda_numeric",
-                     "residual"], rows)
-    else:
-        text = _json({"kind": "crossings", "model": model,
-                      "units": units_name, "grid_points": max(3, points),
-                      "n_max": n_max, "rows": json_rows})
-    _write_text(merged.get("output"), text)
+    _emit(merged, {"kind": "crossings", "model": model, "units": units_name,
+                   "grid_points": max(3, points), "n_max": n_max,
+                   "rows": rows})
     return 0
 
 
@@ -495,59 +492,39 @@ def cmd_wigner(merged: dict) -> int:
             n_max = int(merged["n_max"])
         else:
             corner = 2.0 * window * window
-            n_max = label.n_total + int(math.ceil(corner + 6.0 * math.sqrt(corner) + 30))
+            margin = min(corner + 6.0 * math.sqrt(corner) + 30, CAP_N_MAX + 1)
+            n_max = label.n_total + int(math.ceil(margin))
+            if n_max > CAP_N_MAX:
+                raise UsageError(f"--window {window!r} with --label "
+                                 f"{merged['label']} needs a cutoff above "
+                                 f"{CAP_N_MAX}")
         rho = reduced_density(label, params, "boson", HilbertConfig(n_max))
         evaluator = numeric_evaluator(rho)
 
     grid = wigner_grid(evaluator, window=window, points=points)
+    rows = [{"re_alpha": re_a, "im_alpha": im_a, "w": w}
+            for re_a, w_row in zip(grid.re_alpha.tolist(), grid.values.tolist())
+            for im_a, w in zip(grid.im_alpha.tolist(), w_row)]
 
-    rows = []
-    json_rows = []
-    for i, re_a in enumerate(grid.re_alpha):
-        for j, im_a in enumerate(grid.im_alpha):
-            w = float(grid.values[i, j])
-            rows.append([_fmt(re_a), _fmt(im_a), _fmt(w)])
-            json_rows.append({"re_alpha": float(re_a), "im_alpha": float(im_a),
-                              "w": w})
-
-    if merged["format"] == "csv":
-        text = _csv(["re_alpha", "im_alpha", "w"], rows)
-    else:
-        text = _json({"kind": "wigner", "model": model,
-                      "label": f"{label.branch}:{label.n_total}",
-                      "source": merged["source"], "window": window,
-                      "points": points,
-                      "normalization_integral": float(grid.normalization_integral),
-                      "rows": json_rows})
-    _write_text(merged.get("output"), text)
+    _emit(merged, {"kind": "wigner", "model": model,
+                   "label": f"{label.branch}:{label.n_total}",
+                   "source": merged["source"], "window": window,
+                   "points": points,
+                   "normalization_integral": float(grid.normalization_integral),
+                   "rows": rows})
     return 0
 
 
 def cmd_verify(merged: dict) -> int:
     n_max = int(merged["n_max"])
     tol = float(merged["tol"])
-    reports = run_all_checks(HilbertConfig(n_max))
-    rows = []
-    json_rows = []
-    all_pass = True
-    for rep in reports:
-        passed = rep.residual < tol
-        all_pass = all_pass and passed
-        rows.append([rep.identity_name, rep.projector,
-                     "true" if rep.truncation_sensitive else "false",
-                     _fmt(rep.residual), "true" if passed else "false"])
-        json_rows.append({"identity": rep.identity_name,
-                          "projector": rep.projector,
-                          "truncation_sensitive": rep.truncation_sensitive,
-                          "residual": float(rep.residual), "passed": passed})
-
-    if merged["format"] == "csv":
-        text = _csv(["identity", "projector", "truncation_sensitive",
-                     "residual", "passed"], rows)
-    else:
-        text = _json({"kind": "verify", "n_max": n_max, "tolerance": tol,
-                      "all_pass": all_pass, "rows": json_rows})
-    _write_text(merged.get("output"), text)
+    rows = [{"identity": rep.identity_name, "projector": rep.projector,
+             "truncation_sensitive": bool(rep.truncation_sensitive),
+             "residual": float(rep.residual), "passed": bool(rep.residual < tol)}
+            for rep in run_all_checks(HilbertConfig(n_max))]
+    all_pass = all(row["passed"] for row in rows)
+    _emit(merged, {"kind": "verify", "n_max": n_max, "tolerance": tol,
+                   "all_pass": all_pass, "rows": rows})
     return 0 if all_pass else 4
 
 
@@ -556,61 +533,32 @@ def cmd_far(merged: dict) -> int:
         _require(merged, key, "for far")
     fp = far_from_alphas(float(merged["alpha0"]), float(merged["alphaQ"]),
                          float(merged["alphaR"]))
-    builder = lambda n: far_hamiltonian(HilbertConfig(n), fp,
-                                        check_tol=FAR_BUILD_TOL)
+    builder = _builder(merged, "far", float(merged["alphaR"]))
     if merged.get("n_max") is not None:
         # the shape report needs certified levels, so a pinned cutoff is
-        # still checked against its double; eigenvalues come from the
-        # requested cutoff
-        sol = diagonalize(builder(int(merged["n_max"])))
-        ref = diagonalize(builder(2 * int(merged["n_max"])))
-        tol = float(merged["conv_tol"])
-        m = min(sol.eigenvalues.size, ref.eigenvalues.size)
-        diffs = np.abs(sol.eigenvalues[:m] - ref.eigenvalues[:m])
-        converged = int(np.argmax(diffs >= tol)) if (diffs >= tol).any() else m
-        sol = EigenSolution(sol.eigenvalues, sol.eigenvectors, converged,
-                            sol.n_max_used)
+        # still checked against its double
+        sol = certify_cutoff(builder, int(merged["n_max"]),
+                             tol=float(merged["conv_tol"]))
     else:
         sol = certify_truncation(builder, k_levels=int(merged["levels"]),
                                  tol=float(merged["conv_tol"]))
-    constraints = constraint_check(fp)
     shape = far_spectrum_shape(sol, tol=float(merged["shape_tol"]))
 
-    effective = {"omega": fp.omega, "omega0": fp.omega0, "lambda": fp.lam,
-                 "mu": fp.mu, "phi_lambda": fp.phi_lambda,
-                 "phi_mu": fp.phi_mu, "omega_c": fp.omega_c}
-    shape_entries = [("ground_energy", _fmt(shape.ground_energy)),
-                     ("spacing", _fmt(shape.spacing)),
-                     ("degeneracies",
-                      ";".join(str(d) for d in shape.degeneracies)),
-                     ("is_equidistant",
-                      "true" if shape.is_equidistant else "false"),
-                     ("has_unique_ground",
-                      "true" if shape.has_unique_ground else "false")]
-
-    if merged["format"] == "csv":
-        rows = [["alpha0", _fmt(merged["alpha0"])],
-                ["alphaQ", _fmt(merged["alphaQ"])],
-                ["alphaR", _fmt(merged["alphaR"])]]
-        rows += [[k, _fmt(v)] for k, v in effective.items()]
-        rows += [[k, _fmt(v)] for k, v in constraints.items()]
-        rows += [list(pair) for pair in shape_entries]
-        rows += [["n_max_used", str(sol.n_max_used)],
-                 ["converged_levels", str(sol.converged_levels)]]
-        text = _csv(["field", "value"], rows)
-    else:
-        text = _json({"kind": "far", "alpha0": float(merged["alpha0"]),
-                      "alphaQ": float(merged["alphaQ"]),
-                      "alphaR": float(merged["alphaR"]),
-                      "effective": effective, "constraints": constraints,
-                      "shape": {"ground_energy": float(shape.ground_energy),
-                                "spacing": float(shape.spacing),
-                                "degeneracies": list(shape.degeneracies),
-                                "is_equidistant": bool(shape.is_equidistant),
-                                "has_unique_ground": bool(shape.has_unique_ground)},
-                      "n_max_used": sol.n_max_used,
-                      "converged_levels": sol.converged_levels})
-    _write_text(merged.get("output"), text)
+    _emit(merged, {
+        "kind": "far", "alpha0": float(merged["alpha0"]),
+        "alphaQ": float(merged["alphaQ"]), "alphaR": float(merged["alphaR"]),
+        "effective": {"omega": fp.omega, "omega0": fp.omega0,
+                      "lambda": fp.lam, "mu": fp.mu,
+                      "phi_lambda": fp.phi_lambda, "phi_mu": fp.phi_mu,
+                      "omega_c": fp.omega_c},
+        "constraints": constraint_check(fp),
+        "shape": {"ground_energy": float(shape.ground_energy),
+                  "spacing": float(shape.spacing),
+                  "degeneracies": list(shape.degeneracies),
+                  "is_equidistant": bool(shape.is_equidistant),
+                  "has_unique_ground": bool(shape.has_unique_ground)},
+        "n_max_used": sol.n_max_used,
+        "converged_levels": sol.converged_levels})
     return 0
 
 

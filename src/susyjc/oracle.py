@@ -21,8 +21,13 @@ __all__ = [
     "EigenSolution",
     "diagonalize",
     "certify_truncation",
+    "certify_cutoff",
     "find_crossings",
+    "CAP_N_MAX",
 ]
+
+# largest Fock cutoff certification doubles up to
+CAP_N_MAX = 2048
 
 
 @dataclass
@@ -60,9 +65,16 @@ def diagonalize(h: np.ndarray, hermiticity_tol: float = 1e-12) -> EigenSolution:
     return EigenSolution(evals, evecs, 0, h.shape[0] // 2 - 1)
 
 
+def _converged_count(sol: EigenSolution, ref: EigenSolution, tol: float) -> int:
+    """Number of leading eigenvalues of sol that move < tol against ref."""
+    m = min(sol.eigenvalues.size, ref.eigenvalues.size)
+    moved = np.abs(sol.eigenvalues[:m] - ref.eigenvalues[:m]) >= tol
+    return int(np.argmax(moved)) if moved.any() else m
+
+
 def certify_truncation(builder: Callable[[int], np.ndarray], k_levels: int,
                        tol: float = 1e-10, start_n_max: int = 32,
-                       cap_n_max: int = 2048) -> EigenSolution:
+                       cap_n_max: int = CAP_N_MAX) -> EigenSolution:
     """Double n_max until the lowest k_levels eigenvalues move < tol.
 
     builder(n_max) must return the same physical Hamiltonian at any cutoff.
@@ -78,14 +90,22 @@ def certify_truncation(builder: Callable[[int], np.ndarray], k_levels: int,
             k = min(k_levels, prev.eigenvalues.size, sol.eigenvalues.size)
             diffs = np.abs(sol.eigenvalues[:k] - prev.eigenvalues[:k])
             if k == k_levels and diffs.max() < tol:
-                m = min(prev.eigenvalues.size, sol.eigenvalues.size)
-                all_diffs = np.abs(sol.eigenvalues[:m] - prev.eigenvalues[:m])
-                converged = int(np.argmax(all_diffs >= tol)) if (all_diffs >= tol).any() else m
+                converged = _converged_count(sol, prev, tol)
                 return EigenSolution(sol.eigenvalues, sol.eigenvectors,
                                      max(converged, k_levels), sol.n_max_used)
         prev = sol
         n_max *= 2
     raise NoConvergence(f"lowest {k_levels} eigenvalues not stable below n_max={cap_n_max}")
+
+
+def certify_cutoff(builder: Callable[[int], np.ndarray], n_max: int,
+                   tol: float = 1e-10) -> EigenSolution:
+    """Eigen-solution at a pinned n_max, certified against the cutoff 2 n_max:
+    converged_levels counts the leading eigenvalues that move < tol."""
+    sol = diagonalize(builder(n_max))
+    ref = diagonalize(builder(2 * n_max))
+    return EigenSolution(sol.eigenvalues, sol.eigenvectors,
+                         _converged_count(sol, ref, tol), sol.n_max_used)
 
 
 def _ground(builder, x) -> tuple[float, float, np.ndarray]:

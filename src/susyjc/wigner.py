@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateAngle, SupportExceeded
-from .hilbert import ModelParams, _destroy, _fock_parity
+from .hilbert import ModelParams, _destroy
 from .jc import DressedLabel, _omega_n, coupling_for
 
 __all__ = [
@@ -56,67 +56,70 @@ def laguerre_sequence(order: int, x):
     return out
 
 
-# one eigendecomposition of i(a^dag - a) per Fock dimension serves every
-# displacement: D(r e^{i phi}) = R_phi expm(r (a^dag - a)) R_phi^dag with
+# one eigendecomposition (w, u) of the generator i(a^dag - a) serves every
+# displacement: D(r e^{i phi}) = R_phi u diag(exp(-i r w)) u^dag R_phi^dag with
 # R_phi the diagonal Fock-phase rotation
-_DISP_EIG: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _generator_eig(n_fock: int) -> tuple[np.ndarray, np.ndarray]:
+    a = _destroy(n_fock)
+    return np.linalg.eigh(1j * (a.conj().T - a))
 
 
-def _displacement_eig(n_fock: int) -> tuple[np.ndarray, np.ndarray]:
-    if n_fock not in _DISP_EIG:
-        a = _destroy(n_fock)
-        herm = 1j * (a.conj().T - a)
-        _DISP_EIG[n_fock] = np.linalg.eigh(herm)
-    return _DISP_EIG[n_fock]
+def _displacement(eig: tuple[np.ndarray, np.ndarray], alpha: complex) -> np.ndarray:
+    w, u = eig
+    if alpha == 0:
+        return np.eye(w.size, dtype=complex)
+    core = (u * np.exp(-1j * abs(alpha) * w)[None, :]) @ u.conj().T
+    phi = np.angle(alpha)
+    if phi != 0.0:
+        rot = np.exp(1j * phi * np.arange(w.size))
+        core = rot[:, None] * core * np.conj(rot)[None, :]
+    return core
 
 
 def displacement_op(n_fock: int, alpha: complex) -> np.ndarray:
     """exp(alpha a^dag - alpha* a) on the truncated Fock space; exactly
     unitary because the truncated generator stays anti-Hermitian."""
-    r = abs(alpha)
-    w, u = _displacement_eig(n_fock)
-    core = (u * np.exp(-1j * r * w)[None, :]) @ u.conj().T
-    if alpha == 0:
-        return np.eye(n_fock, dtype=complex)
-    phi = np.angle(alpha)
-    if phi != 0.0:
-        rot = np.exp(1j * phi * np.arange(n_fock))
-        core = rot[:, None] * core * np.conj(rot)[None, :]
-    return core
+    return _displacement(_generator_eig(n_fock), alpha)
 
 
-def wigner_numeric(rho: np.ndarray, alpha: complex, *, leak_tol: float = 1e-8,
-                   validate: bool = True) -> float:
-    """Displaced-parity value (2/pi) tr[rho D P D^dag] for a photon density
-    matrix on the truncated space.
+def _check_density(rho: np.ndarray) -> None:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("rho must be a square matrix")
+    if abs(np.trace(rho) - 1.0) > 1e-10:
+        raise ValueError("rho must have unit trace")
+    if float(np.abs(rho - rho.conj().T).max()) > 1e-10:
+        raise ValueError("rho must be Hermitian")
+    if float(np.linalg.eigvalsh(rho).min()) < -1e-10:
+        raise ValueError("rho must be positive semidefinite")
 
-    Raises SupportExceeded when the displaced state puts more than leak_tol
-    population in the top two Fock levels, where the hard cutoff corrupts
-    the parity sum.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n_fock = rho.shape[0]
-    if validate:
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("rho must be a square matrix")
-        if abs(np.trace(rho) - 1.0) > 1e-10:
-            raise ValueError("rho must have unit trace")
-        if float(np.abs(rho - rho.conj().T).max()) > 1e-10:
-            raise ValueError("rho must be Hermitian")
-        if float(np.linalg.eigvalsh(rho).min()) < -1e-10:
-            raise ValueError("rho must be positive semidefinite")
-    d = displacement_op(n_fock, alpha)
+
+def _parity_trace(rho: np.ndarray, d: np.ndarray, leak_tol: float) -> float:
     displaced = d.conj().T @ rho @ d
     pops = np.real(np.diag(displaced))
     if pops[-2:].sum() > leak_tol:
         raise SupportExceeded(
             f"displaced state holds {pops[-2:].sum():.3e} population at the cutoff; "
             "increase n_max")
-    signs = (-1.0) ** np.arange(n_fock)
+    signs = (-1.0) ** np.arange(rho.shape[0])
     val = (2.0 / math.pi) * complex(np.diag(displaced) @ signs)
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
         raise ValueError(f"parity trace has imaginary residue {val.imag:.3e}")
     return float(val.real)
+
+
+def wigner_numeric(rho: np.ndarray, alpha: complex, *,
+                   leak_tol: float = 1e-8) -> float:
+    """Displaced-parity value (2/pi) tr[rho D P D^dag] for a photon density
+    matrix on the truncated space.
+
+    Raises ValueError for a rho that is not a density matrix, and
+    SupportExceeded when the displaced state puts more than leak_tol
+    population in the top two Fock levels, where the hard cutoff corrupts
+    the parity sum.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    _check_density(rho)
+    return _parity_trace(rho, displacement_op(rho.shape[0], alpha), leak_tol)
 
 
 def wigner_closed_jc(label: DressedLabel, params: ModelParams, alpha):
@@ -157,10 +160,22 @@ def closed_evaluator(label: DressedLabel, params: ModelParams) -> Callable:
 
 
 def numeric_evaluator(rho: np.ndarray, leak_tol: float = 1e-8) -> Callable:
-    """Pointwise displaced-parity evaluator; density matrix validated once."""
+    """Displaced-parity evaluator alpha -> W(alpha) for a scalar or an array
+    of alphas. The density matrix is validated, and the generator
+    diagonalized, once per evaluator; each point then runs the arithmetic of
+    `wigner_numeric`, so values are bit-identical to it."""
     rho = np.asarray(rho, dtype=complex)
-    wigner_numeric(rho, 0.0, leak_tol=leak_tol, validate=True)
-    return lambda alpha: wigner_numeric(rho, alpha, leak_tol=leak_tol, validate=False)
+    _check_density(rho)
+    eig = _generator_eig(rho.shape[0])
+
+    def evaluate(alpha):
+        alpha = np.asarray(alpha, dtype=complex)
+        values = np.array([_parity_trace(rho, _displacement(eig, complex(a)), leak_tol)
+                           for a in alpha.ravel()])
+        return float(values[0]) if alpha.ndim == 0 else values.reshape(alpha.shape)
+
+    evaluate(0.0)  # refuse a state that already reaches the cutoff
+    return evaluate
 
 
 def wigner_grid(evaluator: Callable, window: float, points: int) -> WignerGrid:
@@ -171,15 +186,7 @@ def wigner_grid(evaluator: Callable, window: float, points: int) -> WignerGrid:
     if not (np.isfinite(window) and window > 0):
         raise ValueError("window must be positive and finite")
     axis = np.linspace(-window, window, points)
-    try:
-        re, im = np.meshgrid(axis, axis, indexing="ij")
-        values = np.asarray(evaluator(re + 1j * im), dtype=float)
-        if values.shape != (points, points):
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.empty((points, points), dtype=float)
-        for i, x in enumerate(axis):
-            for j, y in enumerate(axis):
-                values[i, j] = evaluator(complex(x, y))
+    re, im = np.meshgrid(axis, axis, indexing="ij")
+    values = np.asarray(evaluator(re + 1j * im), dtype=float)
     integral = float(np.trapezoid(np.trapezoid(values, axis, axis=1), axis))
     return WignerGrid(axis.copy(), axis.copy(), values, integral)

@@ -196,7 +196,29 @@ def test_unknown_config_key_rejected(tmp_path):
     assert b"unknown config key" in cp.stderr
 
 
-def test_usage_errors_exit_2():
+# inputs refused before any work: non-finite numbers (flags, bare sweep
+# values, config values) and allocations sized from the input
+REFUSED = [
+    ["spectrum", "--model", "jc", "--lambda", "0.5", "--omega", "nan",
+     "--n-max", "20"],
+    ["spectrum", "--model", "jc", "--lambda", "inf", "--n-max", "20"],
+    ["spectrum", "--model", "ar", "--lambda", "0.3", "--mu=-inf",
+     "--n-max", "20"],
+    ["spectrum", "--model", "jc", "--lambda", "0.5", "--conv-tol", "nan"],
+    ["far", "--alpha0", "nan", "--alphaQ", "1.0", "--alphaR", "0.5"],
+    ["wigner", "--label", "minus:1", "--lambda", "nan"],
+    ["crossings", "--model", "jc", "--lambda", "0.5:1.5:4", "--omega", "inf"],
+    ["spectrum", "--config", "{cfg}"],
+    ["wigner", "--label", "minus:0", "--points", "100000"],
+    ["wigner", "--label", "minus:0", "--source", "numeric", "--window", "1e3"],
+    ["wigner", "--label", "minus:0", "--source", "numeric", "--window", "1e200"],
+    ["wigner", "--label", "minus:3000", "--source", "numeric", "--window", "1"],
+    ["spectrum", "--model", "jc", "--lambda", "0.5", "--n-max", "4096"],
+    ["verify", "--n-max", "100000"],
+]
+
+
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli("spectrum", "--model", "jc").returncode == 2  # no coupling
     assert run_cli("spectrum", "--model", "jc", "--lambda", "0:1:1").returncode == 2
     assert run_cli("spectrum", "--model", "jc", "--lambda", "1:0:5").returncode == 2
@@ -212,6 +234,15 @@ def test_usage_errors_exit_2():
     cp = run_cli("wigner", "--label", "minus:5", "--n-max", "3",
                  "--source", "numeric")
     assert cp.returncode == 2  # level does not fit the requested cutoff
+    from susyjc import cli
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"model": "jc", "lambda": 0.5, "omega0": NaN}')
+    for argv in REFUSED:
+        argv = [a.replace("{cfg}", str(cfg)) for a in argv]
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("susyjc: "), argv
+        assert err.count("\n") == 1, err
 
 
 def test_consistency_failures_exit_4():
@@ -237,6 +268,56 @@ def test_byte_identical_reruns():
             "--n-max", "40")
     first = run_cli(*args).stdout
     second = run_cli(*args).stdout
-    serial = run_cli(*args, env_extra={"SUSYJC_THREADS": "1"}).stdout
-    assert first == second == serial
-    assert run_cli(*args, env_extra={"SUSYJC_THREADS": "0"}).returncode == 2
+    assert first == second
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _flat(payload):
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _flat(value)
+        elif isinstance(value, list):
+            yield key, ";".join(_cell(v) for v in value)
+        else:
+            yield key, _cell(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "jc", "--lambda", "0:1:3", "--levels", "3",
+     "--n-max", "20"],
+    ["spectrum", "--model", "ar", "--lambda", "0.3", "--mu", "0.1",
+     "--levels", "3", "--n-max", "20"],
+    ["crossings", "--model", "jc", "--lambda", "0.5:1.5:8", "--n-max", "20"],
+    ["wigner", "--label", "minus:1", "--lambda", "1.0", "--window", "2",
+     "--points", "17"],
+    ["verify", "--n-max", "16"],
+    ["far", "--alpha0", "0.01", "--alphaQ", "1.0", "--alphaR", "0.5",
+     "--n-max", "40"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_csv_and_json_hold_the_same_table(argv, capsysbinary):
+    from susyjc import cli
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    table = list(csv.reader(io.StringIO(capsysbinary.readouterr().out.decode())))
+    assert cli.main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsysbinary.readouterr().out.decode())
+    _validate(payload)
+    if payload["kind"] == "far":
+        # the CSV is the payload without its kind, flattened field by field
+        del payload["kind"]
+        fields = list(_flat(payload))
+        assert table[0] == ["field", "value"]
+        assert len(table) - 1 == len(fields) == len(dict(fields))
+        assert dict(map(tuple, table[1:])) == dict(fields)
+        return
+    rows = payload["rows"]
+    assert rows and all(sorted(row) == sorted(table[0]) for row in rows)
+    assert table[1:] == [[_cell(row[c]) for c in table[0]] for row in rows]

@@ -131,12 +131,16 @@ def test_grid_normalization_and_layout():
                                                                 + grid.im_alpha[j] ** 2))) < 1e-12
 
 
-def test_grid_accepts_scalar_only_evaluators():
+def test_numeric_evaluator_fills_a_grid_in_one_call():
     rho = _fock_rho(50, 1)
     grid = wigner_grid(numeric_evaluator(rho), window=2.0, points=17)
     assert grid.values.shape == (17, 17)
     mid = 8
     assert abs(grid.values[mid, mid] + TWO_OVER_PI) < 1e-12
+    # the array path runs the pointwise arithmetic: values are bit-identical
+    for i, j in [(0, 0), (3, 11), (mid, mid), (16, 5)]:
+        alpha = complex(grid.re_alpha[i], grid.im_alpha[j])
+        assert grid.values[i, j] == wigner_numeric(rho, alpha)
 
 
 def test_grid_argument_guards():
