@@ -1,10 +1,10 @@
 """Spectral analysis of the Jaynes-Cummings family of light-matter models.
 
 The package builds the JC, anti-JC, anisotropic, and factorizable-anisotropic
-Hamiltonians on a truncated Fock space, verifies their operator-algebra
-identities, evaluates the JC/aJC closed forms (energies, dressed states,
-crossings, Wigner functions), and validates everything against a dense
-diagonalization oracle. A CLI exports spectra, crossings, Wigner grids, and
+Hamiltonians on a truncated Fock space as two tridiagonal parity chains,
+verifies their operator-algebra identities, evaluates the JC/aJC closed forms
+(energies, dressed states, crossings, Wigner functions), and validates
+everything against a diagonalization oracle. A CLI exports spectra, crossings, Wigner grids, and
 verification tables as reproducible CSV/JSON.
 """
 
@@ -19,19 +19,20 @@ from .errors import (DegenerateAngle, DegenerateCouplings, DimensionMismatch,
                      InvalidN, IsotropicSingularLimit, NoConvergence,
                      NotConverged, NotHermitian, SupportExceeded,
                      SusyJCError, TruncationTooSmall)
-from .far import (FarParams, SpectrumShape, constraint_check, far_from_alphas,
-                  far_hamiltonian, far_spectrum_shape)
-from .hilbert import (HilbertConfig, ModelParams, boson_op, build_hamiltonian,
-                      exchange_op, excitation_number, jc_to_ajc_rotation,
-                      parity_op, spin_op, su11_generator)
+from .far import (FarParams, SpectrumShape, constraint_check, far_chains,
+                  far_from_alphas, far_hamiltonian, far_spectrum_shape)
+from .hilbert import (HilbertConfig, ModelParams, ParityChains, boson_op,
+                      build_hamiltonian, exchange_op, excitation_number,
+                      jc_to_ajc_rotation, parity_chains, parity_op, spin_op,
+                      su11_generator)
 from .jc import (CrossingRecord, DressedLabel, DressedState, coupling_for,
                  crossing_pair, dressed_energy, dressed_state,
                  ground_state_critical, lowest_closed_levels, mixing_angle,
                  rabi_frequency, reduced_density, von_neumann_entropy)
-from .oracle import (EigenSolution, certify_truncation, diagonalize,
-                     find_crossings)
+from .oracle import (EigenSolution, certify_cutoff, certify_truncation,
+                     diagonalize, eigenvalues, find_crossings)
 from .wigner import (WignerGrid, closed_evaluator, displacement_op,
-                     laguerre_sequence, numeric_evaluator, wigner_closed_jc,
+                     laguerre_pair, numeric_evaluator, wigner_closed_jc,
                      wigner_grid, wigner_numeric)
 
 __version__ = "0.1.0"

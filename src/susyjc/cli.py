@@ -7,8 +7,8 @@ CSV or JSON. Output is byte-reproducible: floats are printed via repr
 order, files are UTF-8 with LF endings.
 
 Exit codes: 0 ok, 2 usage or parameter error (including a non-finite number,
---points above MAX_POINTS, or a cutoff above oracle.CAP_N_MAX, all refused
-before any work), 3 truncation did not converge, 4 internal consistency
+a config value its flag would not accept, --points or sweep points above
+MAX_POINTS, or a cutoff above oracle.CAP_N_MAX, all refused before any work), 3 truncation did not converge, 4 internal consistency
 failure (non-Hermitian build, factorization mismatch, phase-space support
 overflow, failed verification).
 """
@@ -29,12 +29,11 @@ from .errors import (DegenerateAngle, DegenerateCouplings, EqualCouplings,
                      FactorizationMismatch, InvalidLabel, InvalidN,
                      IsotropicSingularLimit, NoConvergence, NotConverged,
                      NotHermitian, SupportExceeded, TruncationTooSmall)
-from .far import (constraint_check, far_from_alphas, far_hamiltonian,
-                  far_spectrum_shape)
-from .hilbert import HilbertConfig, ModelParams, build_hamiltonian, excitation_number
+from .far import constraint_check, far_chains, far_from_alphas, far_spectrum_shape
+from .hilbert import HilbertConfig, ModelParams, excitation_number, parity_chains
 from .jc import (DressedLabel, ground_state_critical, lowest_closed_levels,
                  reduced_density)
-from .oracle import (CAP_N_MAX, certify_cutoff, certify_truncation, diagonalize,
+from .oracle import (CAP_N_MAX, certify_cutoff, certify_truncation, eigenvalues,
                      find_crossings)
 from .wigner import closed_evaluator, numeric_evaluator, wigner_grid
 
@@ -52,7 +51,11 @@ SWEEP_FLAG = {"jc": "lambda", "ajc": "mu", "ar": "lambda", "far": "alphaR"}
 # config-file key -> argparse dest (identity unless noted)
 CONFIG_TO_DEST = {"lambda": "lam"}
 
-# largest Wigner grid side; the grid holds MAX_POINTS^2 samples
+# dests of the sweepable flags, which take a number or min:max:points
+SWEEP_DESTS = frozenset(CONFIG_TO_DEST.get(f, f) for f in SWEEP_FLAG.values())
+
+# largest Wigner grid side (the grid holds MAX_POINTS^2 samples), and the
+# largest number of points in a min:max:points sweep
 MAX_POINTS = 1001
 
 # CSV header of each row table: the keys of its JSON row dicts, in order
@@ -177,14 +180,15 @@ def _parse_sweep(text) -> tuple[list[float], int | None]:
         lo, hi, pts = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"could not parse sweep {text!r}")
-    if pts < 2:
-        raise UsageError("sweep needs points >= 2")
+    if not 2 <= pts <= MAX_POINTS:
+        raise UsageError(f"sweep needs 2 to {MAX_POINTS} points, got {pts}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise UsageError("sweep needs finite min < max")
     return [float(x) for x in np.linspace(lo, hi, pts)], pts
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and each subcommand's flags as {dest: argparse.Action}."""
     parser = argparse.ArgumentParser(
         prog="susyjc",
         description="Spectral analysis of the JC family of models")
@@ -255,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conv-tol", dest="conv_tol", type=float)
     p.add_argument("--shape-tol", dest="shape_tol", type=float)
 
-    return parser
+    return parser, {name: {a.dest: a for a in p._actions}
+                    for name, p in sub.choices.items()}
 
 
 DEFAULTS = {
@@ -275,8 +280,38 @@ DEFAULTS = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Flags first, then config-file values, then hard defaults."""
+def _config_value(action: argparse.Action, key: str, value):
+    """A config-file value, checked and converted as its flag would be:
+    through the flag's type and choices. A sweep flag takes a number or a
+    string, a switch such as --auto a boolean, any other untyped flag a
+    string; a boolean is never a number."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if action.nargs == 0:
+        ok, want = isinstance(value, bool), "true or false"
+    elif action.type is not None:
+        want = "an integer" if action.type is int else "a number"
+        ok = is_number or isinstance(value, str)
+        if action.type is int and isinstance(value, float):
+            ok = value.is_integer()
+        if ok:
+            try:
+                value = action.type(value)
+            except (ValueError, OverflowError):
+                ok = False
+    elif action.dest in SWEEP_DESTS:
+        ok, want = is_number or isinstance(value, str), "a number or min:max:points"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if ok and action.choices is not None:
+        ok, want = value in action.choices, "one of " + ", ".join(action.choices)
+    if not ok:
+        raise UsageError(f"config key {key!r} must be {want}, got {value!r}")
+    return value
+
+
+def _merge_config(args: argparse.Namespace, actions: dict) -> dict:
+    """Flags first, then config-file values, then hard defaults. actions maps
+    each flag dest of the subcommand to its argparse.Action."""
     merged = dict(vars(args))
     if args.config:
         try:
@@ -290,9 +325,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError("config file must hold a JSON object")
         for key, value in from_file.items():
             dest = CONFIG_TO_DEST.get(key, key)
-            if dest not in merged:
+            if dest not in actions or dest not in merged:
                 raise UsageError(f"unknown config key {key!r} for "
                                  f"subcommand {args.command!r}")
+            value = _config_value(actions[dest], key, value)
             if merged[dest] is None:
                 merged[dest] = value
     for key, value in DEFAULTS[args.command].items():
@@ -360,20 +396,20 @@ def _point_params(merged: dict, model: str, x: float) -> ModelParams:
 
 
 def _builder(merged: dict, model: str, x: float):
-    """n_max -> Hamiltonian of the model at sweep value x."""
+    """n_max -> parity chains of the model's Hamiltonian at sweep value x."""
     if model == "far":
         fp = far_from_alphas(merged["alpha0"], merged["alphaQ"], x)
-        return lambda n: far_hamiltonian(HilbertConfig(n), fp,
-                                         check_tol=FAR_BUILD_TOL)
+        return lambda n: far_chains(HilbertConfig(n), fp, check_tol=FAR_BUILD_TOL)
     params = _point_params(merged, model, x)
-    return lambda n: build_hamiltonian(HilbertConfig(n), params, model)
+    return lambda n: parity_chains(HilbertConfig(n), params, model)
 
 
-def _solve(builder, merged: dict, k_levels: int):
+def _solve(builder, merged: dict, k_levels: int) -> np.ndarray:
+    """Ascending eigenvalues at the pinned cutoff, or certified ones."""
     if merged.get("n_max") is not None:
-        return diagonalize(builder(int(merged["n_max"])))
+        return eigenvalues(builder(int(merged["n_max"])))
     return certify_truncation(builder, k_levels=k_levels,
-                              tol=float(merged["conv_tol"]))
+                              tol=float(merged["conv_tol"])).eigenvalues
 
 
 def cmd_spectrum(merged: dict) -> int:
@@ -391,7 +427,7 @@ def cmd_spectrum(merged: dict) -> int:
         except DegenerateCouplings as exc:
             print(f"susyjc: skipping sweep point {x!r}: {exc}", file=sys.stderr)
             continue
-        energies = _solve(builder, merged, levels).eigenvalues[:levels]
+        energies = _solve(builder, merged, levels)[:levels]
         closed = None
         if model in ("jc", "ajc"):
             closed = lowest_closed_levels(_point_params(merged, model, x),
@@ -437,7 +473,7 @@ def cmd_crossings(merged: dict) -> int:
         sector_op = excitation_number(HilbertConfig(n_max),
                                       "plus" if model == "jc" else "minus")
 
-    records = find_crossings(lambda x: _builder(merged, model, x)(n_max),
+    records = find_crossings(lambda x: _builder(merged, model, x)(n_max).dense(),
                              (lo, hi), mode="ground",
                              grid_points=max(3, points),
                              xtol=float(merged["xtol"]),
@@ -566,10 +602,10 @@ def cmd_far(merged: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, actions = _build_parser()
     try:
         args = parser.parse_args(argv)
-        merged = _merge_config(args)
+        merged = _merge_config(args, actions[args.command])
         handler = {"spectrum": cmd_spectrum, "crossings": cmd_crossings,
                    "wigner": cmd_wigner, "verify": cmd_verify,
                    "far": cmd_far}[args.command]

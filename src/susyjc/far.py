@@ -26,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCouplings, FactorizationMismatch, NotConverged
-from .hilbert import HilbertConfig, boson_op, exchange_op, spin_op
+from .hilbert import HilbertConfig, ParityChains
 from .oracle import EigenSolution
 
 __all__ = [
     "FarParams",
     "SpectrumShape",
     "far_from_alphas",
+    "far_chains",
     "far_hamiltonian",
     "constraint_check",
     "far_spectrum_shape",
@@ -83,40 +84,50 @@ def far_from_alphas(alpha0: complex, alpha_q: complex,
     )
 
 
-def far_hamiltonian(cfg: HilbertConfig, fp: FarParams,
-                    check_tol: float = 1e-12) -> np.ndarray:
-    """Build (A A^dag + A^dag A)/2 and, independently, the explicit coupled
-    model with the derived parameters; refuse to return unless the two agree
-    entrywise (interior rows/columns, boson level < n_max) within check_tol.
+def far_chains(cfg: HilbertConfig, fp: FarParams,
+               check_tol: float = 1e-12) -> ParityChains:
+    """Build (A A^dag + A^dag A)/2 on the two parity chains and,
+    independently, the explicit coupled model with the derived parameters;
+    refuse to return unless the two agree entrywise on the interior (boson
+    level < n_max) within check_tol.
 
-    Returns the factorized form, whose spectrum is nonnegative by
-    construction. The interior restriction exists because the truncated
-    ladder products acquire a defect on the edge diagonal only.
+    On a chain, A = alpha0 + alphaQ Q- + alphaR R- is lower bidiagonal: alpha0
+    on the diagonal and b_k = alpha sqrt(k+1) below it, with alpha = alphaQ
+    where level k holds |e> and alphaR where it holds |g>. So the factorized
+    form has diagonal |alpha0|^2 + (|b_{k-1}|^2 + |b_k|^2)/2 and
+    off-diagonal conj(alpha0) b_k. Raising out of the top level is dropped,
+    which removes |b_{n_max}|^2 from the edge diagonal only; hence the
+    interior restriction. The spectrum is nonnegative by construction.
     """
-    q_minus = exchange_op(cfg, "Q", "minus")
-    r_minus = exchange_op(cfg, "R", "minus")
-    a_op = fp.alpha0 * np.eye(cfg.dim) + fp.alpha_q * q_minus + fp.alpha_r * r_minus
-    a_dag = a_op.conj().T
-    h_fact = 0.5 * (a_op @ a_dag + a_dag @ a_op)
+    spin = cfg.chain_spin()
+    from_e = spin[:, :-1] == 1
+    steps = np.arange(1.0, cfg.n_fock)
+    b = np.where(from_e, fp.alpha_q, fp.alpha_r) * np.sqrt(steps)
+    b2 = np.where(from_e, abs(fp.alpha_q) ** 2, abs(fp.alpha_r) ** 2) * steps
+    diag = abs(fp.alpha0) ** 2 + 0.5 * (np.pad(b2, ((0, 0), (1, 0)))
+                                        + np.pad(b2, ((0, 0), (0, 1))))
+    fact = ParityChains(cfg.n_max, diag, np.conj(fp.alpha0) * b)
 
-    q_plus = exchange_op(cfg, "Q", "plus")
-    r_plus = exchange_op(cfg, "R", "plus")
-    h_expl = (fp.omega * boson_op(cfg, "number")
-              + fp.omega0 * spin_op(cfg, "s_z")
-              + fp.lam * (cmath.exp(1j * fp.phi_lambda) * q_plus
-                          + cmath.exp(-1j * fp.phi_lambda) * q_minus)
-              + fp.mu * (cmath.exp(1j * fp.phi_mu) * r_plus
-                         + cmath.exp(-1j * fp.phi_mu) * r_minus)
-              + fp.omega_c * np.eye(cfg.dim))
+    n = np.arange(cfg.n_fock, dtype=float)
+    expl_diag = fp.omega * n + fp.omega0 * (spin - 0.5) + fp.omega_c
+    coupling = np.where(from_e, fp.lam * cmath.exp(-1j * fp.phi_lambda),
+                        fp.mu * cmath.exp(-1j * fp.phi_mu))
+    expl_off = coupling * np.sqrt(steps)
 
-    interior = np.where(cfg.boson_index() < cfg.n_max)[0]
-    defect = float(np.abs(h_fact[np.ix_(interior, interior)]
-                          - h_expl[np.ix_(interior, interior)]).max())
+    inner = cfg.n_max
+    defect = max(np.abs(fact.diag[:, :inner] - expl_diag[:, :inner]).max(initial=0.0),
+                 np.abs(fact.off[:, :inner - 1] - expl_off[:, :inner - 1]).max(initial=0.0))
     if defect > check_tol:
         raise FactorizationMismatch(
             f"factorized and explicit forms differ by {defect:.3e} "
             f"(> {check_tol:g}) away from the truncation edge")
-    return h_fact
+    return fact
+
+
+def far_hamiltonian(cfg: HilbertConfig, fp: FarParams,
+                    check_tol: float = 1e-12) -> np.ndarray:
+    """Dense factorized Hamiltonian, gated as in `far_chains`."""
+    return far_chains(cfg, fp, check_tol).dense()
 
 
 def constraint_check(fp: FarParams) -> dict:

@@ -30,6 +30,8 @@ __all__ = [
     "su11_generator",
     "parity_op",
     "jc_to_ajc_rotation",
+    "ParityChains",
+    "parity_chains",
     "build_hamiltonian",
     "MODELS",
 ]
@@ -78,6 +80,11 @@ class HilbertConfig:
         v = np.zeros(self.dim, dtype=complex)
         v[self.index(spin, n)] = 1.0
         return v
+
+    def chain_spin(self) -> np.ndarray:
+        """Spin (0 = g, 1 = e) of level k = 0..n_max on parity chain c, as a
+        (2, n_fock) array: chain c holds |(c + k) mod 2, k>."""
+        return (np.arange(2)[:, None] + np.arange(self.n_fock)) % 2
 
     def boson_index(self) -> np.ndarray:
         """Fock level of each composite basis index, in basis order; the
@@ -267,40 +274,72 @@ def jc_to_ajc_rotation(cfg: HilbertConfig) -> np.ndarray:
     return _lift_spin(cfg, u2)
 
 
-def build_hamiltonian(cfg: HilbertConfig, params: ModelParams, model: str) -> np.ndarray:
-    """Hamiltonian of the requested model on the truncated space.
+@dataclass(frozen=True)
+class ParityChains:
+    """A Hamiltonian that conserves parity sigma_z (-1)^n, stored as its two
+    tridiagonal parity chains.
+
+    Chain c holds the states |s_k, k>, k = 0..n_max, with spin
+    s_k = (c + k) mod 2: chain 0 is |g,0>, |e,1>, |g,2>, ... and chain 1 its
+    mirror |e,0>, |g,1>, |e,2>, .... diag[c, k] is the real energy of
+    |s_k, k>, and off[c, k] = <s_{k+1}, k+1|H|s_k, k> is complex. Storage and
+    assembly are O(n_max).
+    """
+
+    n_max: int
+    diag: np.ndarray  # (2, n_max + 1), real
+    off: np.ndarray   # (2, n_max), complex
+
+    def dense(self) -> np.ndarray:
+        """The same operator in the spin-major composite basis. Each upper
+        entry is the conjugate of its lower mirror, so H - H^dag is exactly
+        zero."""
+        cfg = HilbertConfig(self.n_max)
+        h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+        k = np.arange(cfg.n_fock)
+        spin = cfg.chain_spin()
+        for c in (0, 1):
+            idx = spin[c] * cfg.n_fock + k
+            h[idx, idx] = self.diag[c]
+            h[idx[1:], idx[:-1]] = self.off[c]
+            h[idx[:-1], idx[1:]] = np.conj(self.off[c])
+        return h
+
+
+def parity_chains(cfg: HilbertConfig, params: ModelParams, model: str) -> ParityChains:
+    """Hamiltonian of the requested model as its two parity chains.
 
     'jc'  : omega n + omega0 sigma_z/2 + lam (e^{i theta} Q+ + e^{-i theta} Q-)
     'ajc' : omega n - omega0 sigma_z/2 - mu (e^{-i theta} R- + e^{i theta} R+)
     'ar'  : jc plus  mu (e^{-i theta} R- + e^{i theta} R+), requires lam != mu
 
-    The jc model ignores mu and the ajc model ignores lam. The result is
-    exactly Hermitian entrywise.
+    The jc model ignores mu and the ajc model ignores lam. On a chain,
+    Q- = a^dag sigma- takes |e,k> to sqrt(k+1) |g,k+1> and R- = a^dag sigma+
+    takes |g,k> to sqrt(k+1) |e,k+1>, so each step down the chain is one
+    exchange term.
     """
     model = model.lower()
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    nb = boson_op(cfg, "number")
-    sz = spin_op(cfg, "sigma_z")
-    phase = np.exp(1j * params.theta)
-    h = params.omega * nb
-    if model == "jc" or model == "ar":
-        qp = exchange_op(cfg, "Q", "plus")
-        qm = exchange_op(cfg, "Q", "minus")
-        h = h + 0.5 * params.omega0 * sz
-        h = h + params.lam * (phase * qp + np.conj(phase) * qm)
-    if model == "ajc" or model == "ar":
-        rp = exchange_op(cfg, "R", "plus")
-        rm = exchange_op(cfg, "R", "minus")
-        coupling = params.mu
-        term = coupling * (np.conj(phase) * rm + phase * rp)
-        if model == "ajc":
-            h = h - 0.5 * params.omega0 * sz - term
-        else:
-            if params.lam == params.mu:
-                raise EqualCouplings(
-                    "anisotropic model requires lam != mu (exactly equal couplings "
-                    "are the isotropic singular point)"
-                )
-            h = h + term
-    return h
+    if model == "ar" and params.lam == params.mu:
+        raise EqualCouplings(
+            "anisotropic model requires lam != mu (exactly equal couplings "
+            "are the isotropic singular point)"
+        )
+    spin = cfg.chain_spin()
+    sz = 2.0 * spin - 1.0
+    n = np.arange(cfg.n_fock, dtype=float)
+    half = 0.5 * params.omega0
+    diag = params.omega * n - half * sz if model == "ajc" else params.omega * n + half * sz
+    step = np.conj(np.exp(1j * params.theta)) * np.sqrt(np.arange(1.0, cfg.n_fock))
+    zero = np.zeros_like(step)
+    q_minus = params.lam * step if model != "ajc" else zero
+    r_minus = {"jc": zero, "ajc": -(params.mu * step), "ar": params.mu * step}[model]
+    off = np.where(spin[:, :-1] == 1, q_minus, r_minus)
+    return ParityChains(cfg.n_max, diag, off)
+
+
+def build_hamiltonian(cfg: HilbertConfig, params: ModelParams, model: str) -> np.ndarray:
+    """Dense Hamiltonian of the requested model (see `parity_chains`); the
+    result is exactly Hermitian entrywise."""
+    return parity_chains(cfg, params, model).dense()

@@ -1,9 +1,12 @@
-"""Dense diagonalization oracle with truncation certification and a
+"""Diagonalization oracle with truncation certification and a
 level-crossing finder.
 
-The oracle never uses the closed forms: it diagonalizes the truncated matrix,
-certifies convergence by doubling the Fock cutoff, and locates crossings by
-scanning and bisecting, so closed-form results can be validated against it.
+The oracle never uses the closed forms: it diagonalizes the truncated
+Hamiltonian, certifies convergence by doubling the Fock cutoff, and locates
+crossings by scanning and bisecting, so closed-form results can be validated
+against it. Eigenvalue-only paths take a Hamiltonian as parity chains (a
+tridiagonal solve per chain) or as a dense matrix; eigenvector paths are
+dense.
 """
 
 from __future__ import annotations
@@ -12,14 +15,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 from .errors import NoConvergence, NotHermitian
+from .hilbert import ParityChains
 from .jc import CrossingRecord, DressedLabel
 
 __all__ = [
     "EigenSolution",
     "diagonalize",
+    "eigenvalues",
     "certify_truncation",
     "certify_cutoff",
     "find_crossings",
@@ -33,12 +39,20 @@ CAP_N_MAX = 2048
 @dataclass
 class EigenSolution:
     """Eigen-decomposition, ascending; converged_levels counts the leading
-    eigenvalues certified stable under truncation doubling (0 = uncertified)."""
+    eigenvalues certified stable under truncation doubling (0 = uncertified).
+    Certified solutions carry eigenvalues only (eigenvectors None)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     converged_levels: int
     n_max_used: int
+
+
+def _check_hermitian(h: np.ndarray, tol: float) -> None:
+    dev = float(np.abs(h - h.conj().T).max())
+    scale = max(1.0, float(np.abs(h).max()))
+    if dev > tol * scale:
+        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} exceeds tolerance")
 
 
 def diagonalize(h: np.ndarray, hermiticity_tol: float = 1e-12) -> EigenSolution:
@@ -48,10 +62,7 @@ def diagonalize(h: np.ndarray, hermiticity_tol: float = 1e-12) -> EigenSolution:
     positive; bitwise-equal eigenvalues are ordered by the basis index of
     that amplitude.
     """
-    dev = float(np.abs(h - h.conj().T).max())
-    scale = max(1.0, float(np.abs(h).max()))
-    if dev > hermiticity_tol * scale:
-        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} exceeds tolerance")
+    _check_hermitian(h, hermiticity_tol)
     evals, evecs = np.linalg.eigh(h)
     anchors = np.abs(evecs).argmax(axis=0)
     order = np.lexsort((anchors, evals))
@@ -65,47 +76,72 @@ def diagonalize(h: np.ndarray, hermiticity_tol: float = 1e-12) -> EigenSolution:
     return EigenSolution(evals, evecs, 0, h.shape[0] // 2 - 1)
 
 
-def _converged_count(sol: EigenSolution, ref: EigenSolution, tol: float) -> int:
-    """Number of leading eigenvalues of sol that move < tol against ref."""
-    m = min(sol.eigenvalues.size, ref.eigenvalues.size)
-    moved = np.abs(sol.eigenvalues[:m] - ref.eigenvalues[:m]) >= tol
+def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    # the diagonal phase change that makes every off-diagonal entry real and
+    # nonnegative turns a chain into the real symmetric tridiagonal
+    # (diag, |off|). Couplings at or below eps times the largest entry are
+    # dropped: by Weyl's bound that moves no eigenvalue by more than 2 eps
+    # times that entry, and it keeps LAPACK's root-free QR (sterf), which
+    # works on squared couplings, off subnormal squares, where it loses
+    # digits (|off| ~ 1e-160 next to O(1) entries cost 5e-4).
+    off = np.abs(off)
+    scale = max(float(np.abs(diag).max()), float(off.max(initial=0.0)))
+    off[off <= np.finfo(float).eps * scale] = 0.0
+    return eigvalsh_tridiagonal(diag, off)
+
+
+def eigenvalues(h: ParityChains | np.ndarray,
+                hermiticity_tol: float = 1e-12) -> np.ndarray:
+    """All eigenvalues, ascending. Parity chains are solved one tridiagonal
+    chain at a time and merged. A dense matrix passes the Hermiticity gate of
+    `diagonalize` and takes the same eigh, so dense results match it
+    bitwise."""
+    if isinstance(h, ParityChains):
+        return np.sort(np.concatenate([_chain_eigenvalues(d, e)
+                                       for d, e in zip(h.diag, h.off)]))
+    _check_hermitian(h, hermiticity_tol)
+    return np.linalg.eigh(h)[0]
+
+
+def _converged_count(evals: np.ndarray, ref: np.ndarray, tol: float) -> int:
+    """Number of leading eigenvalues of evals that move < tol against ref."""
+    m = min(evals.size, ref.size)
+    moved = np.abs(evals[:m] - ref[:m]) >= tol
     return int(np.argmax(moved)) if moved.any() else m
 
 
-def certify_truncation(builder: Callable[[int], np.ndarray], k_levels: int,
-                       tol: float = 1e-10, start_n_max: int = 32,
+def certify_truncation(builder: Callable[[int], ParityChains | np.ndarray],
+                       k_levels: int, tol: float = 1e-10, start_n_max: int = 32,
                        cap_n_max: int = CAP_N_MAX) -> EigenSolution:
     """Double n_max until the lowest k_levels eigenvalues move < tol.
 
-    builder(n_max) must return the same physical Hamiltonian at any cutoff.
-    Raises NoConvergence once the cap is passed.
+    builder(n_max) must return the same physical Hamiltonian at any cutoff,
+    as parity chains or a dense matrix. Raises NoConvergence once the cap is
+    passed.
     """
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
     prev = None
     n_max = start_n_max
     while n_max <= cap_n_max:
-        sol = diagonalize(builder(n_max))
+        evals = eigenvalues(builder(n_max))
         if prev is not None:
-            k = min(k_levels, prev.eigenvalues.size, sol.eigenvalues.size)
-            diffs = np.abs(sol.eigenvalues[:k] - prev.eigenvalues[:k])
-            if k == k_levels and diffs.max() < tol:
-                converged = _converged_count(sol, prev, tol)
-                return EigenSolution(sol.eigenvalues, sol.eigenvectors,
-                                     max(converged, k_levels), sol.n_max_used)
-        prev = sol
+            k = min(k_levels, prev.size, evals.size)
+            if k == k_levels and np.abs(evals[:k] - prev[:k]).max() < tol:
+                converged = _converged_count(evals, prev, tol)
+                return EigenSolution(evals, None, max(converged, k_levels), n_max)
+        prev = evals
         n_max *= 2
     raise NoConvergence(f"lowest {k_levels} eigenvalues not stable below n_max={cap_n_max}")
 
 
-def certify_cutoff(builder: Callable[[int], np.ndarray], n_max: int,
+def certify_cutoff(builder: Callable[[int], ParityChains | np.ndarray], n_max: int,
                    tol: float = 1e-10) -> EigenSolution:
-    """Eigen-solution at a pinned n_max, certified against the cutoff 2 n_max:
+    """Eigenvalues at a pinned n_max, certified against the cutoff 2 n_max:
     converged_levels counts the leading eigenvalues that move < tol."""
-    sol = diagonalize(builder(n_max))
-    ref = diagonalize(builder(2 * n_max))
-    return EigenSolution(sol.eigenvalues, sol.eigenvectors,
-                         _converged_count(sol, ref, tol), sol.n_max_used)
+    evals = eigenvalues(builder(n_max))
+    ref = eigenvalues(builder(2 * n_max))
+    return EigenSolution(evals, None, _converged_count(evals, ref, tol), n_max)
 
 
 def _ground(builder, x) -> tuple[float, float, np.ndarray]:

@@ -21,7 +21,7 @@ from .jc import DressedLabel, _omega_n, coupling_for
 
 __all__ = [
     "WignerGrid",
-    "laguerre_sequence",
+    "laguerre_pair",
     "displacement_op",
     "wigner_numeric",
     "wigner_closed_jc",
@@ -42,18 +42,18 @@ class WignerGrid:
     normalization_integral: float
 
 
-def laguerre_sequence(order: int, x):
-    """L_0(x) .. L_order(x) by the three-term recurrence
-    (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}; stable for the moderate orders
-    used here, unlike the factorial sum."""
+def laguerre_pair(order: int, x):
+    """(L_{order-1}(x), L_order(x)) for order >= 1, by the three-term
+    recurrence (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}; stable for the
+    moderate orders used here, unlike the factorial sum. Only the last two
+    orders are held, so memory does not grow with the order."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
     x = np.asarray(x, dtype=float)
-    out = np.empty((order + 1,) + x.shape, dtype=float)
-    out[0] = 1.0
-    if order >= 1:
-        out[1] = 1.0 - x
+    prev, cur = np.ones_like(x), 1.0 - x
     for n in range(1, order):
-        out[n + 1] = ((2.0 * n + 1.0 - x) * out[n] - n * out[n - 1]) / (n + 1.0)
-    return out
+        prev, cur = cur, ((2.0 * n + 1.0 - x) * cur - n * prev) / (n + 1.0)
+    return prev, cur
 
 
 # one eigendecomposition (w, u) of the generator i(a^dag - a) serves every
@@ -146,10 +146,10 @@ def wigner_closed_jc(label: DressedLabel, params: ModelParams, alpha):
     omega_n = _omega_n(n, params.delta, g)
     if omega_n == 0.0:
         raise DegenerateAngle("Wigner form undefined in a degenerate sector")
-    lag = laguerre_sequence(n, 4.0 * r2)
+    lag_below, lag_n = laguerre_pair(n, 4.0 * r2)
     sign = 1.0 if label.branch == "plus" else -1.0
-    bracket = (omega_n - sign * params.delta) * lag[n] \
-        - (omega_n + sign * params.delta) * lag[n - 1]
+    bracket = (omega_n - sign * params.delta) * lag_n \
+        - (omega_n + sign * params.delta) * lag_below
     out = ((-1.0) ** n) * gauss / (math.pi * omega_n) * bracket
     return float(out) if out.ndim == 0 else out
 

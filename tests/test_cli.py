@@ -188,6 +188,19 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(overridden.stdout.decode().splitlines()) == 3
 
 
+def test_config_values_pass_through_their_flag_types(tmp_path, capsys):
+    from susyjc import cli
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": "jc", "lambda": 0.5, "levels": 3.0,
+                               "omega": "1", "n_max": 20, "format": "json"}))
+    assert cli.main(["spectrum", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["levels"] == 3 and payload["n_max"] == 20
+    cfg.write_text(json.dumps({"model": "jc", "lambda": 0.5, "levels": 2.5}))
+    assert cli.main(["spectrum", "--config", str(cfg)]) == 2
+    assert "'levels' must be an integer" in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": "jc", "lambda": "0.5", "bogus": 1}))
@@ -215,7 +228,23 @@ REFUSED = [
     ["wigner", "--label", "minus:3000", "--source", "numeric", "--window", "1"],
     ["spectrum", "--model", "jc", "--lambda", "0.5", "--n-max", "4096"],
     ["verify", "--n-max", "100000"],
+    ["spectrum", "--model", "jc", "--lambda", "0:1:100000000"],
+    ["crossings", "--model", "jc", "--lambda", "0:1:1002", "--n-max", "20"],
+    ["spectrum", "--config", "{cfg_levels}"],
+    ["spectrum", "--config", "{cfg_omega}"],
+    ["spectrum", "--config", "{cfg_bool}"],
+    ["spectrum", "--config", "{cfg_model}"],
+    ["spectrum", "--config", "{cfg_sweep}"],
 ]
+
+# config files whose values their flags would not accept
+BAD_CONFIGS = {
+    "cfg_levels": {"model": "jc", "lambda": 0.5, "levels": [3]},
+    "cfg_omega": {"model": "jc", "lambda": 0.5, "omega": "x"},
+    "cfg_bool": {"model": "jc", "lambda": 0.5, "n_max": True},
+    "cfg_model": {"model": "rabi", "lambda": 0.5},
+    "cfg_sweep": {"model": "jc", "lambda": [0, 1, 3]},
+}
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -237,8 +266,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     from susyjc import cli
     cfg = tmp_path / "run.json"
     cfg.write_text('{"model": "jc", "lambda": 0.5, "omega0": NaN}')
+    paths = {"{cfg}": str(cfg)}
+    for name, content in BAD_CONFIGS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(content))
+        paths["{" + name + "}"] = str(path)
     for argv in REFUSED:
-        argv = [a.replace("{cfg}", str(cfg)) for a in argv]
+        argv = [paths.get(a, a) for a in argv]
         assert cli.main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("susyjc: "), argv

@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from susyjc.errors import (DegenerateCouplings, FactorizationMismatch,
                            NotConverged)
-from susyjc.far import (FarParams, constraint_check, far_from_alphas,
-                        far_hamiltonian, far_spectrum_shape)
-from susyjc.hilbert import HilbertConfig, ModelParams, build_hamiltonian
-from susyjc.oracle import EigenSolution, certify_truncation, diagonalize
+from susyjc.far import (FarParams, constraint_check, far_chains,
+                        far_from_alphas, far_hamiltonian, far_spectrum_shape)
+from susyjc.hilbert import (HilbertConfig, ModelParams, build_hamiltonian,
+                            exchange_op)
+from susyjc.oracle import (EigenSolution, certify_truncation, diagonalize,
+                           eigenvalues)
 
 
 def test_parameter_map_anchor():
@@ -69,13 +73,38 @@ def test_hand_built_params_are_caught():
                     omega=fp.omega, omega0=fp.omega0 + 0.05, lam=fp.lam,
                     mu=fp.mu, phi_lambda=fp.phi_lambda, phi_mu=fp.phi_mu,
                     omega_c=fp.omega_c)
-    with pytest.raises(FactorizationMismatch):
-        far_hamiltonian(HilbertConfig(20), bad)
+    for build in (far_chains, far_hamiltonian):
+        with pytest.raises(FactorizationMismatch):
+            build(HilbertConfig(20), bad)
     checks = constraint_check(bad)
     assert checks["detuning_residual"] > 1e-3
     good = constraint_check(fp)
     assert good["detuning_residual"] < 1e-15
     assert good["exceptional_residual"] < 1e-15
+
+
+_alpha = st.builds(lambda m, p: m * cmath.exp(1j * p),
+                   st.floats(0.0, 2.0), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a0=_alpha, aq=_alpha, ar=_alpha, n_max=st.integers(0, 60))
+def test_far_chains_match_the_dense_anticommutator(a0, aq, ar, n_max):
+    try:
+        fp = far_from_alphas(a0, aq, ar)
+    except DegenerateCouplings:
+        assume(False)
+    cfg = HilbertConfig(n_max)
+    a_op = (a0 * np.eye(cfg.dim) + aq * exchange_op(cfg, "Q", "minus")
+            + ar * exchange_op(cfg, "R", "minus"))
+    ref = 0.5 * (a_op @ a_op.conj().T + a_op.conj().T @ a_op)
+    h = far_hamiltonian(cfg, fp)
+    scale = max(1.0, float(np.abs(ref).max()))
+    # every entry, the truncation edge included
+    assert np.abs(h - ref).max() < 1e-14 * scale
+    assert np.array_equal(h, h.conj().T)
+    evals = eigenvalues(far_chains(cfg, fp))
+    assert np.abs(evals - np.linalg.eigh(ref)[0]).max() < 1e-12 * scale
 
 
 def test_pure_rotating_limit_is_a_shifted_resonant_jc():

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from susyjc.errors import EqualCouplings
 from susyjc.hilbert import (HilbertConfig, ModelParams, boson_op,
                             build_hamiltonian, exchange_op, excitation_number,
-                            jc_to_ajc_rotation, parity_op, spin_op,
-                            su11_generator)
+                            jc_to_ajc_rotation, parity_chains, parity_op,
+                            spin_op, su11_generator)
+from susyjc.oracle import eigenvalues
 
 CFG = HilbertConfig(12)
 
@@ -150,10 +155,11 @@ def test_hamiltonians_exactly_hermitian():
 
 
 def test_model_guards():
-    with pytest.raises(ValueError):
-        build_hamiltonian(CFG, ModelParams(), "rabi")
-    with pytest.raises(EqualCouplings):
-        build_hamiltonian(CFG, ModelParams(lam=0.3, mu=0.3), "ar")
+    for build in (build_hamiltonian, parity_chains):
+        with pytest.raises(ValueError):
+            build(CFG, ModelParams(), "rabi")
+        with pytest.raises(EqualCouplings):
+            build(CFG, ModelParams(lam=0.3, mu=0.3), "ar")
     # jc ignores mu, ajc ignores lam
     h1 = build_hamiltonian(CFG, ModelParams(lam=0.5, mu=0.0), "jc")
     h2 = build_hamiltonian(CFG, ModelParams(lam=0.5, mu=9.0), "jc")
@@ -162,3 +168,60 @@ def test_model_guards():
 
 def test_delta_is_derived():
     assert ModelParams(omega=0.75, omega0=2.0).delta == 1.25
+
+
+def _kron_reference(cfg, p, model):
+    """The Hamiltonian as a sum of lifted operators, term by term."""
+    phase = np.exp(1j * p.theta)
+    h = p.omega * boson_op(cfg, "number")
+    sz = spin_op(cfg, "sigma_z")
+    q = p.lam * (phase * exchange_op(cfg, "Q", "plus")
+                 + np.conj(phase) * exchange_op(cfg, "Q", "minus"))
+    r = p.mu * (np.conj(phase) * exchange_op(cfg, "R", "minus")
+                + phase * exchange_op(cfg, "R", "plus"))
+    if model == "jc":
+        return h + 0.5 * p.omega0 * sz + q
+    if model == "ajc":
+        return h - 0.5 * p.omega0 * sz - r
+    return h + 0.5 * p.omega0 * sz + q + r
+
+
+_coupling = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(["jc", "ajc", "ar"]), n_max=st.integers(0, 60),
+       omega=_coupling, omega0=_coupling, lam=_coupling, mu=_coupling,
+       theta=st.floats(-math.pi, math.pi))
+# a coupling whose square is subnormal, next to O(1) entries: eigenvalue-only
+# LAPACK paths that square couplings (numpy's eigvalsh among them) lose 5e-4
+@example(model="ar", n_max=16, omega=0.0, omega0=0.0, lam=1.0,
+         mu=3.098750209914305e-160, theta=0.0)
+def test_parity_chains_match_the_kron_sum(model, n_max, omega, omega0, lam,
+                                          mu, theta):
+    assume(model != "ar" or lam != mu)
+    cfg = HilbertConfig(n_max)
+    params = ModelParams(omega=omega, omega0=omega0, lam=lam, mu=mu, theta=theta)
+    h = build_hamiltonian(cfg, params, model)
+    # the chains assemble the same products of the same floats
+    assert np.array_equal(h, _kron_reference(cfg, params, model))
+    assert np.array_equal(h, h.conj().T)
+    evals = eigenvalues(parity_chains(cfg, params, model))
+    scale = max(1.0, float(np.abs(h).max()))
+    assert np.abs(evals - np.linalg.eigh(h)[0]).max() < 1e-12 * scale
+
+
+def test_parity_chain_layout():
+    cfg = HilbertConfig(3)
+    chains = parity_chains(cfg, ModelParams(omega=1.0, omega0=0.5, lam=0.2,
+                                            mu=0.1), "ar")
+    # chain 0 is |g,0>, |e,1>, |g,2>, |e,3>; chain 1 its mirror
+    assert cfg.chain_spin().tolist() == [[0, 1, 0, 1], [1, 0, 1, 0]]
+    assert chains.diag.tolist() == [[-0.25, 1.25, 1.75, 3.25],
+                                    [0.25, 0.75, 2.25, 2.75]]
+    h = chains.dense()
+    for c, spins in enumerate(cfg.chain_spin()):
+        for k in range(cfg.n_max):
+            row = cfg.index(int(spins[k + 1]), k + 1)
+            col = cfg.index(int(spins[k]), k)
+            assert h[row, col] == chains.off[c, k]

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from susyjc.errors import NoConvergence, NotHermitian
-from susyjc.hilbert import HilbertConfig, ModelParams, build_hamiltonian, excitation_number
+from susyjc.far import far_chains, far_from_alphas, far_hamiltonian
+from susyjc.hilbert import (HilbertConfig, ModelParams, build_hamiltonian,
+                            excitation_number, parity_chains)
 from susyjc.jc import DressedLabel
-from susyjc.oracle import certify_truncation, diagonalize, find_crossings
+from susyjc.oracle import (certify_cutoff, certify_truncation, diagonalize,
+                           eigenvalues, find_crossings)
 
 
 def _jc_builder(params):
@@ -60,6 +63,31 @@ def test_certify_truncation_gives_up_at_the_cap():
         certify_truncation(builder, k_levels=1, cap_n_max=64)
     with pytest.raises(ValueError):
         certify_truncation(builder, k_levels=0)
+
+
+def test_eigenvalues_gate_dense_input():
+    with pytest.raises(NotHermitian):
+        eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("chain, dense, k_levels", [
+    (lambda n: parity_chains(HilbertConfig(n), ModelParams(omega=0.5, lam=0.8), "jc"),
+     lambda n: build_hamiltonian(HilbertConfig(n), ModelParams(omega=0.5, lam=0.8), "jc"),
+     8),
+    (lambda n: far_chains(HilbertConfig(n), far_from_alphas(0.01, 1.0, 2.8), 1e-11),
+     lambda n: far_hamiltonian(HilbertConfig(n), far_from_alphas(0.01, 1.0, 2.8), 1e-11),
+     11),
+], ids=["jc", "far"])
+def test_chain_and_dense_builders_certify_alike(chain, dense, k_levels):
+    a = certify_truncation(chain, k_levels=k_levels)
+    b = certify_truncation(dense, k_levels=k_levels)
+    assert a.n_max_used == b.n_max_used > 32
+    assert a.converged_levels == b.converged_levels >= k_levels
+    assert a.eigenvectors is None and b.eigenvectors is None
+    assert np.abs(a.eigenvalues - b.eigenvalues).max() < 1e-11
+    pinned = certify_cutoff(chain, a.n_max_used)
+    assert pinned.n_max_used == a.n_max_used
+    assert pinned.converged_levels >= k_levels
 
 
 def test_find_crossings_ground_mode():

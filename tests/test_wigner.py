@@ -8,7 +8,7 @@ from susyjc.errors import SupportExceeded
 from susyjc.hilbert import HilbertConfig, ModelParams
 from susyjc.jc import DressedLabel, reduced_density
 from susyjc.wigner import (closed_evaluator, displacement_op,
-                           laguerre_sequence, numeric_evaluator, wigner_closed_jc,
+                           laguerre_pair, numeric_evaluator, wigner_closed_jc,
                            wigner_grid, wigner_numeric)
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -22,11 +22,14 @@ def _fock_rho(n_fock, n):
 
 def test_laguerre_recurrence_matches_scipy():
     x = np.linspace(0.0, 30.0, 40)
-    seq = laguerre_sequence(8, x)
-    for order in range(9):
-        ref = eval_laguerre(order, x)
-        scale = max(1.0, float(np.abs(ref).max()))
-        assert np.abs(seq[order] - ref).max() < 1e-13 * scale
+    for order in range(1, 9):
+        pair = laguerre_pair(order, x)
+        for got, n in zip(pair, (order - 1, order)):
+            ref = eval_laguerre(n, x)
+            scale = max(1.0, float(np.abs(ref).max()))
+            assert np.abs(got - ref).max() < 1e-13 * scale
+    with pytest.raises(ValueError):
+        laguerre_pair(0, x)
 
 
 def test_displacement_operator():
