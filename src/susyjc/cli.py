@@ -7,10 +7,10 @@ CSV or JSON. Output is byte-reproducible: floats are printed via repr
 order, files are UTF-8 with LF endings.
 
 Exit codes: 0 ok, 2 usage or parameter error (including a non-finite number,
-a config value its flag would not accept, --points or sweep points above
-MAX_POINTS, or a cutoff above oracle.CAP_N_MAX, all refused before any work), 3 truncation did not converge, 4 internal consistency
-failure (non-Hermitian build, factorization mismatch, phase-space support
-overflow, failed verification).
+a config value its flag would not accept, a number outside BOUNDS, or
+sweep points above MAX_POINTS, all refused before any work), 3 truncation
+did not converge, 4 internal consistency failure (non-Hermitian build,
+factorization mismatch, phase-space support overflow, failed verification).
 """
 
 from __future__ import annotations
@@ -57,6 +57,14 @@ SWEEP_DESTS = frozenset(CONFIG_TO_DEST.get(f, f) for f in SWEEP_FLAG.values())
 # largest Wigner grid side (the grid holds MAX_POINTS^2 samples), and the
 # largest number of points in a min:max:points sweep
 MAX_POINTS = 1001
+
+# bounds of the numeric flags, those of config.schema.json plus the caps:
+# dest -> (lowest, lowest excluded, highest or None); flags and config
+# values alike are refused outside them
+BOUNDS = {"levels": (1, False, None), "n_max": (2, False, CAP_N_MAX),
+          "points": (16, False, MAX_POINTS),
+          **{dest: (0.0, True, None) for dest in
+             ("conv_tol", "xtol", "min_gap", "window", "tol", "shape_tol")}}
 
 # CSV header of each row table: the keys of its JSON row dicts, in order
 COLUMNS = {
@@ -339,10 +347,15 @@ def _merge_config(args: argparse.Namespace, actions: dict) -> dict:
     for key, value in merged.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"{_flag(key)} must be finite, got {value!r}")
-    if merged.get("n_max") is not None and int(merged["n_max"]) > CAP_N_MAX:
-        raise UsageError(f"--n-max must be at most {CAP_N_MAX}")
-    if merged.get("points") is not None and int(merged["points"]) > MAX_POINTS:
-        raise UsageError(f"--points must be at most {MAX_POINTS}")
+    for key, (low, low_excluded, high) in BOUNDS.items():
+        value = merged.get(key)
+        if value is None:
+            continue
+        if value < low or (low_excluded and value == low):
+            word = "above" if low_excluded else "at least"
+            raise UsageError(f"{_flag(key)} must be {word} {low}, got {value!r}")
+        if high is not None and value > high:
+            raise UsageError(f"{_flag(key)} must be at most {high}, got {value!r}")
     return merged
 
 
@@ -415,8 +428,6 @@ def _solve(builder, merged: dict, k_levels: int) -> np.ndarray:
 def cmd_spectrum(merged: dict) -> int:
     model = _require(merged, "model", "for spectrum")
     levels = int(merged["levels"])
-    if levels < 1:
-        raise UsageError("--levels must be >= 1")
     sweep, _ = _sweep_values(merged, model)
     unit, units_name = _energy_unit(merged, model)
 

@@ -48,13 +48,6 @@ class EigenSolution:
     n_max_used: int
 
 
-def _check_hermitian(h: np.ndarray, tol: float) -> None:
-    dev = float(np.abs(h - h.conj().T).max())
-    scale = max(1.0, float(np.abs(h).max()))
-    if dev > tol * scale:
-        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} exceeds tolerance")
-
-
 def diagonalize(h: np.ndarray, hermiticity_tol: float = 1e-12) -> EigenSolution:
     """Eigh with a Hermiticity gate and deterministic ordering.
 
@@ -62,7 +55,10 @@ def diagonalize(h: np.ndarray, hermiticity_tol: float = 1e-12) -> EigenSolution:
     positive; bitwise-equal eigenvalues are ordered by the basis index of
     that amplitude.
     """
-    _check_hermitian(h, hermiticity_tol)
+    dev = float(np.abs(h - h.conj().T).max())
+    scale = max(1.0, float(np.abs(h).max()))
+    if dev > hermiticity_tol * scale:
+        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} exceeds tolerance")
     evals, evecs = np.linalg.eigh(h)
     anchors = np.abs(evecs).argmax(axis=0)
     order = np.lexsort((anchors, evals))
@@ -90,17 +86,13 @@ def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return eigvalsh_tridiagonal(diag, off)
 
 
-def eigenvalues(h: ParityChains | np.ndarray,
-                hermiticity_tol: float = 1e-12) -> np.ndarray:
+def eigenvalues(h: ParityChains | np.ndarray) -> np.ndarray:
     """All eigenvalues, ascending. Parity chains are solved one tridiagonal
-    chain at a time and merged. A dense matrix passes the Hermiticity gate of
-    `diagonalize` and takes the same eigh, so dense results match it
-    bitwise."""
+    chain at a time and merged; a dense matrix goes through `diagonalize`."""
     if isinstance(h, ParityChains):
         return np.sort(np.concatenate([_chain_eigenvalues(d, e)
                                        for d, e in zip(h.diag, h.off)]))
-    _check_hermitian(h, hermiticity_tol)
-    return np.linalg.eigh(h)[0]
+    return diagonalize(h).eigenvalues
 
 
 def _converged_count(evals: np.ndarray, ref: np.ndarray, tol: float) -> int:

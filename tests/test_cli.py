@@ -210,7 +210,8 @@ def test_unknown_config_key_rejected(tmp_path):
 
 
 # inputs refused before any work: non-finite numbers (flags, bare sweep
-# values, config values) and allocations sized from the input
+# values, config values), numbers outside their flag's bounds, and
+# allocations sized from the input
 REFUSED = [
     ["spectrum", "--model", "jc", "--lambda", "0.5", "--omega", "nan",
      "--n-max", "20"],
@@ -235,15 +236,25 @@ REFUSED = [
     ["spectrum", "--config", "{cfg_bool}"],
     ["spectrum", "--config", "{cfg_model}"],
     ["spectrum", "--config", "{cfg_sweep}"],
+    ["spectrum", "--config", "{cfg_n_max}"],
+    ["spectrum", "--config", "{cfg_conv_tol}"],
+    ["spectrum", "--model", "jc", "--lambda", "0.5", "--levels", "0"],
+    ["wigner", "--label", "minus:1", "--points", "15"],
+    ["wigner", "--label", "minus:1", "--window", "0"],
+    ["verify", "--tol=-1"],
+    ["crossings", "--model", "jc", "--lambda", "0.5:1.5:4", "--xtol", "0"],
 ]
 
-# config files whose values their flags would not accept
+# config files whose values their flags would not accept, or that lie
+# outside the flags' bounds
 BAD_CONFIGS = {
     "cfg_levels": {"model": "jc", "lambda": 0.5, "levels": [3]},
     "cfg_omega": {"model": "jc", "lambda": 0.5, "omega": "x"},
     "cfg_bool": {"model": "jc", "lambda": 0.5, "n_max": True},
     "cfg_model": {"model": "rabi", "lambda": 0.5},
     "cfg_sweep": {"model": "jc", "lambda": [0, 1, 3]},
+    "cfg_n_max": {"model": "jc", "lambda": 0.5, "n_max": 1},
+    "cfg_conv_tol": {"model": "jc", "lambda": 0.5, "conv_tol": 0},
 }
 
 
