@@ -9,8 +9,8 @@ import numpy as np
 
 from susyjc import (DressedLabel, HilbertConfig, ModelParams,
                     build_hamiltonian, crossing_pair, diagonalize,
-                    dressed_energy, excitation_number, find_crossings,
-                    ground_state_critical, lowest_closed_levels)
+                    dressed_energy, find_crossings, ground_state_critical,
+                    lowest_closed_levels, parity_chains)
 
 params = ModelParams(omega=1.0, omega0=1.5, lam=0.4)
 cfg = HilbertConfig(120)
@@ -42,16 +42,16 @@ for n in range(1, 6):
           f"   (sqrt{n}+sqrt{n - 1} = {np.sqrt(n) + np.sqrt(n - 1):.12f})")
 
 # Confirm the first of those numerically by sweeping the coupling and
-# watching the oracle ground state switch character.
+# watching the oracle ground state move between the two parity chains
+# (sectors N and N+1 lie on different chains).
 cfg90 = HilbertConfig(90)
 
 
 def builder(lam):
-    return build_hamiltonian(cfg90, ModelParams(1.0, 1.0, lam=lam), "jc")
+    return parity_chains(cfg90, ModelParams(1.0, 1.0, lam=lam), "jc")
 
 
-hits = find_crossings(builder, (0.5, 1.5), mode="ground", grid_points=80,
-                      sector_op=excitation_number(cfg90, "plus"))
+hits = find_crossings(builder, (0.5, 1.5), grid_points=80, label_model="jc")
 for rec in hits:
     print(f"  numeric ground crossing at lambda = {rec.coupling:.9f}"
           f"   {rec.left} -> {rec.right}")

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidLabel, IsotropicSingularLimit
 from .hilbert import (HilbertConfig, ModelParams, boson_op, exchange_op,
@@ -91,6 +90,7 @@ def frame_unitary(cfg: HilbertConfig, params: ModelParams) -> SqueezedFrame:
     closed form [[0, 1], [-1, 0]] on the spin; only the squeeze needs a
     dense expm.
     """
+    from scipy.linalg import expm
     sign = _guard_couplings(params.lam, params.mu)
     xi = squeeze_parameter(params.lam, params.mu)
     n_diag = np.real(np.diag(boson_op(cfg, "number")))

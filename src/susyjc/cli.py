@@ -30,7 +30,7 @@ from .errors import (DegenerateAngle, DegenerateCouplings, EqualCouplings,
                      IsotropicSingularLimit, NoConvergence, NotConverged,
                      NotHermitian, SupportExceeded, TruncationTooSmall)
 from .far import constraint_check, far_chains, far_from_alphas, far_spectrum_shape
-from .hilbert import HilbertConfig, ModelParams, excitation_number, parity_chains
+from .hilbert import HilbertConfig, ModelParams, parity_chains
 from .jc import (DressedLabel, ground_state_critical, lowest_closed_levels,
                  reduced_density)
 from .oracle import (CAP_N_MAX, certify_cutoff, certify_truncation, eigenvalues,
@@ -38,12 +38,6 @@ from .oracle import (CAP_N_MAX, certify_cutoff, certify_truncation, eigenvalues,
 from .wigner import closed_evaluator, numeric_evaluator, wigner_grid
 
 __all__ = ["main"]
-
-# the far Hamiltonian consistency gate is entrywise-absolute; at the large
-# cutoffs auto-convergence reaches, matrix entries scale like omega*n_max and
-# eps-level arithmetic noise on them can pass 1e-12, so CLI paths gate at a
-# slightly looser absolute level
-FAR_BUILD_TOL = 1e-11
 
 MODELS = ("jc", "ajc", "ar", "far")
 SWEEP_FLAG = {"jc": "lambda", "ajc": "mu", "ar": "lambda", "far": "alphaR"}
@@ -239,7 +233,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--levels", type=int)
     p.add_argument("--conv-tol", dest="conv_tol", type=float)
     p.add_argument("--xtol", type=float)
-    p.add_argument("--min-gap", dest="min_gap", type=float)
+    p.add_argument("--min-gap", dest="min_gap", type=float,
+                   help="accepted for old configs; has no effect")
 
     p = sub.add_parser("wigner", help="Wigner grid of a dressed level")
     common(p)
@@ -277,7 +272,7 @@ DEFAULTS = {
                  "conv_tol": 1e-10, "alpha0": 0.01, "alphaQ": 1.0},
     "crossings": {"format": "csv", "units": "omega0", "omega": 1.0,
                   "omega0": 1.0, "theta": 0.0, "levels": 4,
-                  "conv_tol": 1e-10, "xtol": 1e-9, "min_gap": 1e-8,
+                  "conv_tol": 1e-10, "xtol": 1e-9,
                   "alpha0": 0.01, "alphaQ": 1.0},
     "wigner": {"format": "csv", "units": "omega0", "model": "jc",
                "omega": 1.0, "omega0": 1.0, "lam": 0.0, "mu": 0.0,
@@ -412,7 +407,7 @@ def _builder(merged: dict, model: str, x: float):
     """n_max -> parity chains of the model's Hamiltonian at sweep value x."""
     if model == "far":
         fp = far_from_alphas(merged["alpha0"], merged["alphaQ"], x)
-        return lambda n: far_chains(HilbertConfig(n), fp, check_tol=FAR_BUILD_TOL)
+        return lambda n: far_chains(HilbertConfig(n), fp)
     params = _point_params(merged, model, x)
     return lambda n: parity_chains(HilbertConfig(n), params, model)
 
@@ -479,18 +474,10 @@ def cmd_crossings(merged: dict) -> int:
                                    k_levels=int(merged["levels"]),
                                    tol=float(merged["conv_tol"])).n_max_used
 
-    sector_op = None
-    if model in ("jc", "ajc"):
-        sector_op = excitation_number(HilbertConfig(n_max),
-                                      "plus" if model == "jc" else "minus")
-
-    records = find_crossings(lambda x: _builder(merged, model, x)(n_max).dense(),
-                             (lo, hi), mode="ground",
-                             grid_points=max(3, points),
+    records = find_crossings(lambda x: _builder(merged, model, x)(n_max),
+                             (lo, hi), grid_points=max(3, points),
                              xtol=float(merged["xtol"]),
-                             min_gap=float(merged["min_gap"]),
-                             sector_op=sector_op,
-                             label_model=model if model in ("jc", "ajc") else "jc")
+                             label_model=model if model in ("jc", "ajc") else None)
 
     rows = []
     for rec in records:
@@ -567,7 +554,7 @@ def cmd_verify(merged: dict) -> int:
     tol = float(merged["tol"])
     rows = [{"identity": rep.identity_name, "projector": rep.projector,
              "truncation_sensitive": bool(rep.truncation_sensitive),
-             "residual": float(rep.residual), "passed": bool(rep.residual < tol)}
+             "residual": float(rep.residual), "passed": rep.passes(tol)}
             for rep in run_all_checks(HilbertConfig(n_max))]
     all_pass = all(row["passed"] for row in rows)
     _emit(merged, {"kind": "verify", "n_max": n_max, "tolerance": tol,

@@ -89,7 +89,9 @@ def far_chains(cfg: HilbertConfig, fp: FarParams,
     """Build (A A^dag + A^dag A)/2 on the two parity chains and,
     independently, the explicit coupled model with the derived parameters;
     refuse to return unless the two agree entrywise on the interior (boson
-    level < n_max) within check_tol.
+    level < n_max) within check_tol times the largest interior entry
+    magnitude (at least 1), since rounding grows with the entries, which
+    grow like omega n_max.
 
     On a chain, A = alpha0 + alphaQ Q- + alphaR R- is lower bidiagonal: alpha0
     on the diagonal and b_k = alpha sqrt(k+1) below it, with alpha = alphaQ
@@ -117,10 +119,12 @@ def far_chains(cfg: HilbertConfig, fp: FarParams,
     inner = cfg.n_max
     defect = max(np.abs(fact.diag[:, :inner] - expl_diag[:, :inner]).max(initial=0.0),
                  np.abs(fact.off[:, :inner - 1] - expl_off[:, :inner - 1]).max(initial=0.0))
-    if defect > check_tol:
+    scale = max(1.0, np.abs(expl_diag[:, :inner]).max(initial=0.0),
+                np.abs(expl_off[:, :inner - 1]).max(initial=0.0))
+    if defect > check_tol * scale:
         raise FactorizationMismatch(
             f"factorized and explicit forms differ by {defect:.3e} "
-            f"(> {check_tol:g}) away from the truncation edge")
+            f"(> {check_tol:g} x {scale:.3g}) away from the truncation edge")
     return fact
 
 

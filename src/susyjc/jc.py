@@ -233,22 +233,28 @@ def crossing_pair(m: int, n: int, branch: str,
 
 def ground_state_critical(n: int, params: ModelParams) -> float:
     """Coupling where the ground state hops from sector N-1 to sector N,
-    i.e. where Omega(N) - Omega(N-1) = 2 omega (with Omega(0) = |delta|).
+    i.e. where Omega(N) - Omega(N-1) = 2 omega, with Omega(0) = delta
+    (signed: the singlet energy -omega0/2 is omega(0 - 1/2) - delta/2).
 
     Closed solution lam_N^2 = omega [ (2N-1) omega + sqrt(delta^2
-    + 4 N (N-1) omega^2) ]; the first one for omega0 > omega is
-    sqrt(omega omega0).
+    + 4 N (N-1) omega^2) ] for N >= 2, and lam_1^2 = omega (omega + delta)
+    = omega omega0, which is negative (no such hop) when omega omega0 < 0.
     """
     if int(n) != n or n < 1:
         raise InvalidN("ground_state_critical needs a positive integer N")
     omega = params.omega
     radicand = params.delta ** 2 + 4.0 * n * (n - 1) * omega ** 2
-    lam_n = math.sqrt(omega * ((2 * n - 1) * omega + math.sqrt(radicand)))
+    root = params.delta if n == 1 else math.sqrt(radicand)
+    lam_sq = omega * ((2 * n - 1) * omega + root)
+    if lam_sq < 0.0:
+        raise InvalidN("the singlet never hands the ground state to N=1 "
+                       "when omega * omega0 < 0")
+    lam_n = math.sqrt(lam_sq)
     # Re-verify against the defining condition rather than trusting the
     # radical alone (it was solved by hand).
     at = ModelParams(omega=params.omega, omega0=params.omega0, lam=lam_n)
     upper = rabi_frequency(n, at)
-    lower = abs(at.delta) if n == 1 else rabi_frequency(n - 1, at)
+    lower = at.delta if n == 1 else rabi_frequency(n - 1, at)
     scale = max(abs(upper), abs(lower), 2.0 * abs(omega), 1.0)
     if abs(upper - lower - 2.0 * omega) > 1e-9 * scale:
         raise ArithmeticError(

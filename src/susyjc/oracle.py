@@ -3,10 +3,12 @@ level-crossing finder.
 
 The oracle never uses the closed forms: it diagonalizes the truncated
 Hamiltonian, certifies convergence by doubling the Fock cutoff, and locates
-crossings by scanning and bisecting, so closed-form results can be validated
-against it. Eigenvalue-only paths take a Hamiltonian as parity chains (a
-tridiagonal solve per chain) or as a dense matrix; eigenvector paths are
-dense.
+ground-state crossings between the two parity chains by scanning and
+bisecting their ground-energy gap, so closed-form results can be validated
+against it. Eigenvalue paths take a Hamiltonian as parity chains (a
+tridiagonal solve per chain) or as a dense matrix; `diagonalize` is dense.
+SciPy's tridiagonal solvers are imported on first use, so importing the
+package loads no SciPy.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import minimize_scalar
 
 from .errors import NoConvergence, NotHermitian
-from .hilbert import ParityChains
+from .hilbert import HilbertConfig, ParityChains
 from .jc import CrossingRecord, DressedLabel
 
 __all__ = [
@@ -72,18 +72,24 @@ def diagonalize(h: np.ndarray, hermiticity_tol: float = 1e-12) -> EigenSolution:
     return EigenSolution(evals, evecs, 0, h.shape[0] // 2 - 1)
 
 
-def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+def _real_chain(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the diagonal phase change that makes every off-diagonal entry real and
     # nonnegative turns a chain into the real symmetric tridiagonal
-    # (diag, |off|). Couplings at or below eps times the largest entry are
-    # dropped: by Weyl's bound that moves no eigenvalue by more than 2 eps
-    # times that entry, and it keeps LAPACK's root-free QR (sterf), which
-    # works on squared couplings, off subnormal squares, where it loses
-    # digits (|off| ~ 1e-160 next to O(1) entries cost 5e-4).
+    # (diag, |off|), with the same eigenvalues and the same |v_k|. Couplings
+    # at or below eps times the largest entry are dropped: by Weyl's bound
+    # that moves no eigenvalue by more than 2 eps times that entry, and it
+    # keeps LAPACK's tridiagonal solvers, which work on squared couplings,
+    # off subnormal squares, where they lose digits (|off| ~ 1e-160 next to
+    # O(1) entries cost 5e-4).
     off = np.abs(off)
     scale = max(float(np.abs(diag).max()), float(off.max(initial=0.0)))
     off[off <= np.finfo(float).eps * scale] = 0.0
-    return eigvalsh_tridiagonal(diag, off)
+    return diag, off
+
+
+def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    from scipy.linalg import eigvalsh_tridiagonal
+    return eigvalsh_tridiagonal(*_real_chain(diag, off))
 
 
 def eigenvalues(h: ParityChains | np.ndarray) -> np.ndarray:
@@ -136,113 +142,83 @@ def certify_cutoff(builder: Callable[[int], ParityChains | np.ndarray], n_max: i
     return EigenSolution(evals, None, _converged_count(evals, ref, tol), n_max)
 
 
-def _ground(builder, x) -> tuple[float, float, np.ndarray]:
-    sol = diagonalize(builder(x))
-    return sol.eigenvalues[0], sol.eigenvalues[1], sol.eigenvectors[:, 0]
+# the excitation number each label model conserves: N+ = n + (1 + sigma_z)/2
+# for jc, N- = n + (1 - sigma_z)/2 for ajc
+_EXCITATION = {"jc": lambda spin, n: n + spin, "ajc": lambda spin, n: n + 1 - spin}
 
 
-def _sector_of(vec: np.ndarray, sector_op: np.ndarray) -> int:
-    return int(round(float(np.real(vec.conj() @ sector_op @ vec))))
+def _ground_gap(h: ParityChains) -> float:
+    """Sector gap E0(chain 0) - E0(chain 1)."""
+    from scipy.linalg import eigvalsh_tridiagonal
+    e0 = [eigvalsh_tridiagonal(*_real_chain(d, e), select="i", select_range=(0, 0))[0]
+          for d, e in zip(h.diag, h.off)]
+    return float(e0[0] - e0[1])
 
 
-def _label_of(vec: np.ndarray, energy: float, sol: EigenSolution,
-              sector_op: np.ndarray, model: str) -> DressedLabel:
-    n_sector = _sector_of(vec, sector_op)
-    if n_sector <= 0:
-        return DressedLabel("minus", max(n_sector, 0), model)
-    partner_energy = None
-    for k in range(sol.eigenvalues.size):
-        if abs(sol.eigenvalues[k] - energy) < 1e-12 and np.abs(
-                np.vdot(sol.eigenvectors[:, k], vec)) > 0.99:
-            continue
-        if _sector_of(sol.eigenvectors[:, k], sector_op) == n_sector:
-            partner_energy = sol.eigenvalues[k]
-            break
-    branch = "minus"
-    if partner_energy is not None and energy > partner_energy:
-        branch = "plus"
-    return DressedLabel(branch, n_sector, model)
+def _ground_label(h: ParityChains, chain: int, model: str) -> DressedLabel:
+    """(minus, N) label of the chain's ground state: N = sum_k |v_k|^2 N_k
+    over the chain's states |s_k, k>, rounded."""
+    from scipy.linalg import eigh_tridiagonal
+    _, vec = eigh_tridiagonal(*_real_chain(h.diag[chain], h.off[chain]),
+                              select="i", select_range=(0, 0))
+    spin = HilbertConfig(h.n_max).chain_spin()[chain]
+    n_k = _EXCITATION[model](spin, np.arange(spin.size))
+    return DressedLabel("minus", int(round(float(np.abs(vec[:, 0]) ** 2 @ n_k))), model)
 
 
-def find_crossings(builder: Callable[[float], np.ndarray],
+def find_crossings(builder: Callable[[float], ParityChains],
                    coupling_range: tuple[float, float], *,
-                   mode: str = "ground",
-                   pair: tuple[int, int] | None = None,
                    grid_points: int = 400,
                    xtol: float = 1e-9,
-                   min_gap: float = 1e-8,
-                   sector_op: np.ndarray | None = None,
-                   label_model: str = "jc") -> list[CrossingRecord]:
-    """Locate couplings where eigenvalues cross inside coupling_range.
+                   label_model: str | None = None) -> list[CrossingRecord]:
+    """Couplings inside coupling_range where the ground state moves from one
+    parity chain of builder(x) to the other.
 
-    mode 'ground' tracks the ground eigenvector by overlap between grid
-    points and bisects every interval where its identity changes. mode
-    'pair' follows the sorted gap E[j] - E[i] for pair=(i, j), refines each
-    grid-local minimum, and keeps it only if the refined gap is below
-    min_gap (an avoided crossing stays out).
+    The sector gap g(x) = E0(chain 0) - E0(chain 1) is sampled on a uniform
+    grid, and every sign change between grid points is a crossing: it is
+    bisected to xtol on the sign of g, and a midpoint where g is exactly 0
+    is the crossing itself, as is a grid point where g is exactly 0 between
+    samples of opposite sign. Levels of one chain never cross (the chain
+    couples them) unless the chain splits into blocks, as the jc/ajc chains
+    do into excitation-number sectors; their ground state steps N -> N + 1,
+    and sectors N and N + 1 lie on different chains.
 
-    When sector_op (a conserved excitation-number matrix) is given, the
-    colliding levels are labeled through their sector expectation; otherwise
-    labels are None.
+    label_model 'jc' or 'ajc' labels each side (minus, N) by the conserved
+    excitation number (N+ for jc, N- for ajc) of the ground state at its
+    bracket end; otherwise labels are None.
     """
     lo, hi = float(coupling_range[0]), float(coupling_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise ValueError("coupling_range must be a finite increasing pair")
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
+    if label_model not in (None, *_EXCITATION):
+        raise ValueError(f"label_model must be None or one of {tuple(_EXCITATION)}")
     grid = np.linspace(lo, hi, grid_points)
+    gaps = np.array([_ground_gap(builder(x)) for x in grid])
+
+    def label(x, g):
+        # the ground state lies on chain 0 where g < 0, on chain 1 where g > 0
+        if label_model is None:
+            return None
+        return _ground_label(builder(x), 0 if g < 0 else 1, label_model)
+
     records: list[CrossingRecord] = []
-
-    if mode == "ground":
-        _, _, prev_vec = _ground(builder, grid[0])
-        for k in range(1, grid.size):
-            _, _, vec = _ground(builder, grid[k])
-            if np.abs(np.vdot(prev_vec, vec)) ** 2 < 0.5:
-                a, b = grid[k - 1], grid[k]
-                va, vb = prev_vec, vec
-                while b - a > xtol:
-                    mid = 0.5 * (a + b)
-                    _, _, vm = _ground(builder, mid)
-                    if np.abs(np.vdot(vm, va)) ** 2 >= np.abs(np.vdot(vm, vb)) ** 2:
-                        a, va = mid, vm
-                    else:
-                        b, vb = mid, vm
-                left = right = None
-                if sector_op is not None:
-                    left = DressedLabel("minus", _sector_of(va, sector_op), label_model)
-                    right = DressedLabel("minus", _sector_of(vb, sector_op), label_model)
-                records.append(CrossingRecord(left, right, 0.5 * (a + b)))
-            prev_vec = vec
-        return records
-
-    if mode == "pair":
-        if pair is None:
-            raise ValueError("mode='pair' requires pair=(i, j)")
-        i, j = pair
-
-        def gap(x: float) -> float:
-            w = np.linalg.eigvalsh(builder(x))
-            return float(w[j] - w[i])
-
-        gaps = np.array([gap(x) for x in grid])
-        for k in range(1, grid.size - 1):
-            if gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]:
-                res = minimize_scalar(gap, bounds=(grid[k - 1], grid[k + 1]),
-                                      method="bounded",
-                                      options={"xatol": xtol})
-                if res.fun >= min_gap:
-                    continue
-                x_star = float(res.x)
-                if any(abs(x_star - r.coupling) < 10 * max(xtol, 1e-12) for r in records):
-                    continue
-                left = right = None
-                if sector_op is not None:
-                    sol = diagonalize(builder(grid[k - 1]))
-                    left = _label_of(sol.eigenvectors[:, i], sol.eigenvalues[i],
-                                     sol, sector_op, label_model)
-                    right = _label_of(sol.eigenvectors[:, j], sol.eigenvalues[j],
-                                      sol, sector_op, label_model)
-                records.append(CrossingRecord(left, right, x_star))
-        return records
-
-    raise ValueError(f"unknown mode {mode!r}")
+    signed = np.flatnonzero(gaps)
+    for i, j in zip(signed[:-1], signed[1:]):
+        if (gaps[i] < 0) == (gaps[j] < 0):
+            continue
+        a, b, g_a, g_b = grid[i], grid[j], gaps[i], gaps[j]
+        if j > i + 1:  # g is exactly 0 on the grid in between
+            a = b = grid[i + 1]
+        while b - a > xtol:
+            mid = 0.5 * (a + b)
+            g_mid = _ground_gap(builder(mid))
+            if g_mid == 0.0:
+                a = b = mid
+            elif (g_mid < 0) == (g_a < 0):
+                a, g_a = mid, g_mid
+            else:
+                b, g_b = mid, g_mid
+        records.append(CrossingRecord(label(a, g_a), label(b, g_b), 0.5 * (a + b)))
+    return records

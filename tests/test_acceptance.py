@@ -21,9 +21,9 @@ from susyjc.anisotropic import (approx_spectrum, effective_hamiltonian,
                                 frame_unitary, jc_approximation,
                                 lab_frame_offset)
 from susyjc.errors import DegenerateCouplings
-from susyjc.far import far_from_alphas, far_hamiltonian, far_spectrum_shape
+from susyjc.far import far_chains, far_from_alphas, far_hamiltonian, far_spectrum_shape
 from susyjc.hilbert import (HilbertConfig, ModelParams, build_hamiltonian,
-                            excitation_number, su11_generator)
+                            parity_chains, su11_generator)
 from susyjc.jc import (DressedLabel, dressed_state, ground_state_critical,
                        lowest_closed_levels, rabi_frequency, reduced_density,
                        von_neumann_entropy)
@@ -104,19 +104,19 @@ def test_criterion_04_critical_couplings():
     params = ModelParams(omega=1.0, omega0=1.5)
     assert abs(ground_state_critical(1, params) - math.sqrt(1.5)) < 1e-14
     cfg = HilbertConfig(64)
-    builder = lambda lam: build_hamiltonian(
+    builder = lambda lam: parity_chains(
         cfg, ModelParams(omega=1.0, omega0=1.5, lam=lam), "jc")
-    recs = find_crossings(builder, (1.0, 1.5), mode="ground", grid_points=80)
+    recs = find_crossings(builder, (1.0, 1.5), grid_points=80)
     dev_first = abs(recs[0].coupling - math.sqrt(1.5)) if recs else float("inf")
 
     # resonance ladder of ground-state changes
     res = ModelParams(omega=1.0, omega0=1.0)
     cfg_r = HilbertConfig(90)
-    builder_r = lambda lam: build_hamiltonian(
+    builder_r = lambda lam: parity_chains(
         cfg_r, ModelParams(omega=1.0, omega0=1.0, lam=lam), "jc")
-    recs_r = find_crossings(builder_r, (0.5, 4.5), mode="ground",
+    recs_r = find_crossings(builder_r, (0.5, 4.5),
                             grid_points=160,
-                            sector_op=excitation_number(cfg_r, "plus"))
+                            label_model="jc")
     dev_closed = 0.0
     dev_numeric = float("inf")
     if len(recs_r) == 5:
@@ -260,9 +260,9 @@ def test_criterion_10_far_spectrum_shape():
         mid_spread[k] = float(spacing.std() / spacing.mean())
 
     cfg = HilbertConfig(220)
-    sweep_builder = lambda ar: far_hamiltonian(cfg, far_from_alphas(0.01, 1.0, ar),
-                                               check_tol=1e-11)
-    crossings = find_crossings(sweep_builder, (1.25, 5.0), mode="ground",
+    sweep_builder = lambda ar: far_chains(cfg, far_from_alphas(0.01, 1.0, ar),
+                                          check_tol=1e-11)
+    crossings = find_crossings(sweep_builder, (1.25, 5.0),
                                grid_points=150)
 
     worst_ratio = max(pair_ratio.values())

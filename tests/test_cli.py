@@ -106,6 +106,41 @@ def test_crossings_jc():
     assert rows[0]["residual"] < 1e-6
 
 
+def test_crossings_return_an_exact_tie(capsysbinary):
+    # on resonance both sector energies at lambda = 1 round to the same
+    # float, and a bisection midpoint lands on it: that midpoint is returned
+    from susyjc import cli
+    assert cli.main(["crossings", "--model", "jc", "--lambda", "0.45:1.45:16",
+                     "--n-max", "40", "--format", "json"]) == 0
+    rows = json.loads(capsysbinary.readouterr().out.decode())["rows"]
+    assert len(rows) == 1
+    assert rows[0]["lambda_numeric"] == 1.0
+    assert (rows[0]["M"], rows[0]["N"]) == (0, 1)
+
+
+def test_light_jobs_load_no_scipy():
+    # scipy loads on the first eigensolve or squeeze, not on import, help,
+    # verify or either Wigner source
+    code = (
+        "import contextlib, io, os, sys\n"
+        "import susyjc\n"
+        "from susyjc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        cli.main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "for extra in (['verify', '--n-max', '8'],\n"
+        "              ['wigner', '--label', 'minus:1', '--lambda', '1', '--points', '16'],\n"
+        "              ['wigner', '--label', 'minus:1', '--lambda', '1', '--points', '16',\n"
+        "               '--source', 'numeric']):\n"
+        "    assert cli.main(extra + ['--output', os.devnull]) == 0, extra\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.decode().strip() == "[]"
+
+
 def test_crossings_need_a_range():
     cp = run_cli("crossings", "--model", "jc", "--lambda", "1.0", "--n-max", "40")
     assert cp.returncode == 2
@@ -154,6 +189,16 @@ def test_verify_subcommand():
     payload = json.loads(cp.stdout.decode())
     _validate(payload)
     assert payload["all_pass"] is True
+
+
+def test_verify_tolerance_scales_with_the_entries(capsysbinary):
+    # at n_max = 256 the su(1,1) residuals exceed 1e-12, but the entries
+    # they are rounded from grow like n_max^2, and relative to those they pass
+    from susyjc import cli
+    assert cli.main(["verify", "--n-max", "256", "--format", "json"]) == 0
+    rows = json.loads(capsysbinary.readouterr().out.decode())["rows"]
+    assert all(row["passed"] for row in rows)
+    assert max(row["residual"] for row in rows) > 1e-12
 
 
 def test_verify_fails_with_absurd_tolerance():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -81,6 +82,20 @@ def test_hand_built_params_are_caught():
     good = constraint_check(fp)
     assert good["detuning_residual"] < 1e-15
     assert good["exceptional_residual"] < 1e-15
+
+
+def test_gate_scales_with_the_entries():
+    # entries grow like omega n_max (3.4e4 here), and so does their rounding:
+    # a correct build at the cutoff cap differs from the explicit model by
+    # 1.45e-11, which an absolute 1e-11 gate would refuse
+    fp = far_from_alphas(0.01, 1.0, 5.7)
+    for tol in (1e-11, 1e-12):
+        far_chains(HilbertConfig(2048), fp, check_tol=tol)
+    # a wrong build still fails, small cutoff or large
+    bad = dataclasses.replace(fp, alpha_r=fp.alpha_r + 1e-6)
+    for n_max in (16, 2048):
+        with pytest.raises(FactorizationMismatch):
+            far_chains(HilbertConfig(n_max), bad, check_tol=1e-11)
 
 
 _alpha = st.builds(lambda m, p: m * cmath.exp(1j * p),

@@ -122,6 +122,12 @@ def test_ground_state_critical():
         assert abs(lam_n - (math.sqrt(n) + math.sqrt(n - 1.0))) < 1e-12
     with pytest.raises(InvalidN):
         ground_state_critical(0, params)
+    # below resonance the singlet still hands over at sqrt(omega*omega0):
+    # Omega(0) is the signed detuning
+    below = ModelParams(omega=1.0, omega0=0.5)
+    assert abs(ground_state_critical(1, below) - math.sqrt(0.5)) < 1e-14
+    with pytest.raises(InvalidN):
+        ground_state_critical(1, ModelParams(omega=1.0, omega0=-0.5))
 
 
 def test_reduced_density_fermion_weights():

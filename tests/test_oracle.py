@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susyjc.errors import NoConvergence, NotHermitian
 from susyjc.far import far_chains, far_from_alphas, far_hamiltonian
-from susyjc.hilbert import (HilbertConfig, ModelParams, build_hamiltonian,
-                            excitation_number, parity_chains)
-from susyjc.jc import DressedLabel
+from susyjc.hilbert import (HilbertConfig, ModelParams, ParityChains,
+                            build_hamiltonian, parity_chains)
+from susyjc.jc import DressedLabel, ground_state_critical
 from susyjc.oracle import (certify_cutoff, certify_truncation, diagonalize,
                            eigenvalues, find_crossings)
 
@@ -90,54 +92,79 @@ def test_chain_and_dense_builders_certify_alike(chain, dense, k_levels):
     assert pinned.converged_levels >= k_levels
 
 
-def test_find_crossings_ground_mode():
-    params_fn = lambda lam: ModelParams(omega=1.0, omega0=1.0, lam=lam)
-    cfg = HilbertConfig(40)
-    builder = lambda lam: build_hamiltonian(cfg, params_fn(lam), "jc")
-    sector = excitation_number(cfg, "plus")
-    recs = find_crossings(builder, (0.5, 1.5), mode="ground",
-                          grid_points=60, sector_op=sector)
+def _jc_chains(n_max, model="jc", **params):
+    cfg = HilbertConfig(n_max)
+    knob = "lam" if model == "jc" else "mu"
+    return lambda x: parity_chains(cfg, ModelParams(**params, **{knob: x}), model)
+
+
+def test_find_crossings_jc_ground_hop():
+    builder = _jc_chains(40, omega=1.0, omega0=1.0)
+    recs = find_crossings(builder, (0.5, 1.5), grid_points=60, label_model="jc")
     assert len(recs) == 1
-    assert abs(recs[0].coupling - 1.0) < 1e-6
+    assert abs(recs[0].coupling - 1.0) < 1e-9
     assert recs[0].left == DressedLabel("minus", 0)
     assert recs[0].right == DressedLabel("minus", 1)
-    # no sector operator, no labels
-    recs = find_crossings(builder, (0.5, 1.5), mode="ground", grid_points=60)
+    # ajc conserves N-, and its ground state hops at the same coupling
+    recs_ajc = find_crossings(_jc_chains(40, "ajc", omega=1.0, omega0=1.0),
+                              (0.5, 1.5), grid_points=60, label_model="ajc")
+    assert [(r.left, r.right) for r in recs_ajc] == [
+        (DressedLabel("minus", 0, "ajc"), DressedLabel("minus", 1, "ajc"))]
+    assert abs(recs_ajc[0].coupling - 1.0) < 1e-9
+    # no label model, no labels
+    recs = find_crossings(builder, (0.5, 1.5), grid_points=60)
     assert recs[0].left is None and recs[0].right is None
     # a window below the first critical coupling is empty
-    assert find_crossings(builder, (0.2, 0.8), mode="ground", grid_points=40) == []
+    assert find_crossings(builder, (0.2, 0.8), grid_points=40) == []
 
 
-def test_find_crossings_pair_mode():
-    cfg = HilbertConfig(40)
-    builder = lambda lam: build_hamiltonian(
-        cfg, ModelParams(omega=1.0, omega0=1.0, lam=lam), "jc")
-    sector = excitation_number(cfg, "plus")
-    recs = find_crossings(builder, (0.5, 1.5), mode="pair", pair=(0, 1),
-                          grid_points=40, sector_op=sector)
-    assert len(recs) == 1
-    assert abs(recs[0].coupling - 1.0) < 1e-6
-    assert recs[0].left == DressedLabel("minus", 0)
-    assert recs[0].right == DressedLabel("minus", 1)
-    # an avoided crossing (finite minimum gap) is rejected by min_gap
-    avoided = lambda x: np.array([[x, 0.1], [0.1, -x]], dtype=complex)
-    assert find_crossings(avoided, (-1.0, 1.0), mode="pair", pair=(0, 1),
-                          grid_points=41) == []
-    # while a true two-level crossing is kept
-    crossing = lambda x: np.array([[x, 0.0], [0.0, -x]], dtype=complex)
-    recs = find_crossings(crossing, (-1.0, 1.0), mode="pair", pair=(0, 1),
-                          grid_points=41)
-    assert len(recs) == 1
-    assert abs(recs[0].coupling) < 1e-6
+def _chains(diag0, diag1, off0=()):
+    """ParityChains with the given diagonals; only chain 0 is coupled."""
+    diag = np.array([diag0, diag1], dtype=float)
+    off = np.array([off0, np.zeros(len(off0))], dtype=complex)
+    return ParityChains(diag.shape[1] - 1, diag, off.reshape(2, -1))
+
+
+def test_find_crossings_between_chains_only():
+    # two levels coupled inside one chain avoid each other: no crossing
+    avoided = lambda x: _chains([x, -x], [10.0, 10.0], [0.1])
+    assert find_crossings(avoided, (-1.0, 1.0), grid_points=41) == []
+    # two decoupled chains cross where their levels meet; at 41 points the
+    # gap is exactly 0 on the grid point x = 0, which is the crossing
+    crossing = lambda x: _chains([x], [-x])
+    recs = find_crossings(crossing, (-1.0, 1.0), grid_points=41)
+    assert len(recs) == 1 and recs[0].coupling == 0.0
+    assert recs[0].left is None and recs[0].right is None
+    # off the grid the sign change is bisected to xtol
+    recs = find_crossings(crossing, (-1.0, 1.0), grid_points=40, xtol=1e-9)
+    assert len(recs) == 1 and abs(recs[0].coupling) <= 1e-9
+    # a gap that touches 0 without changing sign is no crossing
+    touch = lambda x: _chains([x * x], [0.0])
+    assert find_crossings(touch, (-1.0, 1.0), grid_points=41) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(["jc", "ajc"]),
+       omega=st.floats(0.3, 2.0), omega0=st.floats(0.1, 3.0))
+def test_sector_crossings_match_the_closed_critical_couplings(model, omega, omega0):
+    params = ModelParams(omega=omega, omega0=omega0)
+    crit = [ground_state_critical(n, params) for n in range(1, 5)]
+    xtol = 1e-9
+    recs = find_crossings(_jc_chains(16, model, omega=omega, omega0=omega0),
+                          (0.5 * crit[0], 0.5 * (crit[2] + crit[3])),
+                          grid_points=80, xtol=xtol, label_model=model)
+    assert len(recs) == 3
+    for n, rec in enumerate(recs, start=1):
+        assert abs(rec.coupling - crit[n - 1]) <= xtol
+        assert rec.left == DressedLabel("minus", n - 1, model)
+        assert rec.right == DressedLabel("minus", n, model)
 
 
 def test_find_crossings_argument_guards():
-    builder = lambda lam: np.eye(4, dtype=complex)
+    builder = _jc_chains(4)
     with pytest.raises(ValueError):
         find_crossings(builder, (1.0, 0.5))
     with pytest.raises(ValueError):
         find_crossings(builder, (0.0, 1.0), grid_points=2)
     with pytest.raises(ValueError):
-        find_crossings(builder, (0.0, 1.0), mode="pair")
-    with pytest.raises(ValueError):
-        find_crossings(builder, (0.0, 1.0), mode="walk")
+        find_crossings(builder, (0.0, 1.0), label_model="ar")
