@@ -14,8 +14,20 @@ effective parameters
 The construction forces omega0 - omega = -|alphaR|^2, so the detuning
 magnitude always equals the squared counter-rotating weight. Because the
 model is an anticommutator of an operator with its adjoint, its spectrum is
-nonnegative, with a unique ground state and equally spaced doubly
-degenerate excited pairs.
+nonnegative. It is not a doubly degenerate SUSY spectrum in general: A is
+not nilpotent, since (alphaQ Q- + alphaR R-)^2 = 2 alphaQ alphaR K+, and a
+nonzero alpha0 breaks nilpotency in any case. Measured on the chains:
+
+- at alpha0 = 0 the levels are (|aQ|^2 (n+1) + |aR|^2 n)/2 and
+  (|aQ|^2 n + |aR|^2 (n+1))/2, so the excited levels come in pairs
+  (g, n) and (e, n+1) split by exactly |alphaQ|^2, with pair centres
+  spaced by omega;
+- a nonzero alpha0 widens the splitting with the pair index (by about
+  2 |alpha0 alphaR|^2 per pair when that is small): for alphaQ = 1 and
+  alphaR = 5, over the first five pairs it grows from 1.0050 to 1.0247 at
+  alpha0 = 0.01 and from 1.41 to 2.45 at alpha0 = 0.1;
+- exact double degeneracy above a unique ground state occurs only at
+  alphaQ = alpha0 = 0, which is the uncoupled limit lam = mu = 0.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Dense operator factories on the truncated boson (x) spin space.
+"""Operator factories on the truncated boson (x) spin space.
 
 Composite basis convention: index i = s * (n_max + 1) + n, where s = 0 is the
 spin ground state |g> (sigma_z eigenvalue -1), s = 1 the excited state |e>
@@ -6,10 +6,12 @@ spin ground state |g> (sigma_z eigenvalue -1), s = 1 the excited state |e>
 level is dropped (hard cutoff), so identities that transport population upward
 hold on the interior projector only; see the algebra module.
 
-All operators are dense complex ndarrays of shape (2*(n_max+1), 2*(n_max+1))
-and all energies assume hbar = 1. Constructors that promise a Hermitian
-result build mirrored entries from identical floats, so ``H - H.conj().T``
-is exactly zero, not merely small.
+Every factory builds its operator once as a `BandedOp`, the few nonzero
+diagonals of the (2*(n_max+1))-square matrix, in O(n_max). By default it
+returns the dense complex ndarray; ``banded=True`` returns the `BandedOp`,
+whose products stay O(n_max). All energies assume hbar = 1. Constructors
+that promise a Hermitian result build mirrored entries from identical
+floats, so ``H - H.conj().T`` is exactly zero, not merely small.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EqualCouplings
+from .errors import DimensionMismatch, EqualCouplings
 
 __all__ = [
     "HilbertConfig",
     "ModelParams",
+    "BandedOp",
     "boson_op",
     "spin_op",
     "exchange_op",
@@ -41,6 +44,7 @@ MODELS = ("jc", "ajc", "ar")
 _SPIN_OF = {"g": 0, "e": 1, 0: 0, 1: 1}
 
 # Pauli matrices in the (|g>, |e>) ordering used throughout.
+_I2 = np.eye(2, dtype=complex)
 _SZ = np.diag([-1.0, 1.0]).astype(complex)
 _SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -113,63 +117,169 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# boson-only primitives (size n_fock); public factories lift them to the
-# composite space with np.kron(spin_matrix, boson_matrix)
+# banded storage
 
 
-def _destroy(n_fock: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, n_fock)), 1).astype(complex)
+def _shift(d: np.ndarray, k: int) -> np.ndarray:
+    """d[r + k] at index r, zero where r + k falls outside d."""
+    out = np.zeros_like(d)
+    if k >= 0:
+        out[:max(d.size - k, 0)] = d[k:]
+    else:
+        out[-k:] = d[:k]
+    return out
 
 
-def _lower_two(n_fock: int) -> np.ndarray:
-    # a^2 with single-rounded entries sqrt(n(n-1)); sharper than squaring a
-    n = np.arange(2.0, n_fock)
-    return np.diag(np.sqrt(n * (n - 1.0)), 2).astype(complex)
+class BandedOp:
+    """Square operator stored by its nonzero diagonals.
 
+    ``diags`` maps an offset k to a length-``dim`` complex array whose index
+    r holds the entry (r, r + k); indices where r + k falls outside
+    0..dim-1 hold 0. Sums, differences and scalar multiples act on the
+    diagonals entry by entry, so they round exactly as the dense operations
+    do. A product runs over pairs of diagonals in O(offsets^2 dim); where an
+    entry of the product has a single nonzero term, as in every identity the
+    algebra module checks, it is the same float as the dense product's.
+    """
 
-def _number(n_fock: int) -> np.ndarray:
-    return np.diag(np.arange(n_fock, dtype=float)).astype(complex)
+    __array_ufunc__ = None  # numpy operands defer to the methods below
 
+    def __init__(self, dim: int, diags: dict[int, np.ndarray] | None = None):
+        self.dim = dim
+        self.diags = {} if diags is None else diags
 
-def _fock_parity(n_fock: int) -> np.ndarray:
-    return np.diag((-1.0) ** np.arange(n_fock)).astype(complex)
+    @classmethod
+    def diagonal(cls, dim: int, values, offset: int = 0) -> "BandedOp":
+        """``values`` along diagonal ``offset``, in row order."""
+        d = np.zeros(dim, dtype=complex)
+        d[max(0, -offset):dim - max(0, offset)] = values
+        return cls(dim, {offset: d})
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
 
-def _lift_boson(cfg: HilbertConfig, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(2), b)
+    def _same_dim(self, other: "BandedOp") -> None:
+        if other.dim != self.dim:
+            raise DimensionMismatch(
+                f"incompatible shapes {self.shape} and {other.shape}")
 
+    def _entrywise(self, other, op) -> "BandedOp":
+        if not isinstance(other, BandedOp):
+            return NotImplemented
+        self._same_dim(other)
+        zero = np.zeros(self.dim, dtype=complex)
+        return BandedOp(self.dim, {
+            k: op(self.diags.get(k, zero), other.diags.get(k, zero))
+            for k in sorted(self.diags.keys() | other.diags.keys())})
 
-def _lift_spin(cfg: HilbertConfig, s: np.ndarray) -> np.ndarray:
-    return np.kron(s, np.eye(cfg.n_fock))
+    def __add__(self, other):
+        return self._entrywise(other, np.add)
+
+    def __sub__(self, other):
+        return self._entrywise(other, np.subtract)
+
+    def __neg__(self) -> "BandedOp":
+        return BandedOp(self.dim, {k: -d for k, d in self.diags.items()})
+
+    # operand order is kept: numpy fuses a different product into the
+    # imaginary part of x * c than of c * x, so they can differ in the last bit
+    def __mul__(self, scalar) -> "BandedOp":
+        return BandedOp(self.dim, {k: d * scalar for k, d in self.diags.items()})
+
+    def __rmul__(self, scalar) -> "BandedOp":
+        return BandedOp(self.dim, {k: scalar * d for k, d in self.diags.items()})
+
+    def __truediv__(self, scalar) -> "BandedOp":
+        return BandedOp(self.dim, {k: d / scalar for k, d in self.diags.items()})
+
+    def __matmul__(self, other):
+        if not isinstance(other, BandedOp):
+            return NotImplemented
+        self._same_dim(other)
+        out: dict[int, np.ndarray] = {}
+        for k1, a in sorted(self.diags.items()):
+            for k2, b in sorted(other.diags.items()):
+                k = k1 + k2
+                if abs(k) < self.dim:
+                    term = a * _shift(b, k1)
+                    out[k] = out[k] + term if k in out else term
+        return BandedOp(self.dim, out)
+
+    def masked_max(self, mask: np.ndarray | None = None) -> float:
+        """Largest entry magnitude on the rows and columns that the boolean
+        ``mask`` keeps (everywhere when it is None)."""
+        best = 0.0
+        for k, d in self.diags.items():
+            if mask is not None:
+                d = d[mask & _shift(mask, k)]
+            best = max(best, float(np.abs(d).max(initial=0.0)))
+        return best
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        r = np.arange(self.dim)
+        for k, d in self.diags.items():
+            rows = r[max(0, -k):self.dim - max(0, k)]
+            out[rows, rows + k] = d[rows]
+        return out
 
 
 # ---------------------------------------------------------------------------
-# public factories
+# boson-only primitives (size n_fock), lifted to the composite space by _kron
 
 
-def boson_op(cfg: HilbertConfig, kind: str) -> np.ndarray:
+def _ladder(n_fock: int, offset: int) -> BandedOp:
+    """a (offset 1), a^2 (2), a^dag (-1) or a^dag^2 (-2). The entries of a^2
+    are single-rounded sqrt(n (n-1)), sharper than squaring a."""
+    n = np.arange(float(abs(offset)), n_fock)
+    values = np.sqrt(n) if abs(offset) == 1 else np.sqrt(n * (n - 1.0))
+    return BandedOp.diagonal(n_fock, values, offset)
+
+
+def _kron(cfg: HilbertConfig, s: np.ndarray, b: BandedOp) -> BandedOp:
+    """s (x) b for a 2x2 spin matrix s: block (i, j) of the spin-major basis
+    is s[i, j] b, so diagonal k of b lands on offset (j - i) n_fock + k."""
+    nf = cfg.n_fock
+    out = BandedOp(cfg.dim)
+    for (i, j), sij in np.ndenumerate(s):
+        if sij != 0:
+            for k, d in b.diags.items():
+                block = np.zeros(cfg.dim, dtype=complex)
+                block[i * nf:(i + 1) * nf] = sij * d
+                out = out + BandedOp(cfg.dim, {(j - i) * nf + k: block})
+    return out
+
+
+# ---------------------------------------------------------------------------
+# public factories: dense ndarrays, or the BandedOp itself with banded=True
+
+
+def boson_op(cfg: HilbertConfig, kind: str, *, banded: bool = False):
     """Boson operator tensored with the spin identity.
 
     kind: 'annihilate', 'create', 'number', 'position_q', 'momentum_p'.
     Quadratures are q = (a^dag + a)/sqrt(2), p = i(a^dag - a)/sqrt(2).
     """
-    a = _destroy(cfg.n_fock)
+    a = _ladder(cfg.n_fock, 1)
+    adag = _ladder(cfg.n_fock, -1)
     if kind == "annihilate":
         b = a
     elif kind == "create":
-        b = a.conj().T
+        b = adag
     elif kind == "number":
-        b = _number(cfg.n_fock)
+        b = BandedOp.diagonal(cfg.n_fock, np.arange(cfg.n_fock, dtype=float))
     elif kind == "position_q":
-        b = (a.conj().T + a) / np.sqrt(2.0)
+        b = (adag + a) / np.sqrt(2.0)
     elif kind == "momentum_p":
-        b = 1j * (a.conj().T - a) / np.sqrt(2.0)
+        b = 1j * (adag - a) / np.sqrt(2.0)
     else:
         raise ValueError(f"unknown boson operator kind {kind!r}")
-    return _lift_boson(cfg, b)
+    op = _kron(cfg, _I2, b)
+    return op if banded else op.dense()
 
 
-def spin_op(cfg: HilbertConfig, kind: str) -> np.ndarray:
+def spin_op(cfg: HilbertConfig, kind: str, *, banded: bool = False):
     """Spin operator tensored with the boson identity.
 
     kind: 'sigma_z', 'sigma_plus', 'sigma_minus', 'sigma_x', 'sigma_y', 's_z'
@@ -185,38 +295,41 @@ def spin_op(cfg: HilbertConfig, kind: str) -> np.ndarray:
     }
     if kind not in table:
         raise ValueError(f"unknown spin operator kind {kind!r}")
-    return _lift_spin(cfg, table[kind])
+    op = _kron(cfg, table[kind], BandedOp.diagonal(cfg.n_fock, 1.0))
+    return op if banded else op.dense()
 
 
-def exchange_op(cfg: HilbertConfig, family: str, sign: str) -> np.ndarray:
+def exchange_op(cfg: HilbertConfig, family: str, sign: str, *, banded: bool = False):
     """Excitation-exchange operators.
 
     Family 'Q' (rotating): Q+ = a sigma+, Q- = a^dag sigma-.
     Family 'R' (counter-rotating): R+ = a sigma-, R- = a^dag sigma+.
     sign 'x' gives plus+minus, 'y' gives -i(plus-minus).
     """
-    a = _destroy(cfg.n_fock)
-    adag = a.conj().T
+    a = _ladder(cfg.n_fock, 1)
+    adag = _ladder(cfg.n_fock, -1)
     if family == "Q":
-        plus = np.kron(_SP, a)
-        minus = np.kron(_SM, adag)
+        plus = _kron(cfg, _SP, a)
+        minus = _kron(cfg, _SM, adag)
     elif family == "R":
-        plus = np.kron(_SM, a)
-        minus = np.kron(_SP, adag)
+        plus = _kron(cfg, _SM, a)
+        minus = _kron(cfg, _SP, adag)
     else:
         raise ValueError(f"unknown exchange family {family!r}")
     if sign == "plus":
-        return plus
-    if sign == "minus":
-        return minus
-    if sign == "x":
-        return plus + minus
-    if sign == "y":
-        return -1j * (plus - minus)
-    raise ValueError(f"unknown exchange sign {sign!r}")
+        op = plus
+    elif sign == "minus":
+        op = minus
+    elif sign == "x":
+        op = plus + minus
+    elif sign == "y":
+        op = -1j * (plus - minus)
+    else:
+        raise ValueError(f"unknown exchange sign {sign!r}")
+    return op if banded else op.dense()
 
 
-def excitation_number(cfg: HilbertConfig, sector: str) -> np.ndarray:
+def excitation_number(cfg: HilbertConfig, sector: str, *, banded: bool = False):
     """Total excitation number, built as an exact diagonal.
 
     sector 'plus':  N+ = a^dag a + (1 + sigma_z)/2  (|g,n> -> n, |e,n> -> n+1)
@@ -229,10 +342,11 @@ def excitation_number(cfg: HilbertConfig, sector: str) -> np.ndarray:
         diag = np.concatenate([n + 1.0, n])
     else:
         raise ValueError(f"unknown excitation sector {sector!r}")
-    return np.diag(diag).astype(complex)
+    op = BandedOp.diagonal(cfg.dim, diag)
+    return op if banded else op.dense()
 
 
-def su11_generator(cfg: HilbertConfig, axis: str) -> np.ndarray:
+def su11_generator(cfg: HilbertConfig, axis: str, *, banded: bool = False):
     """Two-boson su(1,1) generators, tensored with the spin identity.
 
     Kx = (a^2 + a^dag^2)/4, Ky = -i(a^dag^2 - a^2)/4, Kz = (2n+1)/4 (exact
@@ -240,38 +354,42 @@ def su11_generator(cfg: HilbertConfig, axis: str) -> np.ndarray:
     K+ = a^dag^2/2, and 'casimir' returns Kz^2 - (K+K- + K-K+)/2 by matrix
     arithmetic (interior eigenvalue -3/16).
     """
-    a2 = _lower_two(cfg.n_fock)
-    a2dag = a2.conj().T
+    a2 = _ladder(cfg.n_fock, 2)
+    a2dag = _ladder(cfg.n_fock, -2)
+    kz = BandedOp.diagonal(cfg.n_fock, (2.0 * np.arange(cfg.n_fock) + 1.0) / 4.0)
     if axis == "x":
         b = (a2 + a2dag) / 4.0
     elif axis == "y":
         b = -1j * (a2dag - a2) / 4.0
     elif axis == "z":
-        b = np.diag((2.0 * np.arange(cfg.n_fock) + 1.0) / 4.0).astype(complex)
+        b = kz
     elif axis == "plus":
         b = a2dag / 2.0
     elif axis == "minus":
         b = a2 / 2.0
     elif axis == "casimir":
-        kz = np.diag((2.0 * np.arange(cfg.n_fock) + 1.0) / 4.0).astype(complex)
         kp = a2dag / 2.0
         km = a2 / 2.0
         b = kz @ kz - 0.5 * (kp @ km + km @ kp)
     else:
         raise ValueError(f"unknown su(1,1) axis {axis!r}")
-    return _lift_boson(cfg, b)
+    op = _kron(cfg, _I2, b)
+    return op if banded else op.dense()
 
 
-def parity_op(cfg: HilbertConfig) -> np.ndarray:
+def parity_op(cfg: HilbertConfig, *, banded: bool = False):
     """Conserved parity sigma_z (x) (-1)^n."""
-    return np.kron(_SZ, _fock_parity(cfg.n_fock))
+    fock_parity = BandedOp.diagonal(cfg.n_fock, (-1.0) ** np.arange(cfg.n_fock))
+    op = _kron(cfg, _SZ, fock_parity)
+    return op if banded else op.dense()
 
 
-def jc_to_ajc_rotation(cfg: HilbertConfig) -> np.ndarray:
+def jc_to_ajc_rotation(cfg: HilbertConfig, *, banded: bool = False):
     """Exact pi/2 spin rotation U = exp(-i pi/2 sigma_y) lifted to the
     composite space; U^dag H_jc(coupling c) U equals H_ajc(coupling c)."""
     u2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    return _lift_spin(cfg, u2)
+    op = _kron(cfg, u2, BandedOp.diagonal(cfg.n_fock, 1.0))
+    return op if banded else op.dense()
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateAngle, SupportExceeded
-from .hilbert import ModelParams, _destroy
+from .hilbert import ModelParams, _ladder
 from .jc import DressedLabel, _omega_n, coupling_for
 
 __all__ = [
@@ -60,7 +60,7 @@ def laguerre_pair(order: int, x):
 # displacement: D(r e^{i phi}) = R_phi u diag(exp(-i r w)) u^dag R_phi^dag with
 # R_phi the diagonal Fock-phase rotation
 def _generator_eig(n_fock: int) -> tuple[np.ndarray, np.ndarray]:
-    a = _destroy(n_fock)
+    a = _ladder(n_fock, 1).dense()
     return np.linalg.eigh(1j * (a.conj().T - a))
 
 

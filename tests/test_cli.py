@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -199,6 +200,42 @@ def test_verify_tolerance_scales_with_the_entries(capsysbinary):
     rows = json.loads(capsysbinary.readouterr().out.decode())["rows"]
     assert all(row["passed"] for row in rows)
     assert max(row["residual"] for row in rows) > 1e-12
+
+
+# sha256 of `verify` stdout as printed by the dense-matrix implementation
+# that the banded checks replaced; residuals must keep every bit
+VERIFY_SHA256 = {
+    (16, "csv"): "e245b52a4b82360c9e636872bb09cda96fd5b1a504fa8290d50756a8da43f7c7",
+    (16, "json"): "f828f55145a43c6469bc08b6b30c908ece041fa8d0edde3185b7962f999af69f",
+    (64, "csv"): "4cb691733a6614b531cdb6b0bed72b4ef2834a2b86fd0a0484f9f0c029c54f71",
+    (64, "json"): "9b6758d8900a68b69384ad1c216effdf70b1ed24bdaeca3f916e60d7336b19ea",
+    (256, "csv"): "7b86103bcfe8373547f09c435ed7ad1c257c0a162056e9176abe2ab3dbbf9725",
+    (256, "json"): "c3016079b9d46f64afbc410b1c568c6ed40dfdfdcd7fb7633c41565ce9d62180",
+}
+
+
+@pytest.mark.parametrize("n_max,fmt", sorted(VERIFY_SHA256))
+def test_verify_bytes_are_pinned(n_max, fmt, capsysbinary):
+    from susyjc import cli
+    assert cli.main(["verify", "--n-max", str(n_max), "--format", fmt]) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digest == VERIFY_SHA256[n_max, fmt]
+
+
+def test_verify_at_the_cutoff_cap_stays_small(capsysbinary):
+    # the identities run on banded operators; one dense 4098-square complex
+    # matrix alone would take 268 MB
+    import tracemalloc
+    from susyjc import cli
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", "--n-max", "2048", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(capsysbinary.readouterr().out.decode())["rows"]) == 34
+    assert peak < 64 * 2**20
 
 
 def test_verify_fails_with_absurd_tolerance():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from susyjc.errors import EqualCouplings
-from susyjc.hilbert import (HilbertConfig, ModelParams, boson_op,
+from susyjc.algebra import commutator
+from susyjc.errors import DimensionMismatch, EqualCouplings
+from susyjc.hilbert import (BandedOp, HilbertConfig, ModelParams, boson_op,
                             build_hamiltonian, exchange_op, excitation_number,
                             jc_to_ajc_rotation, parity_chains, parity_op,
                             spin_op, su11_generator)
@@ -225,3 +226,149 @@ def test_parity_chain_layout():
             row = cfg.index(int(spins[k + 1]), k + 1)
             col = cfg.index(int(spins[k]), k)
             assert h[row, col] == chains.off[c, k]
+
+
+# ---------------------------------------------------------------------------
+# banded storage against dense arithmetic
+
+
+def _small_ints(n):
+    # Gaussian integers keep every dense product exact in any summation order
+    part = st.integers(-3, 3)
+    return st.lists(st.builds(complex, part, part), min_size=n, max_size=n)
+
+
+@st.composite
+def _banded_pair(draw):
+    dim = draw(st.integers(1, 12))
+    ops = []
+    for _ in range(2):
+        op = BandedOp(dim)
+        offsets = draw(st.sets(st.integers(1 - dim, dim - 1), max_size=5))
+        for k in sorted(offsets):
+            values = draw(_small_ints(dim - abs(k)))
+            op = op + BandedOp.diagonal(dim, values, k)
+        ops.append(op)
+    return ops
+
+
+_scalar = st.one_of(st.floats(-1e3, 1e3),
+                    st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_banded_pair(), c=_scalar, data=st.data())
+def test_banded_arithmetic_matches_dense(pair, c, data):
+    a, b = pair
+    da, db = a.dense(), b.dense()
+    assert np.array_equal((a @ b).dense(), da @ db)
+    assert np.array_equal((a + b).dense(), da + db)
+    assert np.array_equal((a - b).dense(), da - db)
+    assert np.array_equal((-a).dense(), -da)
+    assert np.array_equal((c * a).dense(), c * da)
+    assert np.array_equal((a * c).dense(), da * c)
+    assert np.array_equal((a / 4.0).dense(), da / 4.0)
+    assert np.array_equal(commutator(a, b).dense(), commutator(da, db))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=a.dim,
+                                       max_size=a.dim)), dtype=bool)
+    assert a.masked_max(mask) == np.abs(da[np.ix_(mask, mask)]).max(initial=0.0)
+    assert a.masked_max() == np.abs(da).max(initial=0.0)
+
+
+def test_banded_dimension_guard():
+    a = BandedOp.diagonal(3, 1.0)
+    b = BandedOp.diagonal(4, 1.0)
+    for op in (lambda: a @ b, lambda: a + b, lambda: a - b,
+               lambda: commutator(a, b)):
+        with pytest.raises(DimensionMismatch):
+            op()
+    with pytest.raises(TypeError):
+        a @ np.eye(3)
+
+
+# The dense kron constructions that the banded factories replace, kept as an
+# independent reference: np.kron(spin matrix, boson matrix). Below two Fock
+# levels its np.diag(..., 2) is larger than the Fock space, so the su(1,1)
+# generators came out 4-square at n_max = 0; it is compared from n_max = 1.
+_SZ = np.diag([-1.0, 1.0]).astype(complex)
+_SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+_SM = _SP.T.copy()
+
+
+def _kron_factory(cfg, name, *args):
+    nf = cfg.n_fock
+    a = np.diag(np.sqrt(np.arange(1.0, nf)), 1).astype(complex)
+    adag = a.conj().T
+    n2 = np.arange(2.0, nf)
+    a2 = np.diag(np.sqrt(n2 * (n2 - 1.0)), 2).astype(complex)
+    a2dag = a2.conj().T
+    kz = np.diag((2.0 * np.arange(nf) + 1.0) / 4.0).astype(complex)
+    boson = lambda b: np.kron(np.eye(2), b)
+    spin = lambda s: np.kron(s, np.eye(nf))
+    if name == "boson":
+        return boson({
+            "annihilate": a, "create": adag,
+            "number": np.diag(np.arange(nf, dtype=float)).astype(complex),
+            "position_q": (adag + a) / np.sqrt(2.0),
+            "momentum_p": 1j * (adag - a) / np.sqrt(2.0)}[args[0]])
+    if name == "spin":
+        return spin({"sigma_z": _SZ, "sigma_plus": _SP, "sigma_minus": _SM,
+                     "sigma_x": _SP + _SM, "sigma_y": -1j * (_SP - _SM),
+                     "s_z": _SZ / 2.0}[args[0]])
+    if name == "exchange":
+        family, sign = args
+        plus, minus = ((np.kron(_SP, a), np.kron(_SM, adag)) if family == "Q"
+                       else (np.kron(_SM, a), np.kron(_SP, adag)))
+        return {"plus": plus, "minus": minus, "x": plus + minus,
+                "y": -1j * (plus - minus)}[sign]
+    if name == "excitation":
+        n = np.arange(nf, dtype=float)
+        diag = (np.concatenate([n, n + 1.0]) if args[0] == "plus"
+                else np.concatenate([n + 1.0, n]))
+        return np.diag(diag).astype(complex)
+    if name == "su11":
+        kp, km = a2dag / 2.0, a2 / 2.0
+        return boson({
+            "x": (a2 + a2dag) / 4.0, "y": -1j * (a2dag - a2) / 4.0, "z": kz,
+            "plus": kp, "minus": km,
+            "casimir": kz @ kz - 0.5 * (kp @ km + km @ kp)}[args[0]])
+    if name == "parity":
+        return np.kron(_SZ, np.diag((-1.0) ** np.arange(nf)).astype(complex))
+    return spin(np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex))
+
+
+_FACTORIES = (
+    [("boson", boson_op, (k,)) for k in
+     ("annihilate", "create", "number", "position_q", "momentum_p")]
+    + [("spin", spin_op, (k,)) for k in
+       ("sigma_z", "sigma_plus", "sigma_minus", "sigma_x", "sigma_y", "s_z")]
+    + [("exchange", exchange_op, (f, s)) for f in "QR"
+       for s in ("plus", "minus", "x", "y")]
+    + [("excitation", excitation_number, (s,)) for s in ("plus", "minus")]
+    + [("su11", su11_generator, (k,)) for k in
+       ("x", "y", "z", "plus", "minus", "casimir")]
+    + [("parity", parity_op, ()), ("rotation", jc_to_ajc_rotation, ())])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_max=st.integers(1, 40), which=st.sampled_from(_FACTORIES))
+def test_factories_match_the_kron_construction(n_max, which):
+    name, factory, args = which
+    cfg = HilbertConfig(n_max)
+    dense = factory(cfg, *args)
+    assert dense.shape == (cfg.dim, cfg.dim)
+    assert np.array_equal(dense, _kron_factory(cfg, name, *args))
+
+
+@pytest.mark.parametrize("n_max", [0, 5])
+def test_factories_return_their_banded_form(n_max):
+    cfg = HilbertConfig(n_max)
+    for name, factory, args in _FACTORIES:
+        if name == "parity":
+            op = parity_op(cfg, banded=True)
+        elif name == "rotation":
+            op = jc_to_ajc_rotation(cfg, banded=True)
+        else:
+            op = factory(cfg, *args, banded=True)
+        assert isinstance(op, BandedOp) and op.shape == (cfg.dim, cfg.dim)
+        assert np.array_equal(op.dense(), factory(cfg, *args))
