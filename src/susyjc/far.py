@@ -27,7 +27,8 @@ nonzero alpha0 breaks nilpotency in any case. Measured on the chains:
   alphaR = 5, over the first five pairs it grows from 1.0050 to 1.0247 at
   alpha0 = 0.01 and from 1.41 to 2.45 at alpha0 = 0.1;
 - exact double degeneracy above a unique ground state occurs only at
-  alphaQ = alpha0 = 0, which is the uncoupled limit lam = mu = 0.
+  alphaQ = alpha0 = 0 (alpha0 = 0 alone already gives lam = mu = 0, but
+  the pairs stay split by |alphaQ|^2).
 """
 
 from __future__ import annotations

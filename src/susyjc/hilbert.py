@@ -7,11 +7,12 @@ level is dropped (hard cutoff), so identities that transport population upward
 hold on the interior projector only; see the algebra module.
 
 Every factory builds its operator once as a `BandedOp`, the few nonzero
-diagonals of the (2*(n_max+1))-square matrix, in O(n_max). By default it
-returns the dense complex ndarray; ``banded=True`` returns the `BandedOp`,
-whose products stay O(n_max). All energies assume hbar = 1. Constructors
-that promise a Hermitian result build mirrored entries from identical
-floats, so ``H - H.conj().T`` is exactly zero, not merely small.
+diagonals of the (2*(n_max+1))-square matrix, in O(n_max), and returns the
+dense complex ndarray. The spin, exchange, excitation-number and su(1,1)
+factories, which the algebra checks use, return the `BandedOp` itself with
+``banded=True``; its products stay O(n_max). All energies assume hbar = 1.
+Constructors that promise a Hermitian result build mirrored entries from
+identical floats, so ``H - H.conj().T`` is exactly zero, not merely small.
 """
 
 from __future__ import annotations
@@ -182,11 +183,8 @@ class BandedOp:
     def __neg__(self) -> "BandedOp":
         return BandedOp(self.dim, {k: -d for k, d in self.diags.items()})
 
-    # operand order is kept: numpy fuses a different product into the
-    # imaginary part of x * c than of c * x, so they can differ in the last bit
-    def __mul__(self, scalar) -> "BandedOp":
-        return BandedOp(self.dim, {k: d * scalar for k, d in self.diags.items()})
-
+    # scalar-first, as in the dense code: numpy can round c * x and x * c
+    # differently in the last bit of a complex product
     def __rmul__(self, scalar) -> "BandedOp":
         return BandedOp(self.dim, {k: scalar * d for k, d in self.diags.items()})
 
@@ -252,10 +250,11 @@ def _kron(cfg: HilbertConfig, s: np.ndarray, b: BandedOp) -> BandedOp:
 
 
 # ---------------------------------------------------------------------------
-# public factories: dense ndarrays, or the BandedOp itself with banded=True
+# public factories: dense ndarrays; the four that the algebra checks use also
+# return the BandedOp itself with banded=True
 
 
-def boson_op(cfg: HilbertConfig, kind: str, *, banded: bool = False):
+def boson_op(cfg: HilbertConfig, kind: str) -> np.ndarray:
     """Boson operator tensored with the spin identity.
 
     kind: 'annihilate', 'create', 'number', 'position_q', 'momentum_p'.
@@ -275,8 +274,7 @@ def boson_op(cfg: HilbertConfig, kind: str, *, banded: bool = False):
         b = 1j * (adag - a) / np.sqrt(2.0)
     else:
         raise ValueError(f"unknown boson operator kind {kind!r}")
-    op = _kron(cfg, _I2, b)
-    return op if banded else op.dense()
+    return _kron(cfg, _I2, b).dense()
 
 
 def spin_op(cfg: HilbertConfig, kind: str, *, banded: bool = False):
@@ -377,19 +375,17 @@ def su11_generator(cfg: HilbertConfig, axis: str, *, banded: bool = False):
     return op if banded else op.dense()
 
 
-def parity_op(cfg: HilbertConfig, *, banded: bool = False):
+def parity_op(cfg: HilbertConfig) -> np.ndarray:
     """Conserved parity sigma_z (x) (-1)^n."""
     fock_parity = BandedOp.diagonal(cfg.n_fock, (-1.0) ** np.arange(cfg.n_fock))
-    op = _kron(cfg, _SZ, fock_parity)
-    return op if banded else op.dense()
+    return _kron(cfg, _SZ, fock_parity).dense()
 
 
-def jc_to_ajc_rotation(cfg: HilbertConfig, *, banded: bool = False):
+def jc_to_ajc_rotation(cfg: HilbertConfig) -> np.ndarray:
     """Exact pi/2 spin rotation U = exp(-i pi/2 sigma_y) lifted to the
     composite space; U^dag H_jc(coupling c) U equals H_ajc(coupling c)."""
     u2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    op = _kron(cfg, u2, BandedOp.diagonal(cfg.n_fock, 1.0))
-    return op if banded else op.dense()
+    return _kron(cfg, u2, BandedOp.diagonal(cfg.n_fock, 1.0)).dense()
 
 
 @dataclass(frozen=True)
