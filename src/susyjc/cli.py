@@ -8,9 +8,10 @@ order, files are UTF-8 with LF endings.
 
 Exit codes: 0 ok, 2 usage or parameter error (including a non-finite number,
 a config value its flag would not accept, a number outside BOUNDS, or
-sweep points above MAX_POINTS, all refused before any work), 3 truncation
-did not converge, 4 internal consistency failure (non-Hermitian build,
-factorization mismatch, phase-space support overflow, failed verification).
+sweep points above MAX_POINTS, all refused before any work, and parameters
+that overflow), 3 truncation did not converge, 4 internal consistency
+failure (non-Hermitian build, factorization mismatch, phase-space support
+overflow, failed verification).
 """
 
 from __future__ import annotations
@@ -437,7 +438,7 @@ def cmd_spectrum(merged: dict) -> int:
         closed = None
         if model in ("jc", "ajc"):
             closed = lowest_closed_levels(_point_params(merged, model, x),
-                                          levels, model)
+                                          len(energies), model)
         for k, energy in enumerate(energies):
             row = {"sweep_value": x / unit, "level_index": k,
                    "energy": float(energy) / unit, "label_branch": None,
@@ -607,13 +608,15 @@ def main(argv=None) -> int:
         handler = {"spectrum": cmd_spectrum, "crossings": cmd_crossings,
                    "wigner": cmd_wigner, "verify": cmd_verify,
                    "far": cmd_far}[args.command]
-        return handler(merged)
+        # overflows are refused by explicit checks, not numpy's warnings
+        with np.errstate(all="ignore"):
+            return handler(merged)
     except UsageError as exc:
         print(f"susyjc: error: {exc}", file=sys.stderr)
         return 2
     except (InvalidLabel, InvalidN, DegenerateAngle, DegenerateCouplings,
             EqualCouplings, IsotropicSingularLimit, TruncationTooSmall,
-            ValueError) as exc:
+            ValueError, OverflowError) as exc:
         print(f"susyjc: parameter error: {exc}", file=sys.stderr)
         return 2
     except (NoConvergence, NotConverged) as exc:

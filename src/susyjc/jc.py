@@ -175,22 +175,30 @@ def dressed_state(label: DressedLabel, params: ModelParams,
 
 def lowest_closed_levels(params: ModelParams, count: int,
                          model: str = "jc") -> list[tuple[float, DressedLabel]]:
-    """Lowest `count` closed-form levels, sorted ascending by energy."""
+    """Lowest `count` closed-form levels, sorted ascending by energy; ties
+    keep the order (minus, 0), (plus, 1), (minus, 1), (plus, 2), ... For
+    omega > 0 the plus branch rises with N and the minus branch is convex in
+    N with its minimum at N* = (g^4/omega^2 - delta^2)/(4 g^2), so only the
+    singlet, (plus, 1..count) and (minus, N* +/- count) are ranked, and
+    N* > 2^53 raises InvalidN. For omega <= 0 all N <= 2 count + 8 are."""
     if count < 1:
         raise InvalidN("count must be >= 1")
     g = coupling_for(model, params)
     if params.omega > 0:
-        n_cap = int(2.0 * (g / params.omega) ** 2) + 2 * count + 8
+        # (g/omega)^2 - (delta/g)^2, with no square that overflows on its own
+        x, y = (g / params.omega, params.delta / g) if g else (0.0, 0.0)
+        n_star = (x - y) * (x + y) / 4.0
+        if not n_star <= 2.0 ** 53:
+            raise InvalidN(f"the lowest minus level sits at N = {n_star!r} > 2^53")
+        centre = round(max(n_star, 0.0))
+        sectors = [("plus", n) for n in range(1, count + 1)] + [
+            ("minus", n) for n in range(max(1, centre - count), centre + count + 1)]
     else:
-        n_cap = 2 * count + 8
-    out = [(dressed_energy(DressedLabel("minus", 0, model), params),
-            DressedLabel("minus", 0, model))]
-    for n in range(1, n_cap + 1):
-        for branch in BRANCHES:
-            lab = DressedLabel(branch, n, model)
-            out.append((dressed_energy(lab, params), lab))
-    out.sort(key=lambda t: t[0])
-    return out[:count]
+        sectors = [(b, n) for n in range(1, 2 * count + 9) for b in BRANCHES]
+    labels = [DressedLabel(b, n, model) for b, n in [("minus", 0)] + sectors]
+    ranked = sorted((dressed_energy(lab, params),
+                     2 * lab.n_total - (lab.branch == "plus"), lab) for lab in labels)
+    return [(energy, lab) for energy, _, lab in ranked[:count]]
 
 
 def crossing_pair(m: int, n: int, branch: str,
@@ -200,10 +208,11 @@ def crossing_pair(m: int, n: int, branch: str,
 
         lam^2 = omega [ (M+N) omega -/+ sqrt(delta^2 + 4 M N omega^2) ]
 
-    with the minus sign for branch 'plus'. Returns None when no positive root
-    exists or when the root fails re-verification against dressed_energy
-    (the closed root treats the N=0 sector with |delta|, which only matches
-    the true singlet energy for delta >= 0).
+    with the minus sign for branch 'plus'; for M = 0 the root is the
+    singlet's Omega(0), the signed delta (E(minus, 0) = -omega/2 - delta/2).
+    Returns None when no positive finite root exists (none does for
+    omega <= 0) or when the root fails re-verification against
+    dressed_energy.
     """
     if int(m) != m or int(n) != n or m < 0 or n <= m:
         raise InvalidN("crossing_pair needs integers N > M >= 0")
@@ -212,55 +221,34 @@ def crossing_pair(m: int, n: int, branch: str,
     if m == 0 and branch == "plus":
         return None  # no (plus, 0) level exists
     omega = params.omega
-    radicand = params.delta ** 2 + 4.0 * m * n * omega ** 2
-    root = math.sqrt(radicand)
+    root = params.delta if m == 0 else math.sqrt(params.delta ** 2
+                                                 + 4.0 * m * n * omega ** 2)
     bracket = (m + n) * omega - root if branch == "plus" else (m + n) * omega + root
-    if bracket <= 0.0 or omega <= 0.0:
+    if omega <= 0.0 or not 0.0 < omega * bracket < math.inf:
         return None
     lam_c = math.sqrt(omega * bracket)
-    if lam_c <= 0.0:
-        return None
     at_crossing = replace(params, lam=lam_c)
-    left = DressedLabel(branch, m, "jc") if m > 0 else DressedLabel("minus", 0, "jc")
+    left = DressedLabel(branch, m, "jc")
     right = DressedLabel("minus", n, "jc")
     e_left = dressed_energy(left, at_crossing)
     e_right = dressed_energy(right, at_crossing)
-    scale = max(1.0, abs(e_left), abs(e_right))
+    # rounding scales with the energies' terms, up to about N omega + |delta|
+    scale = max(1.0, abs(e_left), abs(e_right), n * omega + abs(params.delta))
     if abs(e_left - e_right) > 1e-9 * scale:
         return None
     return CrossingRecord(left, right, lam_c)
 
 
 def ground_state_critical(n: int, params: ModelParams) -> float:
-    """Coupling where the ground state hops from sector N-1 to sector N,
-    i.e. where Omega(N) - Omega(N-1) = 2 omega, with Omega(0) = delta
-    (signed: the singlet energy -omega0/2 is omega(0 - 1/2) - delta/2).
-
-    Closed solution lam_N^2 = omega [ (2N-1) omega + sqrt(delta^2
-    + 4 N (N-1) omega^2) ] for N >= 2, and lam_1^2 = omega (omega + delta)
-    = omega omega0, which is negative (no such hop) when omega omega0 < 0.
+    """Coupling where the ground state hops from sector N-1 to sector N
+    (Omega(N) - Omega(N-1) = 2 omega): the crossing_pair of (minus, N-1) and
+    (minus, N), so lam_1^2 = omega omega0. InvalidN when no positive
+    coupling makes the hop (omega omega0 <= 0 for N = 1, any N at omega <= 0).
     """
-    if int(n) != n or n < 1:
-        raise InvalidN("ground_state_critical needs a positive integer N")
-    omega = params.omega
-    radicand = params.delta ** 2 + 4.0 * n * (n - 1) * omega ** 2
-    root = params.delta if n == 1 else math.sqrt(radicand)
-    lam_sq = omega * ((2 * n - 1) * omega + root)
-    if lam_sq < 0.0:
-        raise InvalidN("the singlet never hands the ground state to N=1 "
-                       "when omega * omega0 < 0")
-    lam_n = math.sqrt(lam_sq)
-    # Re-verify against the defining condition rather than trusting the
-    # radical alone (it was solved by hand).
-    at = ModelParams(omega=params.omega, omega0=params.omega0, lam=lam_n)
-    upper = rabi_frequency(n, at)
-    lower = at.delta if n == 1 else rabi_frequency(n - 1, at)
-    scale = max(abs(upper), abs(lower), 2.0 * abs(omega), 1.0)
-    if abs(upper - lower - 2.0 * omega) > 1e-9 * scale:
-        raise ArithmeticError(
-            f"closed-form critical coupling violates its defining gap "
-            f"condition at N={n}: {upper - lower} != {2.0 * omega}")
-    return lam_n
+    rec = crossing_pair(n - 1, n, "minus", params)
+    if rec is None:
+        raise InvalidN(f"no positive coupling moves the ground state to N={n}")
+    return rec.coupling
 
 
 def reduced_density(label: DressedLabel, params: ModelParams, subsystem: str,

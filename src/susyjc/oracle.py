@@ -34,6 +34,8 @@ __all__ = [
 
 # largest Fock cutoff certification doubles up to
 CAP_N_MAX = 2048
+# largest |H - H^dag| entry diagonalize accepts, per unit of max(1, max |H|)
+HERMITICITY_TOL = 1e-12
 
 
 @dataclass
@@ -48,7 +50,7 @@ class EigenSolution:
     n_max_used: int
 
 
-def diagonalize(h: np.ndarray, hermiticity_tol: float = 1e-12) -> EigenSolution:
+def diagonalize(h: np.ndarray) -> EigenSolution:
     """Eigh with a Hermiticity gate and deterministic ordering.
 
     Columns are phase-fixed so the largest-magnitude amplitude is real
@@ -57,7 +59,7 @@ def diagonalize(h: np.ndarray, hermiticity_tol: float = 1e-12) -> EigenSolution:
     """
     dev = float(np.abs(h - h.conj().T).max())
     scale = max(1.0, float(np.abs(h).max()))
-    if dev > hermiticity_tol * scale:
+    if dev > HERMITICITY_TOL * scale:
         raise NotHermitian(f"max |H - H^dag| = {dev:.3e} exceeds tolerance")
     evals, evecs = np.linalg.eigh(h)
     anchors = np.abs(evecs).argmax(axis=0)
@@ -80,8 +82,11 @@ def _real_chain(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # that moves no eigenvalue by more than 2 eps times that entry, and it
     # keeps LAPACK's tridiagonal solvers, which work on squared couplings,
     # off subnormal squares, where they lose digits (|off| ~ 1e-160 next to
-    # O(1) entries cost 5e-4).
+    # O(1) entries cost 5e-4). A non-finite entry means a parameter overflowed,
+    # and the threshold would then drop every coupling, so it is refused.
     off = np.abs(off)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("a Hamiltonian entry overflows; the parameters are too large")
     scale = max(float(np.abs(diag).max()), float(off.max(initial=0.0)))
     off[off <= np.finfo(float).eps * scale] = 0.0
     return diag, off

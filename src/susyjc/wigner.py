@@ -30,6 +30,9 @@ __all__ = [
     "wigner_grid",
 ]
 
+# largest population in the top two Fock levels, where the cutoff corrupts W
+LEAK_TOL = 1e-8
+
 
 @dataclass
 class WignerGrid:
@@ -93,10 +96,10 @@ def _check_density(rho: np.ndarray) -> None:
         raise ValueError("rho must be positive semidefinite")
 
 
-def _parity_trace(rho: np.ndarray, d: np.ndarray, leak_tol: float) -> float:
+def _parity_trace(rho: np.ndarray, d: np.ndarray) -> float:
     displaced = d.conj().T @ rho @ d
     pops = np.real(np.diag(displaced))
-    if pops[-2:].sum() > leak_tol:
+    if pops[-2:].sum() > LEAK_TOL:
         raise SupportExceeded(
             f"displaced state holds {pops[-2:].sum():.3e} population at the cutoff; "
             "increase n_max")
@@ -107,19 +110,17 @@ def _parity_trace(rho: np.ndarray, d: np.ndarray, leak_tol: float) -> float:
     return float(val.real)
 
 
-def wigner_numeric(rho: np.ndarray, alpha: complex, *,
-                   leak_tol: float = 1e-8) -> float:
+def wigner_numeric(rho: np.ndarray, alpha: complex) -> float:
     """Displaced-parity value (2/pi) tr[rho D P D^dag] for a photon density
     matrix on the truncated space.
 
     Raises ValueError for a rho that is not a density matrix, and
-    SupportExceeded when the displaced state puts more than leak_tol
-    population in the top two Fock levels, where the hard cutoff corrupts
-    the parity sum.
+    SupportExceeded when the displaced state puts more than LEAK_TOL
+    population in the top two Fock levels.
     """
     rho = np.asarray(rho, dtype=complex)
     _check_density(rho)
-    return _parity_trace(rho, displacement_op(rho.shape[0], alpha), leak_tol)
+    return _parity_trace(rho, displacement_op(rho.shape[0], alpha))
 
 
 def wigner_closed_jc(label: DressedLabel, params: ModelParams, alpha):
@@ -159,7 +160,7 @@ def closed_evaluator(label: DressedLabel, params: ModelParams) -> Callable:
     return lambda alpha: wigner_closed_jc(label, params, alpha)
 
 
-def numeric_evaluator(rho: np.ndarray, leak_tol: float = 1e-8) -> Callable:
+def numeric_evaluator(rho: np.ndarray) -> Callable:
     """Displaced-parity evaluator alpha -> W(alpha) for a scalar or an array
     of alphas. The density matrix is validated, and the generator
     diagonalized, once per evaluator; each point then runs the arithmetic of
@@ -170,7 +171,7 @@ def numeric_evaluator(rho: np.ndarray, leak_tol: float = 1e-8) -> Callable:
 
     def evaluate(alpha):
         alpha = np.asarray(alpha, dtype=complex)
-        values = np.array([_parity_trace(rho, _displacement(eig, complex(a)), leak_tol)
+        values = np.array([_parity_trace(rho, _displacement(eig, complex(a)))
                            for a in alpha.ravel()])
         return float(values[0]) if alpha.ndim == 0 else values.reshape(alpha.shape)
 
@@ -188,5 +189,7 @@ def wigner_grid(evaluator: Callable, window: float, points: int) -> WignerGrid:
     axis = np.linspace(-window, window, points)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     values = np.asarray(evaluator(re + 1j * im), dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("the Wigner function overflows at these parameters")
     integral = float(np.trapezoid(np.trapezoid(values, axis, axis=1), axis))
     return WignerGrid(axis.copy(), axis.copy(), values, integral)

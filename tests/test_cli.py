@@ -293,7 +293,9 @@ def test_unknown_config_key_rejected(tmp_path):
 
 # inputs refused before any work: non-finite numbers (flags, bare sweep
 # values, config values), numbers outside their flag's bounds, and
-# allocations sized from the input
+# allocations sized from the input; then parameters whose chain entries,
+# far coefficients, closed levels or Wigner values overflow, and a
+# ground-state hop that no positive coupling makes (omega < 0)
 REFUSED = [
     ["spectrum", "--model", "jc", "--lambda", "0.5", "--omega", "nan",
      "--n-max", "20"],
@@ -325,6 +327,20 @@ REFUSED = [
     ["wigner", "--label", "minus:1", "--window", "0"],
     ["verify", "--tol=-1"],
     ["crossings", "--model", "jc", "--lambda", "0.5:1.5:4", "--xtol", "0"],
+    ["spectrum", "--model", "ar", "--omega", "1", "--lambda", "1e308",
+     "--mu", "0.1", "--n-max", "8"],
+    ["far", "--alpha0", "1e308", "--alphaQ", "1", "--alphaR", "2", "--n-max", "8"],
+    ["far", "--alpha0", "1", "--alphaQ", "1e308", "--alphaR", "2", "--n-max", "8"],
+    ["spectrum", "--model", "far", "--alpha0", "1e308", "--alphaR", "2",
+     "--n-max", "8"],
+    ["crossings", "--model", "far", "--alpha0", "1e308", "--alphaR", "0.5:2:5",
+     "--n-max", "8"],
+    ["spectrum", "--model", "jc", "--omega", "1e-200", "--lambda", "1",
+     "--n-max", "8"],
+    ["spectrum", "--model", "jc", "--lambda", "1e154", "--n-max", "8"],
+    ["crossings", "--model", "jc", "--omega=-0.5", "--omega0=-1",
+     "--lambda", "0.05:2:30", "--n-max", "20"],
+    ["wigner", "--label", "minus:1", "--lambda", "1e308"],
 ]
 
 # config files whose values their flags would not accept, or that lie
@@ -370,6 +386,65 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("susyjc: "), argv
         assert err.count("\n") == 1, err
+
+
+# extreme finite values, each put through every template below
+EXTREMES = ("1e308", "-1e308", "1e-308", "5e-324", "0", "-1", "1e154", "1e-160")
+EXTREME_TEMPLATES = [
+    "spectrum --model jc --lambda={v} --n-max 8",
+    "spectrum --model jc --omega={v} --lambda 1 --n-max 8",
+    "spectrum --model jc --omega0={v} --lambda 1 --n-max 8 --units absolute",
+    "spectrum --model ajc --omega={v} --mu 0.5 --n-max 8",
+    "spectrum --model ar --lambda={v} --mu 0.1 --n-max 8",
+    "spectrum --model ar --omega={v} --lambda 0.5 --mu 0.1 --n-max 8",
+    "spectrum --model far --alpha0={v} --alphaR 2 --n-max 8",
+    "crossings --model jc --omega={v} --lambda 0.05:2:5 --n-max 8",
+    "crossings --model jc --omega0={v} --lambda 0.05:2:5 --n-max 8 "
+    "--units absolute",
+    "crossings --model far --alphaQ={v} --alphaR 0.5:2:5 --n-max 8",
+    "wigner --label minus:1 --lambda={v} --points 16",
+    "wigner --label plus:1 --omega0={v} --lambda 0.5 --source numeric "
+    "--n-max 8 --points 16 --units absolute",
+    "verify --n-max 8 --tol={v}",
+    "far --alpha0={v} --alphaQ 1 --alphaR 2 --n-max 8",
+    "far --alpha0 0.1 --alphaQ={v} --alphaR 2 --n-max 8",
+]
+
+
+def test_extreme_values_exit_with_a_documented_code(capsys):
+    from susyjc import cli
+    for template in EXTREME_TEMPLATES:
+        for value in EXTREMES:
+            argv = template.format(v=value).split()
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3, 4), argv
+            if code == 0:
+                cells = set(out.replace("\n", ",").split(","))
+                assert not cells & {"nan", "inf", "-inf"}, argv
+            elif code != 4:
+                assert err.startswith("susyjc: ") and err.count("\n") == 1, argv
+
+
+def test_closed_levels_far_from_resonance_stay_small(capsys):
+    import tracemalloc
+    from susyjc import cli
+    cli.main(["spectrum", "--model", "jc", "--lambda", "0.5", "--n-max", "8"])
+    # the lowest minus level sits near N = (g/omega)^2/4 ~ 28000 here, and
+    # --levels above the cutoff's 82 levels ranks only the levels printed
+    for extra, rows in ((["--omega", "0.003"], 11),
+                        (["--levels", "1000000000"], 82)):
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = cli.main(["spectrum", "--model", "jc", "--lambda", "1",
+                             "--n-max", "40", *extra])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+        assert peak < 8e6, peak
 
 
 def test_consistency_failures_exit_4():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from susyjc.errors import (DegenerateAngle, InvalidLabel, InvalidN,
                            TruncationTooSmall)
@@ -100,6 +102,69 @@ def test_lowest_levels_sorted_and_ground_tracks_coupling():
         lowest_closed_levels(ModelParams(), 0)
 
 
+def _enumerated_levels(params, count, model):
+    """Reference ranking: every sector up to N = 2 (g/omega)^2 + 2 count + 8,
+    stably sorted by energy."""
+    g = coupling_for(model, params)
+    n_cap = 2 * count + 8
+    if params.omega > 0:
+        n_cap += int(2.0 * (g / params.omega) ** 2)
+    out = [(dressed_energy(DressedLabel("minus", 0, model), params),
+            DressedLabel("minus", 0, model))]
+    for n in range(1, n_cap + 1):
+        for branch in ("plus", "minus"):
+            lab = DressedLabel(branch, n, model)
+            out.append((dressed_energy(lab, params), lab))
+    out.sort(key=lambda t: t[0])
+    return out[:count]
+
+
+@st.composite
+def _closed_params(draw):
+    omega = draw(st.floats(0.02, 3.0))
+    # omega0 = k omega puts the model on resonance (k = 1) or, at g = 0,
+    # ties (plus, N) with (minus, N + k - 1)
+    omega0 = draw(st.one_of(st.floats(-2.0, 3.0),
+                            st.integers(-2, 3).map(lambda k: k * omega)))
+    g = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0),
+                       st.integers(1, 4).map(lambda k: k * omega)))
+    return omega, omega0, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closed_params(), st.sampled_from(["jc", "ajc"]), st.integers(1, 25))
+@example((0.03, 1.0, 1.0), "jc", 11)
+@example((1.0, 1.0, 0.0), "ajc", 25)
+@example((1.0, 3.0, 0.0), "jc", 7)
+def test_lowest_levels_match_full_enumeration(values, model, count):
+    omega, omega0, g = values
+    knob = {"lam": g} if model == "jc" else {"mu": g}
+    params = ModelParams(omega=omega, omega0=omega0, **knob)
+    assert lowest_closed_levels(params, count, model) == \
+        _enumerated_levels(params, count, model)
+
+
+def test_lowest_levels_rank_a_bounded_window(monkeypatch):
+    from susyjc import jc
+    calls = []
+
+    def counted(label, params):
+        calls.append(label)
+        return dressed_energy(label, params)
+
+    monkeypatch.setattr(jc, "dressed_energy", counted)
+    # jc_1024 of the benchmark: the minimum of the minus branch near N = 278
+    lowest_closed_levels(ModelParams(omega=0.03, lam=1.0), 11)
+    assert len(calls) <= 3 * 11 + 2
+    del calls[:]
+    lowest_closed_levels(ModelParams(omega=-1.0, lam=1.0), 4)
+    assert len(calls) == 1 + 2 * (2 * 4 + 8)
+    with pytest.raises(InvalidN):
+        lowest_closed_levels(ModelParams(omega=1e-200, lam=1.0), 3)
+    with pytest.raises(InvalidN):
+        lowest_closed_levels(ModelParams(lam=1e154), 3)
+
+
 def test_crossing_pair_anchor():
     rec = crossing_pair(1, 2, "minus", ModelParams())
     assert rec is not None
@@ -112,6 +177,11 @@ def test_crossing_pair_anchor():
     assert crossing_pair(0, 1, "plus", ModelParams()) is None
     with pytest.raises(InvalidN):
         crossing_pair(2, 1, "minus", ModelParams())
+    # below resonance the singlet root is the signed detuning
+    below = ModelParams(omega=1.0, omega0=0.5)
+    rec = crossing_pair(0, 1, "minus", below)
+    assert rec.coupling == math.sqrt(0.5) == ground_state_critical(1, below)
+    assert rec.left == DressedLabel("minus", 0)
 
 
 def test_ground_state_critical():
@@ -128,6 +198,39 @@ def test_ground_state_critical():
     assert abs(ground_state_critical(1, below) - math.sqrt(0.5)) < 1e-14
     with pytest.raises(InvalidN):
         ground_state_critical(1, ModelParams(omega=1.0, omega0=-0.5))
+    with pytest.raises(InvalidN):  # no hop at all for omega < 0
+        ground_state_critical(20, ModelParams(omega=-0.5, omega0=-1.0))
+
+
+def _hop_radical(n, params):
+    # lam_N^2 = omega [ (2N-1) omega + Omega ], Omega = sqrt(delta^2 +
+    # 4 N (N-1) omega^2) for N >= 2 and the signed delta for N = 1
+    omega = params.omega
+    root = params.delta if n == 1 else math.sqrt(
+        params.delta ** 2 + 4.0 * n * (n - 1) * omega ** 2)
+    return math.sqrt(omega * ((2 * n - 1) * omega + root))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.booleans(),
+       st.integers(1, 10 ** 6))
+@example(math.log10(47539467.35093621), math.log10(0.00040504841421872814),
+         True, 1)
+def test_ground_state_critical_is_the_hop_radical(log_omega, log_omega0,
+                                                  positive, n):
+    # the hop radical, bitwise, wherever it has a positive root; the
+    # example cancels omega + delta = omega0 down to 1e-11 of omega
+    params = ModelParams(omega=10.0 ** log_omega,
+                         omega0=(1.0 if positive else -1.0) * 10.0 ** log_omega0)
+    try:
+        expected = _hop_radical(n, params)
+    except ValueError:  # negative radicand: no hop
+        expected = None
+    if expected is None or expected == 0.0:
+        with pytest.raises(InvalidN):
+            ground_state_critical(n, params)
+    else:
+        assert ground_state_critical(n, params) == expected
 
 
 def test_reduced_density_fermion_weights():
