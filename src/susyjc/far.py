@@ -34,6 +34,7 @@ nonzero alpha0 breaks nilpotency in any case. Measured on the chains:
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,25 +76,36 @@ def far_from_alphas(alpha0: complex, alpha_q: complex,
 
     |alphaQ| == |alphaR| is refused (the derived couplings would sit on the
     isotropic line where the SUSY structure degenerates), with one
-    exception: when both vanish the model is a harmless constant.
+    exception: when both vanish the model is a harmless constant. A
+    coefficient whose |alpha|^2, or whose product with another, is not a
+    finite float raises ValueError.
     """
     alpha0, alpha_q, alpha_r = complex(alpha0), complex(alpha_q), complex(alpha_r)
-    aq2, ar2 = abs(alpha_q) ** 2, abs(alpha_r) ** 2
+    try:
+        aq2, ar2 = abs(alpha_q) ** 2, abs(alpha_r) ** 2
+        omega = 0.5 * (aq2 + ar2)
+        omega_c = abs(alpha0) ** 2 + 0.5 * omega
+        lam, mu = abs(alpha0 * alpha_q), abs(alpha0 * alpha_r)
+        finite = all(map(math.isfinite, (omega_c, lam, mu)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("alpha0, alphaQ or alphaR is not finite or too large: "
+                         "a |alpha|^2 or a product of two of them overflows")
     if aq2 == ar2 and aq2 != 0.0:
         raise DegenerateCouplings(
             "|alphaQ| == |alphaR| puts the derived couplings on the "
             "isotropic line")
-    omega = 0.5 * (aq2 + ar2)
     phi0 = cmath.phase(alpha0) if alpha0 != 0 else 0.0
     return FarParams(
         alpha0=alpha0, alpha_q=alpha_q, alpha_r=alpha_r,
         omega=omega,
         omega0=0.5 * (aq2 - ar2),
-        lam=abs(alpha0 * alpha_q),
-        mu=abs(alpha0 * alpha_r),
+        lam=lam,
+        mu=mu,
         phi_lambda=phi0 - (cmath.phase(alpha_q) if alpha_q != 0 else 0.0),
         phi_mu=phi0 - (cmath.phase(alpha_r) if alpha_r != 0 else 0.0),
-        omega_c=abs(alpha0) ** 2 + 0.5 * omega,
+        omega_c=omega_c,
     )
 
 

@@ -5,10 +5,10 @@ The oracle never uses the closed forms: it diagonalizes the truncated
 Hamiltonian, certifies convergence by doubling the Fock cutoff, and locates
 ground-state crossings between the two parity chains by scanning and
 bisecting their ground-energy gap, so closed-form results can be validated
-against it. Eigenvalue paths take a Hamiltonian as parity chains (a
-tridiagonal solve per chain) or as a dense matrix; `diagonalize` is dense.
-SciPy's tridiagonal solvers are imported on first use, so importing the
-package loads no SciPy.
+against it. Eigenvalue paths take parity chains or a dense matrix
+(`diagonalize`). Chains that split into excitation-number sectors (jc/ajc)
+are solved sector by sector in numpy, others by SciPy's tridiagonal solver,
+imported on first use: importing the package or solving jc/ajc loads none.
 """
 
 from __future__ import annotations
@@ -92,14 +92,40 @@ def _real_chain(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return diag, off
 
 
-def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+def _sectors(diag: np.ndarray, off: np.ndarray):
+    """Blocks of <= 2 states of a real chain with no two consecutive nonzero
+    couplings (else None): each block's first state and lowest eigenvalue,
+    2x2 blocks first, then their upper eigenvalues, from one stacked eigvalsh."""
+    coupled = off != 0
+    if (coupled[1:] & coupled[:-1]).any():
+        return None
+    pairs = np.flatnonzero(coupled)
+    blocks = np.zeros((pairs.size, 2, 2))
+    blocks[:, 0, 0], blocks[:, 1, 1] = diag[pairs], diag[pairs + 1]
+    blocks[:, 0, 1] = blocks[:, 1, 0] = off[pairs]
+    pair_evals = np.linalg.eigvalsh(blocks)
+    singles = np.setdiff1d(np.arange(diag.size), np.concatenate([pairs, pairs + 1]))
+    return (np.concatenate([pairs, singles]),
+            np.concatenate([pair_evals[:, 0], diag[singles]]), pair_evals[:, 1])
+
+
+def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, lowest: bool = False) -> np.ndarray:
+    """Eigenvalues of one chain (only the lowest if lowest), unsorted when
+    the chain splits into sectors."""
+    diag, off = _real_chain(diag, off)
+    split = _sectors(diag, off)
+    if split is not None:
+        _, lows, highs = split
+        return lows.min(keepdims=True) if lowest else np.concatenate([lows, highs])
     from scipy.linalg import eigvalsh_tridiagonal
-    return eigvalsh_tridiagonal(*_real_chain(diag, off))
+    if lowest:
+        return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    return eigvalsh_tridiagonal(diag, off)
 
 
 def eigenvalues(h: ParityChains | np.ndarray) -> np.ndarray:
-    """All eigenvalues, ascending. Parity chains are solved one tridiagonal
-    chain at a time and merged; a dense matrix goes through `diagonalize`."""
+    """All eigenvalues, ascending. Parity chains are solved one chain (or
+    sector) at a time and merged; a dense matrix goes through `diagonalize`."""
     if isinstance(h, ParityChains):
         return np.sort(np.concatenate([_chain_eigenvalues(d, e)
                                        for d, e in zip(h.diag, h.off)]))
@@ -154,21 +180,24 @@ _EXCITATION = {"jc": lambda spin, n: n + spin, "ajc": lambda spin, n: n + 1 - sp
 
 def _ground_gap(h: ParityChains) -> float:
     """Sector gap E0(chain 0) - E0(chain 1)."""
-    from scipy.linalg import eigvalsh_tridiagonal
-    e0 = [eigvalsh_tridiagonal(*_real_chain(d, e), select="i", select_range=(0, 0))[0]
-          for d, e in zip(h.diag, h.off)]
+    e0 = [_chain_eigenvalues(d, e, lowest=True)[0] for d, e in zip(h.diag, h.off)]
     return float(e0[0] - e0[1])
 
 
 def _ground_label(h: ParityChains, chain: int, model: str) -> DressedLabel:
-    """(minus, N) label of the chain's ground state: N = sum_k |v_k|^2 N_k
-    over the chain's states |s_k, k>, rounded."""
-    from scipy.linalg import eigh_tridiagonal
-    _, vec = eigh_tridiagonal(*_real_chain(h.diag[chain], h.off[chain]),
-                              select="i", select_range=(0, 0))
+    """(minus, N) label of the chain's ground state, read from the sector
+    that holds it: both states of a sector have the same excitation number.
+    Raises ValueError unless the chain splits into sectors of the model's N."""
+    split = _sectors(*_real_chain(h.diag[chain], h.off[chain]))
     spin = HilbertConfig(h.n_max).chain_spin()[chain]
     n_k = _EXCITATION[model](spin, np.arange(spin.size))
-    return DressedLabel("minus", int(round(float(np.abs(vec[:, 0]) ** 2 @ n_k))), model)
+    if split is not None:
+        starts, lows, highs = split
+        pairs = starts[:highs.size]
+        if (n_k[pairs] == n_k[pairs + 1]).all():
+            ground = starts[np.lexsort((starts, lows))[0]]
+            return DressedLabel("minus", int(n_k[ground]), model)
+    raise ValueError(f"the chain does not conserve the {model} excitation number")
 
 
 def find_crossings(builder: Callable[[float], ParityChains],
@@ -189,8 +218,9 @@ def find_crossings(builder: Callable[[float], ParityChains],
     and sectors N and N + 1 lie on different chains.
 
     label_model 'jc' or 'ajc' labels each side (minus, N) by the conserved
-    excitation number (N+ for jc, N- for ajc) of the ground state at its
-    bracket end; otherwise labels are None.
+    excitation number (N+ for jc, N- for ajc) of the sector holding the
+    ground state at its bracket end (ValueError if the chain does not split
+    into sectors of that number); otherwise labels are None.
     """
     lo, hi = float(coupling_range[0]), float(coupling_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):

@@ -149,9 +149,11 @@ def wigner_closed_jc(label: DressedLabel, params: ModelParams, alpha):
         raise DegenerateAngle("Wigner form undefined in a degenerate sector")
     lag_below, lag_n = laguerre_pair(n, 4.0 * r2)
     sign = 1.0 if label.branch == "plus" else -1.0
-    bracket = (omega_n - sign * params.delta) * lag_n \
-        - (omega_n + sign * params.delta) * lag_below
-    out = ((-1.0) ** n) * gauss / (math.pi * omega_n) * bracket
+    # the scalar weights (Omega -/+ delta)/Omega are formed first, so a
+    # subnormal Omega (weights 1 on resonance) does not overflow
+    bracket = ((omega_n - sign * params.delta) / omega_n) * lag_n \
+        - ((omega_n + sign * params.delta) / omega_n) * lag_below
+    out = ((-1.0) ** n) * gauss / math.pi * bracket
     return float(out) if out.ndim == 0 else out
 
 

@@ -120,8 +120,9 @@ def test_crossings_return_an_exact_tie(capsysbinary):
 
 
 def test_light_jobs_load_no_scipy():
-    # scipy loads on the first eigensolve or squeeze, not on import, help,
-    # verify or either Wigner source
+    # scipy loads on the first solve of a chain that does not split into
+    # excitation-number sectors (ar, far) or on a squeeze, not on import,
+    # help, verify, either Wigner source or any jc/ajc spectrum or crossing
     code = (
         "import contextlib, io, os, sys\n"
         "import susyjc\n"
@@ -131,15 +132,25 @@ def test_light_jobs_load_no_scipy():
         "        cli.main(['--help'])\n"
         "    except SystemExit:\n"
         "        pass\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "for extra in (['verify', '--n-max', '8'],\n"
         "              ['wigner', '--label', 'minus:1', '--lambda', '1', '--points', '16'],\n"
         "              ['wigner', '--label', 'minus:1', '--lambda', '1', '--points', '16',\n"
-        "               '--source', 'numeric']):\n"
+        "               '--source', 'numeric'],\n"
+        "              ['spectrum', '--model', 'jc', '--lambda', '0.7', '--auto'],\n"
+        "              ['spectrum', '--model', 'jc', '--lambda', '0.7', '--n-max', '40'],\n"
+        "              ['spectrum', '--model', 'jc', '--lambda', '0:2:9', '--n-max', '40'],\n"
+        "              ['crossings', '--model', 'jc', '--lambda', '0.5:1.5:20'],\n"
+        "              ['crossings', '--model', 'ajc', '--mu', '0.5:1.5:20',\n"
+        "               '--n-max', '40']):\n"
         "    assert cli.main(extra + ['--output', os.devnull]) == 0, extra\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        "print(loaded())\n"
+        "assert cli.main(['spectrum', '--model', 'ar', '--lambda', '0.7', '--mu', '0.2',\n"
+        "                 '--n-max', '40', '--output', os.devnull]) == 0\n"
+        "print('scipy.linalg' in loaded())\n")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.decode().strip() == "[]"
+    assert cp.stdout.decode().split() == ["[]", "True"]
 
 
 def test_crossings_need_a_range():
@@ -386,6 +397,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("susyjc: "), argv
         assert err.count("\n") == 1, err
+        if "far" in argv and "1e308" in argv:
+            # an overflowing far coefficient is named in the message
+            assert "alpha0, alphaQ or alphaR" in err, err
 
 
 # extreme finite values, each put through every template below
@@ -424,6 +438,24 @@ def test_extreme_values_exit_with_a_documented_code(capsys):
                 assert not cells & {"nan", "inf", "-inf"}, argv
             elif code != 4:
                 assert err.startswith("susyjc: ") and err.count("\n") == 1, argv
+
+
+def test_closed_wigner_at_a_subnormal_coupling(capsysbinary):
+    # on resonance the weights (Omega -/+ delta)/Omega are 1 at any coupling,
+    # so a subnormal lambda gives the resonant W = 4 r^2 exp(-2 r^2)/pi of
+    # minus:1, the same bytes as lambda = 1
+    from susyjc import cli
+    outs = []
+    for lam in ("5e-324", "1"):
+        assert cli.main(["wigner", "--label", "minus:1", "--lambda", lam,
+                         "--points", "16"]) == 0
+        outs.append(capsysbinary.readouterr().out)
+    assert outs[0] == outs[1]
+    rows = list(csv.DictReader(io.StringIO(outs[0].decode())))
+    assert len(rows) == 16 * 16
+    for r in rows:
+        r2 = float(r["re_alpha"]) ** 2 + float(r["im_alpha"]) ** 2
+        assert abs(float(r["w"]) - 4 * r2 * math.exp(-2 * r2) / math.pi) < 1e-15
 
 
 def test_closed_levels_far_from_resonance_stay_small(capsys):

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susyjc.errors import NoConvergence, NotHermitian
@@ -8,7 +10,8 @@ from susyjc.far import far_chains, far_from_alphas, far_hamiltonian
 from susyjc.hilbert import (HilbertConfig, ModelParams, ParityChains,
                             build_hamiltonian, parity_chains)
 from susyjc.jc import DressedLabel, ground_state_critical
-from susyjc.oracle import (certify_cutoff, certify_truncation, diagonalize,
+from susyjc.oracle import (_EXCITATION, _ground_label, _real_chain, _sectors,
+                           certify_cutoff, certify_truncation, diagonalize,
                            eigenvalues, find_crossings)
 
 
@@ -168,3 +171,56 @@ def test_find_crossings_argument_guards():
         find_crossings(builder, (0.0, 1.0), grid_points=2)
     with pytest.raises(ValueError):
         find_crossings(builder, (0.0, 1.0), label_model="ar")
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(["jc", "ajc"]),
+       omega=st.floats(-3.0, 3.0), omega0=st.floats(-3.0, 3.0),
+       theta=st.floats(-math.pi, math.pi),
+       coupling=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+       n_max=st.integers(0, 300))
+def test_sector_solve_matches_the_tridiagonal_solver(model, omega, omega0, theta,
+                                                     coupling, n_max):
+    # jc/ajc chains split into excitation-number sectors and are solved in
+    # numpy; the reference is SciPy's tridiagonal solver on the same chain
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+    knob = "lam" if model == "jc" else "mu"
+    h = parity_chains(HilbertConfig(n_max), ModelParams(
+        omega=omega, omega0=omega0, theta=theta, **{knob: coupling}), model)
+    ref = []
+    for chain in (0, 1):
+        d, e = _real_chain(h.diag[chain], h.off[chain])
+        assert _sectors(d, e) is not None
+        ref.append(eigvalsh_tridiagonal(d, e))
+        chain_scale = max(np.abs(d).max(), e.max(initial=0.0))
+        # the old label: sum_k |v_k|^2 N_k over the ground eigenvector,
+        # rounded, where the ground state is not degenerate
+        if d.size > 1 and ref[-1][1] - ref[-1][0] > 1e-9 * (1.0 + chain_scale):
+            _, vec = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+            spin = HilbertConfig(n_max).chain_spin()[chain]
+            n_k = _EXCITATION[model](spin, np.arange(spin.size))
+            old = int(round(float(np.abs(vec[:, 0]) ** 2 @ n_k)))
+            assert _ground_label(h, chain, model) == DressedLabel("minus", old, model)
+    ref = np.sort(np.concatenate(ref))
+    scale = max(np.abs(h.diag).max(), np.abs(h.off).max(initial=0.0))
+    assert np.abs(eigenvalues(h) - ref).max() <= 4 * np.finfo(float).eps * scale
+
+
+def test_labels_need_a_conserved_excitation_number():
+    # an ar chain with mu != 0 does not split: N+ is not conserved there
+    ar = lambda x: parity_chains(HilbertConfig(40),
+                                 ModelParams(omega=1.0, omega0=1.0, lam=x, mu=0.2), "ar")
+    assert len(find_crossings(ar, (0.3, 1.5), grid_points=40)) == 1
+    with pytest.raises(ValueError):
+        find_crossings(ar, (0.3, 1.5), grid_points=40, label_model="jc")
+    # an ajc chain splits, but its sectors mix N+ values
+    ajc = parity_chains(HilbertConfig(8), ModelParams(mu=0.5), "ajc")
+    with pytest.raises(ValueError):
+        _ground_label(ajc, 0, "jc")
+    # an ar chain whose mu deflates to zero is a jc chain
+    params = ModelParams(omega0=0.7, lam=1.3)
+    jc = parity_chains(HilbertConfig(40), params, "jc")
+    ar = parity_chains(HilbertConfig(40), ModelParams(omega0=0.7, lam=1.3, mu=1e-300), "ar")
+    assert np.array_equal(eigenvalues(ar), eigenvalues(jc))
+    for chain in (0, 1):
+        assert _ground_label(ar, chain, "jc") == _ground_label(jc, chain, "jc")
