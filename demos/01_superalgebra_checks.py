@@ -17,14 +17,14 @@ print(f"composite space: 2 x {cfg.n_max + 1} = {cfg.dim} states")
 
 # The rotating charge annihilates a photon while exciting the spin; applying
 # it twice is structurally zero because sigma_+^2 = 0.
-q_plus = exchange_op(cfg, "Q", "plus")
+q_plus = exchange_op(cfg, "Q", "plus").dense()
 print("Q+^2 max entry:", np.abs(q_plus @ q_plus).max())
 
 # The anticommutator {Q+, Q-} closes on the rotating excitation counter, but
 # only away from the truncation edge: the last Fock level has no partner to
 # exchange with, so the defect lives entirely on the edge rows.
-q_minus = exchange_op(cfg, "Q", "minus")
-n_plus = excitation_number(cfg, "plus")
+q_minus = exchange_op(cfg, "Q", "minus").dense()
+n_plus = excitation_number(cfg, "plus").dense()
 defect = anticommutator(q_plus, q_minus) - n_plus
 mask = interior_mask(cfg, margin=1)
 print("full-space defect:", np.abs(defect).max())
@@ -44,9 +44,9 @@ for r in reports:
 # The quadratic Casimir of the K_x, K_y, K_z triple is a fixed multiple of
 # the identity in this representation: K^2 = -3/16. That number is what
 # makes the squeezing construction in the anisotropic model work.
-kx = su11_generator(cfg, "x")
-ky = su11_generator(cfg, "y")
-kz = su11_generator(cfg, "z")
+kx = su11_generator(cfg, "x").dense()
+ky = su11_generator(cfg, "y").dense()
+kz = su11_generator(cfg, "z").dense()
 casimir = kz @ kz - kx @ kx - ky @ ky
 inner = interior_mask(cfg, margin=2)
 values = np.diag(casimir)[inner].real

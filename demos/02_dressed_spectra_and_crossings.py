@@ -7,17 +7,17 @@ numerically tracked level crossings that confirm the closed formulas.
 
 import numpy as np
 
-from susyjc import (DressedLabel, HilbertConfig, ModelParams,
-                    build_hamiltonian, crossing_pair, diagonalize,
-                    dressed_energy, find_crossings, ground_state_critical,
-                    lowest_closed_levels, parity_chains)
+from susyjc import (DressedLabel, HilbertConfig, ModelParams, crossing_pair,
+                    diagonalize, dressed_energy, find_crossings,
+                    ground_state_critical, lowest_closed_levels,
+                    parity_chains)
 
 params = ModelParams(omega=1.0, omega0=1.5, lam=0.4)
 cfg = HilbertConfig(120)
 
 print("== closed ladder vs oracle (jc, detuned) ==")
 closed = lowest_closed_levels(params, 8, model="jc")
-sol = diagonalize(build_hamiltonian(cfg, params, "jc"))
+sol = diagonalize(parity_chains(cfg, params, "jc").dense())
 for (energy, label), numeric in zip(closed, sol.eigenvalues[:8]):
     print(f"  ({label.branch:>5},{label.n_total})   closed {energy:+.12f}"
           f"   oracle {numeric:+.12f}   diff {abs(energy - numeric):.2e}")
@@ -26,7 +26,7 @@ for (energy, label), numeric in zip(closed, sol.eigenvalues[:8]):
 # rotation maps one Hamiltonian onto the other, so matched couplings give
 # matched ladders.
 params_ajc = ModelParams(omega=1.0, omega0=1.5, mu=0.4)
-sol_ajc = diagonalize(build_hamiltonian(cfg, params_ajc, "ajc"))
+sol_ajc = diagonalize(parity_chains(cfg, params_ajc, "ajc").dense())
 print("\n== jc vs ajc at matched coupling ==")
 print("  lowest-8 spread:",
       np.abs(sol.eigenvalues[:8] - sol_ajc.eigenvalues[:8]).max())

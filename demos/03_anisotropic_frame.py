@@ -10,8 +10,8 @@ rotating-model approximation gets as the counter-rotating coupling shrinks.
 import numpy as np
 
 from susyjc import (DressedLabel, HilbertConfig, ModelParams, approx_spectrum,
-                    build_hamiltonian, diagonalize, effective_hamiltonian,
-                    frame_unitary, jc_approximation, lab_frame_offset,
+                    diagonalize, effective_hamiltonian, frame_unitary,
+                    jc_approximation, lab_frame_offset, parity_chains,
                     quadrature_weights, squeeze_parameter)
 
 params = ModelParams(omega=1.0, omega0=1.0, lam=0.4, mu=0.15)
@@ -25,7 +25,7 @@ print("stretch factor e^xi =", np.exp(xi))
 # about e^xi * n quanta, so rows near the cutoff are corrupted by design.
 cfg = HilbertConfig(140)
 frame = frame_unitary(cfg, params)
-h_lab = build_hamiltonian(cfg, params, "ar")
+h_lab = parity_chains(cfg, params, "ar").dense()
 h_eff = effective_hamiltonian(cfg, params)
 conj = frame.unitary.conj().T @ h_lab @ frame.unitary
 delta = conj - h_eff - lab_frame_offset(params) * np.eye(cfg.dim)
@@ -53,7 +53,7 @@ levels = [DressedLabel("minus", 0)] + [
 for mu in (0.0025, 0.00125, 0.000625):
     p = ModelParams(omega=1.0, omega0=1.0, lam=0.1, mu=mu)
     validity = jc_approximation(p).validity
-    exact = diagonalize(build_hamiltonian(HilbertConfig(200), p, "ar"))
+    exact = diagonalize(parity_chains(HilbertConfig(200), p, "ar").dense())
     est = np.sort([approx_spectrum(l, p) for l in levels])[:8]
     est = est + lab_frame_offset(p)
     err = np.abs(est - exact.eigenvalues[:8]) / np.abs(exact.eigenvalues[:8])

@@ -11,8 +11,8 @@ levels, equally spaced pair centers.
 import numpy as np
 
 from susyjc import (DegenerateCouplings, HilbertConfig, certify_truncation,
-                    constraint_check, diagonalize, far_from_alphas,
-                    far_hamiltonian, far_spectrum_shape)
+                    constraint_check, far_chains, far_from_alphas,
+                    far_spectrum_shape)
 
 fp = far_from_alphas(0.01, 1.0, 3.0)
 print("coefficients (0.01, 1.0, 3.0) map to:")
@@ -32,12 +32,12 @@ except DegenerateCouplings as exc:
 # The builder assembles the factorized product and cross-checks it against
 # the explicitly built two-coupling Hamiltonian before handing it out.
 cfg = HilbertConfig(80)
-h = far_hamiltonian(cfg, fp)
+h = far_chains(cfg, fp).dense()
 evs = np.linalg.eigvalsh(h)
 print(f"\nsmallest eigenvalue: {evs[0]:.3e}  (A^dag A is never negative)")
 
 # Certify enough levels against cutoff doubling, then classify the shape.
-builder = lambda n: far_hamiltonian(HilbertConfig(n), fp, check_tol=1e-11)
+builder = lambda n: far_chains(HilbertConfig(n), fp)
 sol = certify_truncation(builder, k_levels=11, tol=1e-10)
 shape = far_spectrum_shape(sol, tol=1e-8)
 print(f"\ncertified {sol.converged_levels} levels at n_max = {sol.n_max_used}")

@@ -20,11 +20,10 @@ from .errors import (DegenerateAngle, DegenerateCouplings, DimensionMismatch,
                      NotConverged, NotHermitian, SupportExceeded,
                      SusyJCError, TruncationTooSmall)
 from .far import (FarParams, SpectrumShape, constraint_check, far_chains,
-                  far_from_alphas, far_hamiltonian, far_spectrum_shape)
+                  far_from_alphas, far_spectrum_shape)
 from .hilbert import (HilbertConfig, ModelParams, ParityChains, boson_op,
-                      build_hamiltonian, exchange_op, excitation_number,
-                      jc_to_ajc_rotation, parity_chains, parity_op, spin_op,
-                      su11_generator)
+                      exchange_op, excitation_number, jc_to_ajc_rotation,
+                      parity_chains, parity_op, spin_op, su11_generator)
 from .jc import (CrossingRecord, DressedLabel, DressedState, coupling_for,
                  crossing_pair, dressed_energy, dressed_state,
                  ground_state_critical, lowest_closed_levels, mixing_angle,

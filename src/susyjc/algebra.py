@@ -135,18 +135,18 @@ def _pinv_sqrt_diag(diag_op: BandedOp) -> BandedOp:
 def check_susy_u11(cfg: HilbertConfig) -> list[IdentityReport]:
     """Nilpotent charges, their closures, and the mixed anticommutators."""
     zero = BandedOp(cfg.dim)
-    qp = hilbert.exchange_op(cfg, "Q", "plus", banded=True)
-    qm = hilbert.exchange_op(cfg, "Q", "minus", banded=True)
-    qx = hilbert.exchange_op(cfg, "Q", "x", banded=True)
-    qy = hilbert.exchange_op(cfg, "Q", "y", banded=True)
-    rp = hilbert.exchange_op(cfg, "R", "plus", banded=True)
-    rm = hilbert.exchange_op(cfg, "R", "minus", banded=True)
-    rx = hilbert.exchange_op(cfg, "R", "x", banded=True)
-    ry = hilbert.exchange_op(cfg, "R", "y", banded=True)
-    nplus = hilbert.excitation_number(cfg, "plus", banded=True)
-    nminus = hilbert.excitation_number(cfg, "minus", banded=True)
-    kp = hilbert.su11_generator(cfg, "plus", banded=True)
-    km = hilbert.su11_generator(cfg, "minus", banded=True)
+    qp = hilbert.exchange_op(cfg, "Q", "plus")
+    qm = hilbert.exchange_op(cfg, "Q", "minus")
+    qx = hilbert.exchange_op(cfg, "Q", "x")
+    qy = hilbert.exchange_op(cfg, "Q", "y")
+    rp = hilbert.exchange_op(cfg, "R", "plus")
+    rm = hilbert.exchange_op(cfg, "R", "minus")
+    rx = hilbert.exchange_op(cfg, "R", "x")
+    ry = hilbert.exchange_op(cfg, "R", "y")
+    nplus = hilbert.excitation_number(cfg, "plus")
+    nminus = hilbert.excitation_number(cfg, "minus")
+    kp = hilbert.su11_generator(cfg, "plus")
+    km = hilbert.su11_generator(cfg, "minus")
 
     # sector Hamiltonians as exact diagonals: the Q ladder acts on
     # (|e,n> -> n+1 ; |g,n> -> n) pairs, the R ladder on the mirror
@@ -186,12 +186,12 @@ def check_susy_u11(cfg: HilbertConfig) -> list[IdentityReport]:
 
 def check_su11(cfg: HilbertConfig) -> list[IdentityReport]:
     """su(1,1) closure and Casimir of the two-boson realization."""
-    kx = hilbert.su11_generator(cfg, "x", banded=True)
-    ky = hilbert.su11_generator(cfg, "y", banded=True)
-    kz = hilbert.su11_generator(cfg, "z", banded=True)
-    kp = hilbert.su11_generator(cfg, "plus", banded=True)
-    km = hilbert.su11_generator(cfg, "minus", banded=True)
-    cas = hilbert.su11_generator(cfg, "casimir", banded=True)
+    kx = hilbert.su11_generator(cfg, "x")
+    ky = hilbert.su11_generator(cfg, "y")
+    kz = hilbert.su11_generator(cfg, "z")
+    kp = hilbert.su11_generator(cfg, "plus")
+    km = hilbert.su11_generator(cfg, "minus")
+    cas = hilbert.su11_generator(cfg, "casimir")
     eye = BandedOp.diagonal(cfg.dim, 1.0)
     return [
         _report("K+ = Kx + i Ky", kp, kx + 1j * ky, PROJ_FULL, cfg, False),
@@ -208,12 +208,12 @@ def check_su11(cfg: HilbertConfig) -> list[IdentityReport]:
 def check_deformed_su2(cfg: HilbertConfig) -> list[IdentityReport]:
     """Deformed su(2) closed by the charges, and the rescaled spin that is a
     standard su(2) on the excited subspace (N+ kernel |g,0> annihilated)."""
-    qp = hilbert.exchange_op(cfg, "Q", "plus", banded=True)
-    qm = hilbert.exchange_op(cfg, "Q", "minus", banded=True)
-    qx = hilbert.exchange_op(cfg, "Q", "x", banded=True)
-    qy = hilbert.exchange_op(cfg, "Q", "y", banded=True)
-    sz = hilbert.spin_op(cfg, "s_z", banded=True)
-    nplus = hilbert.excitation_number(cfg, "plus", banded=True)
+    qp = hilbert.exchange_op(cfg, "Q", "plus")
+    qm = hilbert.exchange_op(cfg, "Q", "minus")
+    qx = hilbert.exchange_op(cfg, "Q", "x")
+    qy = hilbert.exchange_op(cfg, "Q", "y")
+    sz = hilbert.spin_op(cfg, "s_z")
+    nplus = hilbert.excitation_number(cfg, "plus")
 
     inv_sqrt = _pinv_sqrt_diag(nplus)
     sxq = 0.5 * inv_sqrt @ qx

@@ -93,13 +93,13 @@ def frame_unitary(cfg: HilbertConfig, params: ModelParams) -> SqueezedFrame:
     from scipy.linalg import expm
     sign = _guard_couplings(params.lam, params.mu)
     xi = squeeze_parameter(params.lam, params.mu)
-    n_diag = np.real(np.diag(boson_op(cfg, "number")))
+    n_diag = np.real(boson_op(cfg, "number").diags[0])
     v = np.diag(np.exp(-1j * params.theta * n_diag))
     flipped = params.mu > params.lam
     if flipped:
-        v = v @ jc_to_ajc_rotation(cfg)
+        v = v @ jc_to_ajc_rotation(cfg).dense()
     if xi != 0.0:
-        v = v @ expm(-1j * xi * su11_generator(cfg, "y"))
+        v = v @ expm(-1j * xi * su11_generator(cfg, "y").dense())
     return SqueezedFrame(xi=xi, theta_rotation_applied=flipped, sign=sign,
                          unitary=v)
 
@@ -120,7 +120,7 @@ def effective_hamiltonian(cfg: HilbertConfig, params: ModelParams) -> np.ndarray
         - 4.0 * params.lam * params.mu * su11_generator(cfg, "x"))
     h += sign * (params.omega0 * spin_op(cfg, "s_z")
                  + math.sqrt(dif) * exchange_op(cfg, "Q", "x"))
-    return h
+    return h.dense()
 
 
 def jc_approximation(params: ModelParams) -> JCApproximation:

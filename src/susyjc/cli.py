@@ -8,10 +8,11 @@ order, files are UTF-8 with LF endings.
 
 Exit codes: 0 ok, 2 usage or parameter error (including a non-finite number,
 a config value its flag would not accept, a number outside BOUNDS, or
-sweep points above MAX_POINTS, all refused before any work, and parameters
-that overflow), 3 truncation did not converge, 4 internal consistency
-failure (non-Hermitian build, factorization mismatch, phase-space support
-overflow, failed verification).
+sweep points above MAX_POINTS, all refused before any work, parameters
+that overflow, a result that is not finite in the requested units, and an
+output file that cannot be written), 3 truncation did not converge, 4
+internal consistency failure (non-Hermitian build, factorization mismatch,
+phase-space support overflow, failed verification).
 """
 
 from __future__ import annotations
@@ -81,14 +82,21 @@ class UsageError(Exception):
 # formatting and output plumbing
 
 
+def _refuse_non_finite(value) -> None:
+    raise UsageError(f"a result is {float(value)!r} in the requested units; "
+                     "the parameters are too large or --omega0 too small")
+
+
 def _cell(value) -> str:
     """CSV text of a table value: None is empty, bools are true/false, floats
-    are their shortest round-trip decimal."""
+    are their shortest round-trip decimal (refused unless finite)."""
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            _refuse_non_finite(value)
         return repr(float(value))
     return str(value)
 
@@ -111,6 +119,8 @@ def _jsonify(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
+        if not math.isfinite(obj):
+            _refuse_non_finite(obj)
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
@@ -140,14 +150,18 @@ def _write_text(path, text: str) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.flush()
     else:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file: {exc}")
 
 
 def _emit(merged: dict, payload: dict) -> None:
     """Write one table as JSON, or as CSV under the `_cell` rules: the rows
     under their kind's COLUMNS, or for far the payload without its kind,
-    flattened into a field,value table."""
+    flattened into a field,value table. A non-finite float refuses the whole
+    table before anything is written."""
     if merged["format"] == "json":
         text = _json(payload)
     elif payload["kind"] == "far":

@@ -48,10 +48,14 @@ __all__ = [
     "SpectrumShape",
     "far_from_alphas",
     "far_chains",
-    "far_hamiltonian",
     "constraint_check",
     "far_spectrum_shape",
 ]
+
+
+# largest interior difference `far_chains` accepts between the factorized and
+# the explicit Hamiltonian, per unit of the largest interior entry (at least 1)
+FACTORIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,12 +113,11 @@ def far_from_alphas(alpha0: complex, alpha_q: complex,
     )
 
 
-def far_chains(cfg: HilbertConfig, fp: FarParams,
-               check_tol: float = 1e-12) -> ParityChains:
+def far_chains(cfg: HilbertConfig, fp: FarParams) -> ParityChains:
     """Build (A A^dag + A^dag A)/2 on the two parity chains and,
     independently, the explicit coupled model with the derived parameters;
     refuse to return unless the two agree entrywise on the interior (boson
-    level < n_max) within check_tol times the largest interior entry
+    level < n_max) within FACTORIZATION_TOL times the largest interior entry
     magnitude (at least 1), since rounding grows with the entries, which
     grow like omega n_max.
 
@@ -146,17 +149,11 @@ def far_chains(cfg: HilbertConfig, fp: FarParams,
                  np.abs(fact.off[:, :inner - 1] - expl_off[:, :inner - 1]).max(initial=0.0))
     scale = max(1.0, np.abs(expl_diag[:, :inner]).max(initial=0.0),
                 np.abs(expl_off[:, :inner - 1]).max(initial=0.0))
-    if defect > check_tol * scale:
+    if defect > FACTORIZATION_TOL * scale:
         raise FactorizationMismatch(
-            f"factorized and explicit forms differ by {defect:.3e} "
-            f"(> {check_tol:g} x {scale:.3g}) away from the truncation edge")
+            f"factorized and explicit forms differ by {defect:.3e} (> "
+            f"{FACTORIZATION_TOL:g} x {scale:.3g}) away from the truncation edge")
     return fact
-
-
-def far_hamiltonian(cfg: HilbertConfig, fp: FarParams,
-                    check_tol: float = 1e-12) -> np.ndarray:
-    """Dense factorized Hamiltonian, gated as in `far_chains`."""
-    return far_chains(cfg, fp, check_tol).dense()
 
 
 def constraint_check(fp: FarParams) -> dict:

@@ -6,11 +6,10 @@ spin ground state |g> (sigma_z eigenvalue -1), s = 1 the excited state |e>
 level is dropped (hard cutoff), so identities that transport population upward
 hold on the interior projector only; see the algebra module.
 
-Every factory builds its operator once as a `BandedOp`, the few nonzero
-diagonals of the (2*(n_max+1))-square matrix, in O(n_max), and returns the
-dense complex ndarray. The spin, exchange, excitation-number and su(1,1)
-factories, which the algebra checks use, return the `BandedOp` itself with
-``banded=True``; its products stay O(n_max). All energies assume hbar = 1.
+Every operator factory returns a `BandedOp`, the few nonzero diagonals of
+the (2*(n_max+1))-square matrix, built in O(n_max); its sums and products
+stay O(n_max). Every Hamiltonian is a `ParityChains`. The `.dense()` of
+either is the only way to a matrix. All energies assume hbar = 1.
 Constructors that promise a Hermitian result build mirrored entries from
 identical floats, so ``H - H.conj().T`` is exactly zero, not merely small.
 """
@@ -36,7 +35,6 @@ __all__ = [
     "jc_to_ajc_rotation",
     "ParityChains",
     "parity_chains",
-    "build_hamiltonian",
     "MODELS",
 ]
 
@@ -250,11 +248,10 @@ def _kron(cfg: HilbertConfig, s: np.ndarray, b: BandedOp) -> BandedOp:
 
 
 # ---------------------------------------------------------------------------
-# public factories: dense ndarrays; the four that the algebra checks use also
-# return the BandedOp itself with banded=True
+# public factories
 
 
-def boson_op(cfg: HilbertConfig, kind: str) -> np.ndarray:
+def boson_op(cfg: HilbertConfig, kind: str) -> BandedOp:
     """Boson operator tensored with the spin identity.
 
     kind: 'annihilate', 'create', 'number', 'position_q', 'momentum_p'.
@@ -274,10 +271,10 @@ def boson_op(cfg: HilbertConfig, kind: str) -> np.ndarray:
         b = 1j * (adag - a) / np.sqrt(2.0)
     else:
         raise ValueError(f"unknown boson operator kind {kind!r}")
-    return _kron(cfg, _I2, b).dense()
+    return _kron(cfg, _I2, b)
 
 
-def spin_op(cfg: HilbertConfig, kind: str, *, banded: bool = False):
+def spin_op(cfg: HilbertConfig, kind: str) -> BandedOp:
     """Spin operator tensored with the boson identity.
 
     kind: 'sigma_z', 'sigma_plus', 'sigma_minus', 'sigma_x', 'sigma_y', 's_z'
@@ -293,11 +290,10 @@ def spin_op(cfg: HilbertConfig, kind: str, *, banded: bool = False):
     }
     if kind not in table:
         raise ValueError(f"unknown spin operator kind {kind!r}")
-    op = _kron(cfg, table[kind], BandedOp.diagonal(cfg.n_fock, 1.0))
-    return op if banded else op.dense()
+    return _kron(cfg, table[kind], BandedOp.diagonal(cfg.n_fock, 1.0))
 
 
-def exchange_op(cfg: HilbertConfig, family: str, sign: str, *, banded: bool = False):
+def exchange_op(cfg: HilbertConfig, family: str, sign: str) -> BandedOp:
     """Excitation-exchange operators.
 
     Family 'Q' (rotating): Q+ = a sigma+, Q- = a^dag sigma-.
@@ -324,10 +320,10 @@ def exchange_op(cfg: HilbertConfig, family: str, sign: str, *, banded: bool = Fa
         op = -1j * (plus - minus)
     else:
         raise ValueError(f"unknown exchange sign {sign!r}")
-    return op if banded else op.dense()
+    return op
 
 
-def excitation_number(cfg: HilbertConfig, sector: str, *, banded: bool = False):
+def excitation_number(cfg: HilbertConfig, sector: str) -> BandedOp:
     """Total excitation number, built as an exact diagonal.
 
     sector 'plus':  N+ = a^dag a + (1 + sigma_z)/2  (|g,n> -> n, |e,n> -> n+1)
@@ -340,11 +336,10 @@ def excitation_number(cfg: HilbertConfig, sector: str, *, banded: bool = False):
         diag = np.concatenate([n + 1.0, n])
     else:
         raise ValueError(f"unknown excitation sector {sector!r}")
-    op = BandedOp.diagonal(cfg.dim, diag)
-    return op if banded else op.dense()
+    return BandedOp.diagonal(cfg.dim, diag)
 
 
-def su11_generator(cfg: HilbertConfig, axis: str, *, banded: bool = False):
+def su11_generator(cfg: HilbertConfig, axis: str) -> BandedOp:
     """Two-boson su(1,1) generators, tensored with the spin identity.
 
     Kx = (a^2 + a^dag^2)/4, Ky = -i(a^dag^2 - a^2)/4, Kz = (2n+1)/4 (exact
@@ -371,21 +366,20 @@ def su11_generator(cfg: HilbertConfig, axis: str, *, banded: bool = False):
         b = kz @ kz - 0.5 * (kp @ km + km @ kp)
     else:
         raise ValueError(f"unknown su(1,1) axis {axis!r}")
-    op = _kron(cfg, _I2, b)
-    return op if banded else op.dense()
+    return _kron(cfg, _I2, b)
 
 
-def parity_op(cfg: HilbertConfig) -> np.ndarray:
+def parity_op(cfg: HilbertConfig) -> BandedOp:
     """Conserved parity sigma_z (x) (-1)^n."""
     fock_parity = BandedOp.diagonal(cfg.n_fock, (-1.0) ** np.arange(cfg.n_fock))
-    return _kron(cfg, _SZ, fock_parity).dense()
+    return _kron(cfg, _SZ, fock_parity)
 
 
-def jc_to_ajc_rotation(cfg: HilbertConfig) -> np.ndarray:
+def jc_to_ajc_rotation(cfg: HilbertConfig) -> BandedOp:
     """Exact pi/2 spin rotation U = exp(-i pi/2 sigma_y) lifted to the
     composite space; U^dag H_jc(coupling c) U equals H_ajc(coupling c)."""
     u2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    return _kron(cfg, u2, BandedOp.diagonal(cfg.n_fock, 1.0)).dense()
+    return _kron(cfg, u2, BandedOp.diagonal(cfg.n_fock, 1.0))
 
 
 @dataclass(frozen=True)
@@ -451,9 +445,3 @@ def parity_chains(cfg: HilbertConfig, params: ModelParams, model: str) -> Parity
     r_minus = {"jc": zero, "ajc": -(params.mu * step), "ar": params.mu * step}[model]
     off = np.where(spin[:, :-1] == 1, q_minus, r_minus)
     return ParityChains(cfg.n_max, diag, off)
-
-
-def build_hamiltonian(cfg: HilbertConfig, params: ModelParams, model: str) -> np.ndarray:
-    """Dense Hamiltonian of the requested model (see `parity_chains`); the
-    result is exactly Hermitian entrywise."""
-    return parity_chains(cfg, params, model).dense()

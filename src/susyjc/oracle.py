@@ -5,10 +5,11 @@ The oracle never uses the closed forms: it diagonalizes the truncated
 Hamiltonian, certifies convergence by doubling the Fock cutoff, and locates
 ground-state crossings between the two parity chains by scanning and
 bisecting their ground-energy gap, so closed-form results can be validated
-against it. Eigenvalue paths take parity chains or a dense matrix
-(`diagonalize`). Chains that split into excitation-number sectors (jc/ajc)
-are solved sector by sector in numpy, others by SciPy's tridiagonal solver,
-imported on first use: importing the package or solving jc/ajc loads none.
+against it. Eigenvalue paths take parity chains; `diagonalize` is the dense
+reference with eigenvectors. Chains that split into excitation-number
+sectors (jc/ajc) are solved sector by sector in numpy, others by SciPy's
+tridiagonal solver, imported on first use: importing the package or solving
+jc/ajc loads none.
 """
 
 from __future__ import annotations
@@ -123,13 +124,11 @@ def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, lowest: bool = False) 
     return eigvalsh_tridiagonal(diag, off)
 
 
-def eigenvalues(h: ParityChains | np.ndarray) -> np.ndarray:
-    """All eigenvalues, ascending. Parity chains are solved one chain (or
-    sector) at a time and merged; a dense matrix goes through `diagonalize`."""
-    if isinstance(h, ParityChains):
-        return np.sort(np.concatenate([_chain_eigenvalues(d, e)
-                                       for d, e in zip(h.diag, h.off)]))
-    return diagonalize(h).eigenvalues
+def eigenvalues(h: ParityChains) -> np.ndarray:
+    """All eigenvalues, ascending, solved one chain (or sector) at a time
+    and merged."""
+    return np.sort(np.concatenate([_chain_eigenvalues(d, e)
+                                   for d, e in zip(h.diag, h.off)]))
 
 
 def _converged_count(evals: np.ndarray, ref: np.ndarray, tol: float) -> int:
@@ -139,20 +138,19 @@ def _converged_count(evals: np.ndarray, ref: np.ndarray, tol: float) -> int:
     return int(np.argmax(moved)) if moved.any() else m
 
 
-def certify_truncation(builder: Callable[[int], ParityChains | np.ndarray],
-                       k_levels: int, tol: float = 1e-10, start_n_max: int = 32,
-                       cap_n_max: int = CAP_N_MAX) -> EigenSolution:
+def certify_truncation(builder: Callable[[int], ParityChains],
+                       k_levels: int, tol: float = 1e-10,
+                       start_n_max: int = 32) -> EigenSolution:
     """Double n_max until the lowest k_levels eigenvalues move < tol.
 
-    builder(n_max) must return the same physical Hamiltonian at any cutoff,
-    as parity chains or a dense matrix. Raises NoConvergence once the cap is
-    passed.
+    builder(n_max) must return the same physical Hamiltonian at any cutoff.
+    Raises NoConvergence once CAP_N_MAX is passed.
     """
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
     prev = None
     n_max = start_n_max
-    while n_max <= cap_n_max:
+    while n_max <= CAP_N_MAX:
         evals = eigenvalues(builder(n_max))
         if prev is not None:
             k = min(k_levels, prev.size, evals.size)
@@ -161,10 +159,10 @@ def certify_truncation(builder: Callable[[int], ParityChains | np.ndarray],
                 return EigenSolution(evals, None, max(converged, k_levels), n_max)
         prev = evals
         n_max *= 2
-    raise NoConvergence(f"lowest {k_levels} eigenvalues not stable below n_max={cap_n_max}")
+    raise NoConvergence(f"lowest {k_levels} eigenvalues not stable below n_max={CAP_N_MAX}")
 
 
-def certify_cutoff(builder: Callable[[int], ParityChains | np.ndarray], n_max: int,
+def certify_cutoff(builder: Callable[[int], ParityChains], n_max: int,
                    tol: float = 1e-10) -> EigenSolution:
     """Eigenvalues at a pinned n_max, certified against the cutoff 2 n_max:
     converged_levels counts the leading eigenvalues that move < tol."""

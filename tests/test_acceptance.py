@@ -21,9 +21,8 @@ from susyjc.anisotropic import (approx_spectrum, effective_hamiltonian,
                                 frame_unitary, jc_approximation,
                                 lab_frame_offset)
 from susyjc.errors import DegenerateCouplings
-from susyjc.far import far_chains, far_from_alphas, far_hamiltonian, far_spectrum_shape
-from susyjc.hilbert import (HilbertConfig, ModelParams, build_hamiltonian,
-                            parity_chains, su11_generator)
+from susyjc.far import far_chains, far_from_alphas, far_spectrum_shape
+from susyjc.hilbert import HilbertConfig, ModelParams, parity_chains, su11_generator
 from susyjc.jc import (DressedLabel, dressed_state, ground_state_critical,
                        lowest_closed_levels, rabi_frequency, reduced_density,
                        von_neumann_entropy)
@@ -55,7 +54,7 @@ def test_criterion_01_algebra_suite():
 
 def test_criterion_02_casimir_interior_value():
     cfg = HilbertConfig(16)
-    cas = su11_generator(cfg, "casimir")
+    cas = su11_generator(cfg, "casimir").dense()
     mask = interior_mask(cfg, 2)
     sub = cas[np.ix_(mask, mask)] + (3.0 / 16.0) * np.eye(int(mask.sum()))
     dev = float(np.abs(sub).max())
@@ -77,7 +76,7 @@ def test_criterion_03_closed_forms_match_oracle():
         model = "jc" if trial % 2 == 0 else "ajc"
         params = (ModelParams(omega=omega, omega0=omega0, lam=g) if model == "jc"
                   else ModelParams(omega=omega, omega0=omega0, mu=g))
-        sol = diagonalize(build_hamiltonian(cfg, params, model))
+        sol = diagonalize(parity_chains(cfg, params, model).dense())
         closed = lowest_closed_levels(params, 12, model)
         for k, (e_closed, label) in enumerate(closed):
             e_num = sol.eigenvalues[k]
@@ -154,10 +153,10 @@ def test_criterion_05_squared_spectrum_gap():
 
 def test_criterion_06_ajc_spectrum_equals_jc():
     cfg = HilbertConfig(100)
-    jc = diagonalize(build_hamiltonian(
-        cfg, ModelParams(omega=1.0, omega0=1.3, lam=0.9), "jc"))
-    ajc = diagonalize(build_hamiltonian(
-        cfg, ModelParams(omega=1.0, omega0=1.3, mu=0.9), "ajc"))
+    jc = diagonalize(parity_chains(
+        cfg, ModelParams(omega=1.0, omega0=1.3, lam=0.9), "jc").dense())
+    ajc = diagonalize(parity_chains(
+        cfg, ModelParams(omega=1.0, omega0=1.3, mu=0.9), "ajc").dense())
     dev = float(np.abs(jc.eigenvalues[:20] - ajc.eigenvalues[:20]).max())
     ok = dev < 1e-10
     _line(6, ok, f"lowest 20 levels differ by at most {dev:.3e}")
@@ -170,7 +169,7 @@ def test_criterion_07_squeezed_frame_equivalence():
     cfg = HilbertConfig(200)
     h_s = effective_hamiltonian(cfg, params)
     v = frame_unitary(cfg, params).unitary
-    h_rot = v.conj().T @ build_hamiltonian(cfg, params, "ar") @ v
+    h_rot = v.conj().T @ parity_chains(cfg, params, "ar").dense() @ v
     e_s = diagonalize(h_s).eigenvalues[:15]
     e_rot = diagonalize(h_rot).eigenvalues[:15]
     shifts = e_rot - e_s
@@ -201,7 +200,7 @@ def test_criterion_08_jc_approximation_error_scaling():
         validity = jc_approximation(params).validity
         assert validity <= 0.05
         validities.append(validity)
-        lab = diagonalize(build_hamiltonian(cfg, params, "ar")).eigenvalues[:8]
+        lab = diagonalize(parity_chains(cfg, params, "ar").dense()).eigenvalues[:8]
         approx = np.sort([approx_spectrum(l, params) for l in labels])[:8]
         approx = approx + lab_frame_offset(params)
         errors.append(float((np.abs(approx - lab)
@@ -227,7 +226,7 @@ def test_criterion_09_far_factorization():
             continue
         phases = rng.uniform(-math.pi, math.pi, size=3)
         fp = far_from_alphas(*(m * np.exp(1j * p) for m, p in zip(mags, phases)))
-        h = far_hamiltonian(cfg, fp, check_tol=1e-12)  # raises on disagreement
+        h = far_chains(cfg, fp).dense()  # raises on disagreement
         min_eig = min(min_eig, float(np.linalg.eigvalsh(h).min()))
         built += 1
     ok = min_eig >= -1e-10
@@ -247,7 +246,7 @@ def test_criterion_10_far_spectrum_shape():
     mid_spread = {}
     for k in (2, 3, 4, 5):
         fp = far_from_alphas(0.01, 1.0, float(k))
-        builder = lambda n: far_hamiltonian(HilbertConfig(n), fp, check_tol=1e-11)
+        builder = lambda n: far_chains(HilbertConfig(n), fp)
         sol = certify_truncation(builder, k_levels=11)
         shape = far_spectrum_shape(sol, tol=1e-8)
         unique_ground = unique_ground and shape.has_unique_ground
@@ -260,8 +259,7 @@ def test_criterion_10_far_spectrum_shape():
         mid_spread[k] = float(spacing.std() / spacing.mean())
 
     cfg = HilbertConfig(220)
-    sweep_builder = lambda ar: far_chains(cfg, far_from_alphas(0.01, 1.0, ar),
-                                          check_tol=1e-11)
+    sweep_builder = lambda ar: far_chains(cfg, far_from_alphas(0.01, 1.0, ar))
     crossings = find_crossings(sweep_builder, (1.25, 5.0),
                                grid_points=150)
 

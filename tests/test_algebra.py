@@ -55,9 +55,9 @@ def test_sensitive_identities_really_need_their_projector():
     # the masked residual is tiny, but the full-space defect of the closure
     # {Q+,Q-} = N+ sits at the cutoff edge and is O(n_max)
     cfg = HilbertConfig(12)
-    qp = exchange_op(cfg, "Q", "plus")
-    qm = exchange_op(cfg, "Q", "minus")
-    delta = anticommutator(qp, qm) - excitation_number(cfg, "plus")
+    qp = exchange_op(cfg, "Q", "plus").dense()
+    qm = exchange_op(cfg, "Q", "minus").dense()
+    delta = anticommutator(qp, qm) - excitation_number(cfg, "plus").dense()
     assert np.abs(delta).max() > 1.0
     mask = interior_mask(cfg, 1)
     assert np.abs(delta[np.ix_(mask, mask)]).max() < 1e-13

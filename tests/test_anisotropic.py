@@ -8,7 +8,7 @@ from susyjc.anisotropic import (approx_spectrum, effective_hamiltonian,
                                 lab_frame_offset, quadrature_weights,
                                 squeeze_parameter)
 from susyjc.errors import InvalidLabel, IsotropicSingularLimit
-from susyjc.hilbert import HilbertConfig, ModelParams, build_hamiltonian
+from susyjc.hilbert import HilbertConfig, ModelParams, parity_chains
 from susyjc.jc import DressedLabel
 from susyjc.oracle import diagonalize
 
@@ -41,7 +41,7 @@ def _frame_defect(params, n_max=140, keep=40):
     only the low block tests the identity itself.
     """
     cfg = HilbertConfig(n_max)
-    h_lab = build_hamiltonian(cfg, params, "ar")
+    h_lab = parity_chains(cfg, params, "ar").dense()
     v = frame_unitary(cfg, params).unitary
     h_rot = v.conj().T @ h_lab @ v
     h_eff = effective_hamiltonian(cfg, params) + lab_frame_offset(params) * np.eye(cfg.dim)
@@ -66,7 +66,7 @@ def test_effective_hamiltonian_exactly_hermitian():
 def test_spectra_agree_up_to_the_constant():
     params = ModelParams(lam=0.4, mu=0.15)
     cfg = HilbertConfig(140)
-    lab = diagonalize(build_hamiltonian(cfg, params, "ar")).eigenvalues[:12]
+    lab = diagonalize(parity_chains(cfg, params, "ar").dense()).eigenvalues[:12]
     sq = diagonalize(effective_hamiltonian(cfg, params)).eigenvalues[:12]
     shifts = lab - sq
     assert np.abs(shifts - lab_frame_offset(params)).max() < 1e-8
@@ -87,7 +87,7 @@ def test_approx_spectrum_tracks_oracle_when_validity_small():
     params = ModelParams(omega=1.0, omega0=1.0, lam=0.1, mu=0.00125)
     assert jc_approximation(params).validity < 0.05
     cfg = HilbertConfig(160)
-    lab = diagonalize(build_hamiltonian(cfg, params, "ar")).eigenvalues[:8]
+    lab = diagonalize(parity_chains(cfg, params, "ar").dense()).eigenvalues[:8]
     labels = [DressedLabel("minus", 0)]
     for n in range(1, 5):
         labels += [DressedLabel("minus", n), DressedLabel("plus", n)]

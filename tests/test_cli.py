@@ -305,8 +305,9 @@ def test_unknown_config_key_rejected(tmp_path):
 # inputs refused before any work: non-finite numbers (flags, bare sweep
 # values, config values), numbers outside their flag's bounds, and
 # allocations sized from the input; then parameters whose chain entries,
-# far coefficients, closed levels or Wigner values overflow, and a
-# ground-state hop that no positive coupling makes (omega < 0)
+# far coefficients, closed levels or Wigner values overflow, a
+# ground-state hop that no positive coupling makes (omega < 0), a result
+# that overflows in --units omega0, and an output file that cannot be written
 REFUSED = [
     ["spectrum", "--model", "jc", "--lambda", "0.5", "--omega", "nan",
      "--n-max", "20"],
@@ -352,6 +353,10 @@ REFUSED = [
     ["crossings", "--model", "jc", "--omega=-0.5", "--omega0=-1",
      "--lambda", "0.05:2:30", "--n-max", "20"],
     ["wigner", "--label", "minus:1", "--lambda", "1e308"],
+    ["spectrum", "--model", "ar", "--lambda", "1", "--mu", "0.3", "--omega0",
+     "1e-320", "--n-max", "8", "--format", "json"],
+    ["verify", "--n-max", "4", "--output", "{missing_dir}"],
+    ["verify", "--n-max", "4", "--output", "{tmp_dir}"],
 ]
 
 # config files whose values their flags would not accept, or that lie
@@ -386,7 +391,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     from susyjc import cli
     cfg = tmp_path / "run.json"
     cfg.write_text('{"model": "jc", "lambda": 0.5, "omega0": NaN}')
-    paths = {"{cfg}": str(cfg)}
+    paths = {"{cfg}": str(cfg), "{tmp_dir}": str(tmp_path),
+             "{missing_dir}": str(tmp_path / "missing" / "x.csv")}
     for name, content in BAD_CONFIGS.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(content))
@@ -408,6 +414,7 @@ EXTREME_TEMPLATES = [
     "spectrum --model jc --lambda={v} --n-max 8",
     "spectrum --model jc --omega={v} --lambda 1 --n-max 8",
     "spectrum --model jc --omega0={v} --lambda 1 --n-max 8 --units absolute",
+    "spectrum --model jc --omega0={v} --lambda 1 --n-max 8",
     "spectrum --model ajc --omega={v} --mu 0.5 --n-max 8",
     "spectrum --model ar --lambda={v} --mu 0.1 --n-max 8",
     "spectrum --model ar --omega={v} --lambda 0.5 --mu 0.1 --n-max 8",
@@ -415,6 +422,7 @@ EXTREME_TEMPLATES = [
     "crossings --model jc --omega={v} --lambda 0.05:2:5 --n-max 8",
     "crossings --model jc --omega0={v} --lambda 0.05:2:5 --n-max 8 "
     "--units absolute",
+    "crossings --model jc --omega0={v} --lambda 0.05:2:5 --n-max 8",
     "crossings --model far --alphaQ={v} --alphaR 0.5:2:5 --n-max 8",
     "wigner --label minus:1 --lambda={v} --points 16",
     "wigner --label plus:1 --omega0={v} --lambda 0.5 --source numeric "

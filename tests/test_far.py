@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from susyjc.errors import (DegenerateCouplings, FactorizationMismatch,
                            NotConverged)
 from susyjc.far import (FarParams, constraint_check, far_chains,
-                        far_from_alphas, far_hamiltonian, far_spectrum_shape)
-from susyjc.hilbert import (HilbertConfig, ModelParams, build_hamiltonian,
-                            exchange_op)
+                        far_from_alphas, far_spectrum_shape)
+from susyjc.hilbert import (HilbertConfig, ModelParams, exchange_op,
+                            parity_chains)
 from susyjc.oracle import (EigenSolution, certify_truncation, diagonalize,
                            eigenvalues)
 
@@ -48,7 +48,7 @@ def test_equal_magnitudes_refused():
 def test_all_couplings_zero_is_a_constant():
     fp = far_from_alphas(0.7, 0.0, 0.0)
     cfg = HilbertConfig(6)
-    h = far_hamiltonian(cfg, fp)
+    h = far_chains(cfg, fp).dense()
     assert np.abs(h - 0.49 * np.eye(cfg.dim)).max() < 1e-15
 
 
@@ -62,7 +62,7 @@ def test_factorized_and_explicit_forms_agree():
             mags[2] *= 1.5
         a0, aq, ar = (m * cmath.exp(1j * p) for m, p in zip(mags, phases))
         fp = far_from_alphas(a0, aq, ar)
-        h = far_hamiltonian(cfg, fp)  # raises FactorizationMismatch on defect
+        h = far_chains(cfg, fp).dense()  # raises FactorizationMismatch on defect
         # anticommutator of an operator with its adjoint: nonnegative
         assert np.linalg.eigvalsh(h).min() > -1e-10
         assert np.abs(h - h.conj().T).max() < 1e-14
@@ -74,9 +74,8 @@ def test_hand_built_params_are_caught():
                     omega=fp.omega, omega0=fp.omega0 + 0.05, lam=fp.lam,
                     mu=fp.mu, phi_lambda=fp.phi_lambda, phi_mu=fp.phi_mu,
                     omega_c=fp.omega_c)
-    for build in (far_chains, far_hamiltonian):
-        with pytest.raises(FactorizationMismatch):
-            build(HilbertConfig(20), bad)
+    with pytest.raises(FactorizationMismatch):
+        far_chains(HilbertConfig(20), bad)
     checks = constraint_check(bad)
     assert checks["detuning_residual"] > 1e-3
     good = constraint_check(fp)
@@ -89,13 +88,12 @@ def test_gate_scales_with_the_entries():
     # a correct build at the cutoff cap differs from the explicit model by
     # 1.45e-11, which an absolute 1e-11 gate would refuse
     fp = far_from_alphas(0.01, 1.0, 5.7)
-    for tol in (1e-11, 1e-12):
-        far_chains(HilbertConfig(2048), fp, check_tol=tol)
+    far_chains(HilbertConfig(2048), fp)
     # a wrong build still fails, small cutoff or large
     bad = dataclasses.replace(fp, alpha_r=fp.alpha_r + 1e-6)
     for n_max in (16, 2048):
         with pytest.raises(FactorizationMismatch):
-            far_chains(HilbertConfig(n_max), bad, check_tol=1e-11)
+            far_chains(HilbertConfig(n_max), bad)
 
 
 _alpha = st.builds(lambda m, p: m * cmath.exp(1j * p),
@@ -110,10 +108,10 @@ def test_far_chains_match_the_dense_anticommutator(a0, aq, ar, n_max):
     except DegenerateCouplings:
         assume(False)
     cfg = HilbertConfig(n_max)
-    a_op = (a0 * np.eye(cfg.dim) + aq * exchange_op(cfg, "Q", "minus")
-            + ar * exchange_op(cfg, "R", "minus"))
+    a_op = (a0 * np.eye(cfg.dim) + aq * exchange_op(cfg, "Q", "minus").dense()
+            + ar * exchange_op(cfg, "R", "minus").dense())
     ref = 0.5 * (a_op @ a_op.conj().T + a_op.conj().T @ a_op)
-    h = far_hamiltonian(cfg, fp)
+    h = far_chains(cfg, fp).dense()
     scale = max(1.0, float(np.abs(ref).max()))
     # every entry, the truncation edge included
     assert np.abs(h - ref).max() < 1e-14 * scale
@@ -128,9 +126,9 @@ def test_pure_rotating_limit_is_a_shifted_resonant_jc():
     fp = far_from_alphas(0.4, 1.2, 0.0)
     cfg = HilbertConfig(40)
     assert fp.omega == fp.omega0 and fp.mu == 0.0
-    h = far_hamiltonian(cfg, fp)
+    h = far_chains(cfg, fp).dense()
     jc_params = ModelParams(omega=fp.omega, omega0=fp.omega, lam=fp.lam)
-    h_jc = build_hamiltonian(cfg, jc_params, "jc") + fp.omega_c * np.eye(cfg.dim)
+    h_jc = parity_chains(cfg, jc_params, "jc").dense() + fp.omega_c * np.eye(cfg.dim)
     # entrywise identical away from the cutoff edge, where the factorized
     # ladder product loses its top diagonal entry
     keep = cfg.boson_index() < cfg.n_max
@@ -158,14 +156,14 @@ def test_spectrum_shape_on_synthetic_ladders():
 
 
 def test_spectrum_shape_requires_certification():
-    sol = diagonalize(far_hamiltonian(HilbertConfig(30), far_from_alphas(0.1, 1.0, 0.2)))
+    sol = diagonalize(far_chains(HilbertConfig(30), far_from_alphas(0.1, 1.0, 0.2)).dense())
     with pytest.raises(NotConverged):
         far_spectrum_shape(sol)
 
 
 def test_certified_shape_of_a_weakly_coupled_model():
     fp = far_from_alphas(0.01, 1.0, 3.0)
-    builder = lambda n: far_hamiltonian(HilbertConfig(n), fp, check_tol=1e-11)
+    builder = lambda n: far_chains(HilbertConfig(n), fp)
     sol = certify_truncation(builder, k_levels=9)
     shape = far_spectrum_shape(sol)
     assert shape.has_unique_ground

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from susyjc.algebra import commutator
 from susyjc.errors import DimensionMismatch, EqualCouplings
 from susyjc.hilbert import (BandedOp, HilbertConfig, ModelParams, boson_op,
-                            build_hamiltonian, exchange_op, excitation_number,
-                            jc_to_ajc_rotation, parity_chains, parity_op,
-                            spin_op, su11_generator)
+                            exchange_op, excitation_number, jc_to_ajc_rotation,
+                            parity_chains, parity_op, spin_op, su11_generator)
 from susyjc.oracle import eigenvalues
 
 CFG = HilbertConfig(12)
@@ -45,21 +44,21 @@ def test_boson_index_layout():
 
 
 def test_ladder_matrix_elements():
-    a = boson_op(CFG, "annihilate")
-    adag = boson_op(CFG, "create")
+    a = boson_op(CFG, "annihilate").dense()
+    adag = boson_op(CFG, "create").dense()
     for n in range(1, CFG.n_fock):
         ket = CFG.basis_state("g", n)
         out = a @ ket
         assert abs(out[CFG.index("g", n - 1)] - np.sqrt(n)) < 1e-15
     # creation drops out of the top level
     assert np.allclose(adag @ CFG.basis_state("g", CFG.n_max), 0.0)
-    num = boson_op(CFG, "number")
+    num = boson_op(CFG, "number").dense()
     assert np.allclose(np.diag(num).real, np.concatenate([np.arange(13), np.arange(13)]))
 
 
 def test_quadrature_commutator_is_i_on_interior():
-    q = boson_op(CFG, "position_q")
-    p = boson_op(CFG, "momentum_p")
+    q = boson_op(CFG, "position_q").dense()
+    p = boson_op(CFG, "momentum_p").dense()
     comm = q @ p - p @ q
     mask = CFG.boson_index() < CFG.n_max
     sub = comm[np.ix_(mask, mask)] - 1j * np.eye(int(mask.sum()))
@@ -67,83 +66,83 @@ def test_quadrature_commutator_is_i_on_interior():
 
 
 def test_spin_ops():
-    sz = spin_op(CFG, "sigma_z")
+    sz = spin_op(CFG, "sigma_z").dense()
     assert np.allclose(np.diag(sz).real, [-1.0] * CFG.n_fock + [1.0] * CFG.n_fock)
-    sp = spin_op(CFG, "sigma_plus")
+    sp = spin_op(CFG, "sigma_plus").dense()
     g0 = CFG.basis_state("g", 0)
     assert np.allclose(sp @ g0, CFG.basis_state("e", 0))
-    sx = spin_op(CFG, "sigma_x")
-    sy = spin_op(CFG, "sigma_y")
+    sx = spin_op(CFG, "sigma_x").dense()
+    sy = spin_op(CFG, "sigma_y").dense()
     assert np.abs(sx @ sx - np.eye(CFG.dim)).max() == 0.0
     assert np.abs(sx @ sy + sy @ sx).max() == 0.0
-    assert np.abs(spin_op(CFG, "s_z") - sz / 2).max() == 0.0
+    assert np.abs(spin_op(CFG, "s_z").dense() - sz / 2).max() == 0.0
     with pytest.raises(ValueError):
         spin_op(CFG, "sigma_w")
 
 
 def test_exchange_actions():
     # rotating family moves one quantum between boson and spin
-    qp = exchange_op(CFG, "Q", "plus")
-    qm = exchange_op(CFG, "Q", "minus")
+    qp = exchange_op(CFG, "Q", "plus").dense()
+    qm = exchange_op(CFG, "Q", "minus").dense()
     out = qp @ CFG.basis_state("g", 3)
     assert abs(out[CFG.index("e", 2)] - np.sqrt(3)) < 1e-15
     out = qm @ CFG.basis_state("e", 2)
     assert abs(out[CFG.index("g", 3)] - np.sqrt(3)) < 1e-15
     # counter-rotating family moves them the other way round
-    rp = exchange_op(CFG, "R", "plus")
-    rm = exchange_op(CFG, "R", "minus")
+    rp = exchange_op(CFG, "R", "plus").dense()
+    rm = exchange_op(CFG, "R", "minus").dense()
     out = rp @ CFG.basis_state("e", 3)
     assert abs(out[CFG.index("g", 2)] - np.sqrt(3)) < 1e-15
     out = rm @ CFG.basis_state("g", 2)
     assert abs(out[CFG.index("e", 3)] - np.sqrt(3)) < 1e-15
     # adjoint pairing and the x/y combinations
     assert np.abs(qm - qp.conj().T).max() == 0.0
-    qx = exchange_op(CFG, "Q", "x")
-    qy = exchange_op(CFG, "Q", "y")
+    qx = exchange_op(CFG, "Q", "x").dense()
+    qy = exchange_op(CFG, "Q", "y").dense()
     assert np.abs(qx - (qp + qm)).max() == 0.0
     assert np.abs(qy - (-1j) * (qp - qm)).max() == 0.0
 
 
 def test_excitation_numbers_are_exact_diagonals():
-    nplus = excitation_number(CFG, "plus")
-    nminus = excitation_number(CFG, "minus")
+    nplus = excitation_number(CFG, "plus").dense()
+    nminus = excitation_number(CFG, "minus").dense()
     for n in range(CFG.n_fock):
         assert nplus[CFG.index("g", n), CFG.index("g", n)] == n
         assert nplus[CFG.index("e", n), CFG.index("e", n)] == n + 1
         assert nminus[CFG.index("g", n), CFG.index("g", n)] == n + 1
         assert nminus[CFG.index("e", n), CFG.index("e", n)] == n
-    h = build_hamiltonian(CFG, ModelParams(lam=0.7), "jc")
+    h = parity_chains(CFG, ModelParams(lam=0.7), "jc").dense()
     assert np.abs(h @ nplus - nplus @ h).max() < 1e-14
 
 
 def test_su11_generators():
-    kz = su11_generator(CFG, "z")
+    kz = su11_generator(CFG, "z").dense()
     assert np.allclose(np.diag(kz).real[:CFG.n_fock],
                        (2 * np.arange(CFG.n_fock) + 1) / 4.0)
-    kp = su11_generator(CFG, "plus")
+    kp = su11_generator(CFG, "plus").dense()
     ket = CFG.basis_state("g", 2)
     out = kp @ ket
     assert abs(out[CFG.index("g", 4)] - 0.5 * np.sqrt(4 * 3)) < 1e-15
-    kx = su11_generator(CFG, "x")
-    ky = su11_generator(CFG, "y")
+    kx = su11_generator(CFG, "x").dense()
+    ky = su11_generator(CFG, "y").dense()
     assert np.abs(kp - (kx + 1j * ky)).max() == 0.0
     with pytest.raises(ValueError):
         su11_generator(CFG, "w")
 
 
 def test_parity_conserved_by_full_coupled_model():
-    par = parity_op(CFG)
+    par = parity_op(CFG).dense()
     assert np.abs(par @ par - np.eye(CFG.dim)).max() == 0.0
-    h = build_hamiltonian(CFG, ModelParams(lam=0.6, mu=0.2, theta=0.4), "ar")
+    h = parity_chains(CFG, ModelParams(lam=0.6, mu=0.2, theta=0.4), "ar").dense()
     assert np.abs(h @ par - par @ h).max() < 1e-14
 
 
 def test_jc_to_ajc_rotation_is_exact():
-    u = jc_to_ajc_rotation(CFG)
+    u = jc_to_ajc_rotation(CFG).dense()
     assert np.abs(u.conj().T @ u - np.eye(CFG.dim)).max() == 0.0
     params = ModelParams(omega=1.1, omega0=0.8, lam=0.5, mu=0.5, theta=0.3)
-    h_jc = build_hamiltonian(CFG, params, "jc")
-    h_ajc = build_hamiltonian(CFG, params, "ajc")
+    h_jc = parity_chains(CFG, params, "jc").dense()
+    h_ajc = parity_chains(CFG, params, "ajc").dense()
     assert np.abs(u.conj().T @ h_jc @ u - h_ajc).max() < 1e-15
 
 
@@ -151,19 +150,18 @@ def test_hamiltonians_exactly_hermitian():
     for model, params in [("jc", ModelParams(lam=0.9, theta=1.1)),
                           ("ajc", ModelParams(mu=0.4, theta=-0.7)),
                           ("ar", ModelParams(lam=0.9, mu=0.2, theta=0.5))]:
-        h = build_hamiltonian(CFG, params, model)
+        h = parity_chains(CFG, params, model).dense()
         assert np.abs(h - h.conj().T).max() == 0.0
 
 
 def test_model_guards():
-    for build in (build_hamiltonian, parity_chains):
-        with pytest.raises(ValueError):
-            build(CFG, ModelParams(), "rabi")
-        with pytest.raises(EqualCouplings):
-            build(CFG, ModelParams(lam=0.3, mu=0.3), "ar")
+    with pytest.raises(ValueError):
+        parity_chains(CFG, ModelParams(), "rabi")
+    with pytest.raises(EqualCouplings):
+        parity_chains(CFG, ModelParams(lam=0.3, mu=0.3), "ar")
     # jc ignores mu, ajc ignores lam
-    h1 = build_hamiltonian(CFG, ModelParams(lam=0.5, mu=0.0), "jc")
-    h2 = build_hamiltonian(CFG, ModelParams(lam=0.5, mu=9.0), "jc")
+    h1 = parity_chains(CFG, ModelParams(lam=0.5, mu=0.0), "jc").dense()
+    h2 = parity_chains(CFG, ModelParams(lam=0.5, mu=9.0), "jc").dense()
     assert np.abs(h1 - h2).max() == 0.0
 
 
@@ -174,12 +172,12 @@ def test_delta_is_derived():
 def _kron_reference(cfg, p, model):
     """The Hamiltonian as a sum of lifted operators, term by term."""
     phase = np.exp(1j * p.theta)
-    h = p.omega * boson_op(cfg, "number")
-    sz = spin_op(cfg, "sigma_z")
-    q = p.lam * (phase * exchange_op(cfg, "Q", "plus")
-                 + np.conj(phase) * exchange_op(cfg, "Q", "minus"))
-    r = p.mu * (np.conj(phase) * exchange_op(cfg, "R", "minus")
-                + phase * exchange_op(cfg, "R", "plus"))
+    h = p.omega * boson_op(cfg, "number").dense()
+    sz = spin_op(cfg, "sigma_z").dense()
+    q = p.lam * (phase * exchange_op(cfg, "Q", "plus").dense()
+                 + np.conj(phase) * exchange_op(cfg, "Q", "minus").dense())
+    r = p.mu * (np.conj(phase) * exchange_op(cfg, "R", "minus").dense()
+                + phase * exchange_op(cfg, "R", "plus").dense())
     if model == "jc":
         return h + 0.5 * p.omega0 * sz + q
     if model == "ajc":
@@ -203,7 +201,7 @@ def test_parity_chains_match_the_kron_sum(model, n_max, omega, omega0, lam,
     assume(model != "ar" or lam != mu)
     cfg = HilbertConfig(n_max)
     params = ModelParams(omega=omega, omega0=omega0, lam=lam, mu=mu, theta=theta)
-    h = build_hamiltonian(cfg, params, model)
+    h = parity_chains(cfg, params, model).dense()
     # the chains assemble the same products of the same floats
     assert np.array_equal(h, _kron_reference(cfg, params, model))
     assert np.array_equal(h, h.conj().T)
@@ -354,17 +352,7 @@ _FACTORIES = (
 def test_factories_match_the_kron_construction(n_max, which):
     name, factory, args = which
     cfg = HilbertConfig(n_max)
-    dense = factory(cfg, *args)
+    dense = factory(cfg, *args).dense()
     assert dense.shape == (cfg.dim, cfg.dim)
     assert np.array_equal(dense, _kron_factory(cfg, name, *args))
 
-
-@pytest.mark.parametrize("n_max", [0, 5])
-def test_factories_return_their_banded_form(n_max):
-    cfg = HilbertConfig(n_max)
-    for name, factory, args in _FACTORIES:
-        if name not in ("spin", "exchange", "excitation", "su11"):
-            continue
-        op = factory(cfg, *args, banded=True)
-        assert isinstance(op, BandedOp) and op.shape == (cfg.dim, cfg.dim)
-        assert np.array_equal(op.dense(), factory(cfg, *args))

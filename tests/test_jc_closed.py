@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from susyjc.errors import (DegenerateAngle, InvalidLabel, InvalidN,
                            TruncationTooSmall)
-from susyjc.hilbert import HilbertConfig, ModelParams, build_hamiltonian
+from susyjc.hilbert import HilbertConfig, ModelParams, parity_chains
 from susyjc.jc import (DressedLabel, coupling_for, crossing_pair,
                        dressed_energy, dressed_state, ground_state_critical,
                        lowest_closed_levels, mixing_angle, rabi_frequency,
@@ -61,7 +61,7 @@ def test_closed_energies_match_oracle():
     cfg = HilbertConfig(60)
     for model in ("jc", "ajc"):
         p = params if model == "jc" else ModelParams(omega=1.0, omega0=1.3, mu=0.7)
-        sol = diagonalize(build_hamiltonian(cfg, p, model))
+        sol = diagonalize(parity_chains(cfg, p, model).dense())
         closed = [e for e, _ in lowest_closed_levels(p, 10, model)]
         assert np.abs(sol.eigenvalues[:10] - np.array(closed)).max() < 1e-10
 
@@ -69,7 +69,7 @@ def test_closed_energies_match_oracle():
 def test_dressed_states_are_eigenvectors():
     cfg = HilbertConfig(30)
     params = ModelParams(omega=0.9, omega0=1.4, lam=0.6, theta=0.8)
-    h = build_hamiltonian(cfg, params, "jc")
+    h = parity_chains(cfg, params, "jc").dense()
     for label in [DressedLabel("minus", 0), DressedLabel("minus", 3),
                   DressedLabel("plus", 3), DressedLabel("plus", 7)]:
         st = dressed_state(label, params, cfg)
@@ -78,7 +78,7 @@ def test_dressed_states_are_eigenvectors():
         assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-14
     # the twin model, with its own phase convention
     pa = ModelParams(omega=0.9, omega0=1.4, mu=0.6, theta=0.8)
-    ha = build_hamiltonian(cfg, pa, "ajc")
+    ha = parity_chains(cfg, pa, "ajc").dense()
     for label in [DressedLabel("minus", 0, "ajc"), DressedLabel("plus", 2, "ajc")]:
         st = dressed_state(label, pa, cfg)
         e = dressed_energy(label, pa)

@@ -6,22 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susyjc.errors import NoConvergence, NotHermitian
-from susyjc.far import far_chains, far_from_alphas, far_hamiltonian
+from susyjc.far import far_chains, far_from_alphas
 from susyjc.hilbert import (HilbertConfig, ModelParams, ParityChains,
-                            build_hamiltonian, parity_chains)
+                            parity_chains, spin_op)
 from susyjc.jc import DressedLabel, ground_state_critical
 from susyjc.oracle import (_EXCITATION, _ground_label, _real_chain, _sectors,
                            certify_cutoff, certify_truncation, diagonalize,
                            eigenvalues, find_crossings)
 
 
-def _jc_builder(params):
-    return lambda n_max: build_hamiltonian(HilbertConfig(n_max), params, "jc")
-
-
 def test_diagonalize_basic_contract():
     cfg = HilbertConfig(20)
-    h = build_hamiltonian(cfg, ModelParams(omega=1.0, omega0=0.8, lam=0.4), "jc")
+    h = parity_chains(cfg, ModelParams(omega=1.0, omega0=0.8, lam=0.4), "jc").dense()
     sol = diagonalize(h)
     assert np.all(np.diff(sol.eigenvalues) >= 0)
     assert sol.converged_levels == 0
@@ -45,8 +41,7 @@ def test_diagonalize_rejects_non_hermitian():
 def test_diagonalize_is_deterministic_under_degeneracy():
     # sigma_z x 1 has two flat bands; ordering and phases must still be fixed
     cfg = HilbertConfig(9)
-    from susyjc.hilbert import spin_op
-    h = spin_op(cfg, "sigma_z")
+    h = spin_op(cfg, "sigma_z").dense()
     a = diagonalize(h)
     b = diagonalize(h.copy())
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
@@ -55,7 +50,8 @@ def test_diagonalize_is_deterministic_under_degeneracy():
 
 def test_certify_truncation_on_decoupled_model():
     params = ModelParams(omega=1.0, omega0=0.6, lam=0.0)
-    sol = certify_truncation(_jc_builder(params), k_levels=6)
+    sol = certify_truncation(
+        lambda n_max: parity_chains(HilbertConfig(n_max), params, "jc"), k_levels=6)
     assert sol.converged_levels >= 6
     expected = sorted([n - 0.3 for n in range(4)] + [n + 0.3 for n in range(4)])[:6]
     assert np.abs(sol.eigenvalues[:6] - np.array(expected)).max() < 1e-12
@@ -63,33 +59,25 @@ def test_certify_truncation_on_decoupled_model():
 
 def test_certify_truncation_gives_up_at_the_cap():
     # a builder whose lowest eigenvalue keeps drifting with the cutoff
-    builder = lambda n_max: np.diag([-float(n_max)]).astype(complex)
-    with pytest.raises(NoConvergence):
-        certify_truncation(builder, k_levels=1, cap_n_max=64)
+    builder = lambda n: ParityChains(n, np.full((2, n + 1), -float(n)), np.zeros((2, n)))
+    with pytest.raises(NoConvergence, match="n_max=2048"):
+        certify_truncation(builder, k_levels=1)
     with pytest.raises(ValueError):
         certify_truncation(builder, k_levels=0)
 
 
-def test_eigenvalues_gate_dense_input():
-    with pytest.raises(NotHermitian):
-        eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
-@pytest.mark.parametrize("chain, dense, k_levels", [
-    (lambda n: parity_chains(HilbertConfig(n), ModelParams(omega=0.5, lam=0.8), "jc"),
-     lambda n: build_hamiltonian(HilbertConfig(n), ModelParams(omega=0.5, lam=0.8), "jc"),
-     8),
-    (lambda n: far_chains(HilbertConfig(n), far_from_alphas(0.01, 1.0, 2.8), 1e-11),
-     lambda n: far_hamiltonian(HilbertConfig(n), far_from_alphas(0.01, 1.0, 2.8), 1e-11),
-     11),
+@pytest.mark.parametrize("chain, k_levels", [
+    (lambda n: parity_chains(HilbertConfig(n), ModelParams(omega=0.5, lam=0.8), "jc"), 8),
+    (lambda n: far_chains(HilbertConfig(n), far_from_alphas(0.01, 1.0, 2.8)), 11),
 ], ids=["jc", "far"])
-def test_chain_and_dense_builders_certify_alike(chain, dense, k_levels):
+def test_chain_and_dense_builders_certify_alike(chain, k_levels):
     a = certify_truncation(chain, k_levels=k_levels)
-    b = certify_truncation(dense, k_levels=k_levels)
-    assert a.n_max_used == b.n_max_used > 32
-    assert a.converged_levels == b.converged_levels >= k_levels
-    assert a.eigenvectors is None and b.eigenvectors is None
-    assert np.abs(a.eigenvalues - b.eigenvalues).max() < 1e-11
+    assert a.n_max_used > 32
+    assert a.converged_levels >= k_levels
+    assert a.eigenvectors is None
+    # the dense reference at the certifying cutoff
+    dense = diagonalize(chain(a.n_max_used).dense())
+    assert np.abs(a.eigenvalues - dense.eigenvalues).max() < 1e-11
     pinned = certify_cutoff(chain, a.n_max_used)
     assert pinned.n_max_used == a.n_max_used
     assert pinned.converged_levels >= k_levels
