@@ -17,18 +17,17 @@ print(f"composite space: 2 x {cfg.n_max + 1} = {cfg.dim} states")
 
 # The rotating charge annihilates a photon while exciting the spin; applying
 # it twice is structurally zero because sigma_+^2 = 0.
-q_plus = exchange_op(cfg, "Q", "plus").dense()
-print("Q+^2 max entry:", np.abs(q_plus @ q_plus).max())
+q_plus = exchange_op(cfg, "Q", "plus")
+print("Q+^2 max entry:", (q_plus @ q_plus).masked_max())
 
 # The anticommutator {Q+, Q-} closes on the rotating excitation counter, but
 # only away from the truncation edge: the last Fock level has no partner to
 # exchange with, so the defect lives entirely on the edge rows.
-q_minus = exchange_op(cfg, "Q", "minus").dense()
-n_plus = excitation_number(cfg, "plus").dense()
+q_minus = exchange_op(cfg, "Q", "minus")
+n_plus = excitation_number(cfg, "plus")
 defect = anticommutator(q_plus, q_minus) - n_plus
-mask = interior_mask(cfg, margin=1)
-print("full-space defect:", np.abs(defect).max())
-print("interior defect:  ", np.abs(defect[np.ix_(mask, mask)]).max())
+print("full-space defect:", defect.masked_max())
+print("interior defect:  ", defect.masked_max(interior_mask(cfg, margin=1)))
 
 # The full report covers the charge algebra, the su(1,1) sector, and the
 # deformed su(2) block structure. Identities in BITWISE_ZERO come out as

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import DimensionMismatch
 from .hilbert import BandedOp, HilbertConfig
 
 __all__ = [
@@ -75,20 +74,13 @@ class IdentityReport:
         return self.residual < tol * max(1.0, self.scale)
 
 
-def _check_square(a, b) -> None:
-    if a.shape != b.shape or len(a.shape) != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-
-
-def commutator(a, b):
-    """a b - b a, for two ndarrays or two BandedOps of the same shape."""
-    _check_square(a, b)
+def commutator(a: BandedOp, b: BandedOp) -> BandedOp:
+    """a b - b a (DimensionMismatch unless a and b have the same shape)."""
     return a @ b - b @ a
 
 
-def anticommutator(a, b):
-    """a b + b a, for two ndarrays or two BandedOps of the same shape."""
-    _check_square(a, b)
+def anticommutator(a: BandedOp, b: BandedOp) -> BandedOp:
+    """a b + b a (DimensionMismatch unless a and b have the same shape)."""
     return a @ b + b @ a
 
 

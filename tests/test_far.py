@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susyjc.errors import (DegenerateCouplings, FactorizationMismatch,
-                           NotConverged)
+                           NoConvergence, NotConverged)
 from susyjc.far import (FarParams, constraint_check, far_chains,
                         far_from_alphas, far_spectrum_shape)
 from susyjc.hilbert import (HilbertConfig, ModelParams, exchange_op,
@@ -118,6 +118,36 @@ def test_far_chains_match_the_dense_anticommutator(a0, aq, ar, n_max):
     assert np.array_equal(h, h.conj().T)
     evals = eigenvalues(far_chains(cfg, fp))
     assert np.abs(evals - np.linalg.eigh(ref)[0]).max() < 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(aq=st.builds(lambda m, p: m * cmath.exp(1j * p),
+                    st.floats(0.01, 2.0), st.floats(-math.pi, math.pi)),
+       ar=st.builds(lambda m, p: m * cmath.exp(1j * p),
+                    st.floats(0.01, 2.0), st.floats(-math.pi, math.pi)),
+       k_levels=st.integers(1, 11))
+def test_alpha0_zero_spectrum_is_pinned(aq, ar, k_levels):
+    # at alpha0 = 0 both chains are diagonal, and every certified level is
+    # one of (|aQ|^2 (n+1) + |aR|^2 n)/2 for (e, n) and
+    # (|aQ|^2 n + |aR|^2 (n+1))/2 for (g, n), exactly. The one other
+    # outcome is NoConvergence: the truncation-edge levels |aQ|^2 n_max/2
+    # and |aR|^2 n_max/2 move with the cutoff, and for |aQ| << |aR| the
+    # first stays among the lowest k_levels up to the cap.
+    try:
+        fp = far_from_alphas(0.0, aq, ar)
+    except DegenerateCouplings:
+        assume(False)
+    try:
+        sol = certify_truncation(lambda n: far_chains(HilbertConfig(n), fp),
+                                 k_levels=k_levels)
+    except NoConvergence:
+        return
+    aq2, ar2 = abs(fp.alpha_q) ** 2, abs(fp.alpha_r) ** 2
+    n = np.arange(sol.n_max_used + 1.0)
+    exact = np.sort(np.concatenate([0.5 * (aq2 * (n + 1) + ar2 * n),
+                                    0.5 * (aq2 * n + ar2 * (n + 1))]))
+    k = sol.converged_levels
+    assert np.array_equal(sol.eigenvalues[:k], exact[:k])
 
 
 def test_pure_rotating_limit_is_a_shifted_resonant_jc():
