@@ -1,10 +1,11 @@
 """Command-line surface: spectrum sweeps, crossing tables, Wigner grids,
 algebra verification, and factorizable-model reports, as CSV or JSON.
 
-Each subcommand builds one table of row dicts, and one emitter writes it as
-CSV or JSON. Output is byte-reproducible: floats are printed via repr
-(shortest round-trip), sweep points are evaluated one after another in sweep
-order, files are UTF-8 with LF endings.
+Each subcommand builds one table of named columns, and one emitter renders
+it as CSV or JSON, two renderings of the same table. Output is
+byte-reproducible: floats are printed via repr (shortest round-trip), sweep
+points are evaluated one after another in sweep order, files are UTF-8 with
+LF endings.
 
 Exit codes: 0 ok, 2 usage or parameter error (including a non-finite number,
 a config value its flag would not accept, a number outside BOUNDS, or
@@ -62,17 +63,6 @@ BOUNDS = {"levels": (1, False, None), "n_max": (2, False, CAP_N_MAX),
           **{dest: (0.0, True, None) for dest in
              ("conv_tol", "xtol", "min_gap", "window", "tol", "shape_tol")}}
 
-# CSV header of each row table: the keys of its JSON row dicts, in order
-COLUMNS = {
-    "spectrum": ("sweep_value", "level_index", "energy", "label_branch",
-                 "label_N", "closed_form_energy", "residual"),
-    "crossings": ("branch", "M", "N", "lambda_closed", "lambda_numeric",
-                  "residual"),
-    "wigner": ("re_alpha", "im_alpha", "w"),
-    "verify": ("identity", "projector", "truncation_sensitive", "residual",
-               "passed"),
-}
-
 
 class UsageError(Exception):
     pass
@@ -82,66 +72,23 @@ class UsageError(Exception):
 # formatting and output plumbing
 
 
-def _refuse_non_finite(value) -> None:
-    raise UsageError(f"a result is {float(value)!r} in the requested units; "
-                     "the parameters are too large or --omega0 too small")
-
-
 def _cell(value) -> str:
-    """CSV text of a table value: None is empty, bools are true/false, floats
-    are their shortest round-trip decimal (refused unless finite)."""
+    """CSV text of a table value: None is empty, bools are true/false, and
+    the str of a Python float is its shortest round-trip repr."""
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            _refuse_non_finite(value)
-        return repr(float(value))
     return str(value)
 
 
-def _csv(header, rows) -> str:
-    # minimal quoting keeps numeric fields bare while making fields that
-    # contain commas (identity names) round-trip through csv readers
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        if not math.isfinite(obj):
-            _refuse_non_finite(obj)
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
-def _json(payload: dict) -> str:
-    return json.dumps(_jsonify(payload), sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
-
-
 def _fields(payload: dict):
-    """(field, cell) pairs of a nested payload in insertion order; lists are
-    joined with ';'."""
+    """(field, value) pairs of a nested payload in insertion order."""
     for key, value in payload.items():
         if isinstance(value, dict):
             yield from _fields(value)
-        elif isinstance(value, list):
-            yield key, ";".join(_cell(v) for v in value)
         else:
-            yield key, _cell(value)
+            yield key, value
 
 
 def _write_text(path, text: str) -> None:
@@ -157,20 +104,42 @@ def _write_text(path, text: str) -> None:
             raise UsageError(f"cannot write output file: {exc}")
 
 
-def _emit(merged: dict, payload: dict) -> None:
-    """Write one table as JSON, or as CSV under the `_cell` rules: the rows
-    under their kind's COLUMNS, or for far the payload without its kind,
-    flattened into a field,value table. A non-finite float refuses the whole
-    table before anything is written."""
+def _emit(merged: dict, header: dict, columns: dict | None = None) -> None:
+    """Write one table, its header scalars and its named columns of Python
+    scalars, as JSON (the header plus the rows zipped from the columns) or
+    as CSV (the columns under their names). far has no columns: its CSV is
+    the header without its kind, flattened into a field,value table with
+    lists joined by ';'. A non-finite float refuses the whole table before
+    anything is written."""
+    fields = list(_fields(header))
+    columns = columns or {}
+    floats = [v for col in ([v for _, v in fields], *columns.values())
+              for v in col if isinstance(v, float)]
+    bad = np.flatnonzero(~np.isfinite(floats))
+    if bad.size:
+        raise UsageError(f"a result is {floats[bad[0]]!r} in the requested "
+                         "units; the parameters are too large or --omega0 "
+                         "too small")
     if merged["format"] == "json":
-        text = _json(payload)
-    elif payload["kind"] == "far":
-        text = _csv(("field", "value"),
-                    _fields({k: v for k, v in payload.items() if k != "kind"}))
+        if columns:
+            header = {**header, "rows": [dict(zip(columns, row))
+                                         for row in zip(*columns.values())]}
+        text = json.dumps(header, sort_keys=True, indent=2,
+                          ensure_ascii=False) + "\n"
     else:
-        columns = COLUMNS[payload["kind"]]
-        text = _csv(columns, ([_cell(row[c]) for c in columns]
-                              for row in payload["rows"]))
+        if columns:
+            rows = zip(*(map(_cell, col) for col in columns.values()))
+        else:
+            columns = ("field", "value")
+            rows = ((k, ";".join(map(_cell, v)) if isinstance(v, list)
+                     else _cell(v)) for k, v in fields if k != "kind")
+        # minimal quoting keeps numeric fields bare while making fields that
+        # contain commas (identity names) round-trip through csv readers
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        text = buf.getvalue()
     _write_text(merged.get("output"), text)
 
 
@@ -441,35 +410,36 @@ def cmd_spectrum(merged: dict) -> int:
     sweep, _ = _sweep_values(merged, model)
     unit, units_name = _energy_unit(merged, model)
 
-    rows = []
+    xs, ks, energies, closed = [], [], [], []
     for x in sweep:
         try:
             builder = _builder(merged, model, x)
         except DegenerateCouplings as exc:
             print(f"susyjc: skipping sweep point {x!r}: {exc}", file=sys.stderr)
             continue
-        energies = _solve(builder, merged, levels)[:levels]
-        closed = None
-        if model in ("jc", "ajc"):
-            closed = lowest_closed_levels(_point_params(merged, model, x),
-                                          len(energies), model)
-        for k, energy in enumerate(energies):
-            row = {"sweep_value": x / unit, "level_index": k,
-                   "energy": float(energy) / unit, "label_branch": None,
-                   "label_N": None, "closed_form_energy": None,
-                   "residual": None}
-            if closed is not None:
-                e_closed, label = closed[k]
-                row.update(label_branch=label.branch,
-                           label_N=int(label.n_total),
-                           closed_form_energy=e_closed / unit,
-                           residual=abs(float(energy) - e_closed) / unit)
-            rows.append(row)
+        found = _solve(builder, merged, levels)[:levels].tolist()
+        xs += [x] * len(found)
+        ks += range(len(found))
+        energies += found
+        closed += (lowest_closed_levels(_point_params(merged, model, x),
+                                        len(found), model)
+                   if model in ("jc", "ajc") else [(None, None)] * len(found))
 
+    labels = [label for _, label in closed]
     _emit(merged, {"kind": "spectrum", "model": model,
                    "sweep_parameter": SWEEP_FLAG[model], "units": units_name,
-                   "levels": levels, "n_max": merged.get("n_max"),
-                   "rows": rows})
+                   "levels": levels, "n_max": merged.get("n_max")},
+          {"sweep_value": [x / unit for x in xs],
+           "level_index": ks,
+           "energy": [e / unit for e in energies],
+           "label_branch": [None if lab is None else lab.branch
+                            for lab in labels],
+           "label_N": [None if lab is None else int(lab.n_total)
+                       for lab in labels],
+           "closed_form_energy": [None if c is None else c / unit
+                                  for c, _ in closed],
+           "residual": [None if c is None else abs(e - c) / unit
+                        for e, (c, _) in zip(energies, closed)]})
     return 0
 
 
@@ -494,24 +464,24 @@ def cmd_crossings(merged: dict) -> int:
                              xtol=float(merged["xtol"]),
                              label_model=model if model in ("jc", "ajc") else None)
 
-    rows = []
-    for rec in records:
-        closed = None
-        if model in ("jc", "ajc") and rec.right is not None and rec.right.n_total >= 1:
-            closed = ground_state_critical(rec.right.n_total,
-                                           _point_params(merged, model, rec.coupling))
-        rows.append({
-            "branch": rec.right.branch if rec.right is not None else None,
-            "M": rec.left.n_total if rec.left is not None else None,
-            "N": rec.right.n_total if rec.right is not None else None,
-            "lambda_closed": closed / unit if closed is not None else None,
-            "lambda_numeric": rec.coupling / unit,
-            "residual": (abs(closed - rec.coupling) / unit
-                         if closed is not None else None)})
+    couplings = [float(rec.coupling) for rec in records]
+    closed = [ground_state_critical(rec.right.n_total,
+                                    _point_params(merged, model, x))
+              if model in ("jc", "ajc") and rec.right is not None
+              and rec.right.n_total >= 1 else None
+              for rec, x in zip(records, couplings)]
+    lefts = [rec.left for rec in records]
+    rights = [rec.right for rec in records]
 
     _emit(merged, {"kind": "crossings", "model": model, "units": units_name,
-                   "grid_points": max(3, points), "n_max": n_max,
-                   "rows": rows})
+                   "grid_points": max(3, points), "n_max": n_max},
+          {"branch": [None if lab is None else lab.branch for lab in rights],
+           "M": [None if lab is None else lab.n_total for lab in lefts],
+           "N": [None if lab is None else lab.n_total for lab in rights],
+           "lambda_closed": [None if c is None else c / unit for c in closed],
+           "lambda_numeric": [x / unit for x in couplings],
+           "residual": [None if c is None else abs(c - x) / unit
+                        for c, x in zip(closed, couplings)]})
     return 0
 
 
@@ -535,6 +505,11 @@ def cmd_wigner(merged: dict) -> int:
     points = int(merged["points"])
 
     if merged["source"] == "closed":
+        # the Laguerre recurrence runs N steps; the numeric source is bounded
+        # by its cutoff, which must hold the level and is at most CAP_N_MAX
+        if label.n_total > CAP_N_MAX:
+            raise UsageError(f"--label N must be at most {CAP_N_MAX}, "
+                             f"got {label.n_total}")
         evaluator = closed_evaluator(label, params)
     else:
         if merged.get("n_max") is not None:
@@ -551,30 +526,31 @@ def cmd_wigner(merged: dict) -> int:
         evaluator = numeric_evaluator(rho)
 
     grid = wigner_grid(evaluator, window=window, points=points)
-    rows = [{"re_alpha": re_a, "im_alpha": im_a, "w": w}
-            for re_a, w_row in zip(grid.re_alpha.tolist(), grid.values.tolist())
-            for im_a, w in zip(grid.im_alpha.tolist(), w_row)]
-
     _emit(merged, {"kind": "wigner", "model": model,
                    "label": f"{label.branch}:{label.n_total}",
                    "source": merged["source"], "window": window,
                    "points": points,
-                   "normalization_integral": float(grid.normalization_integral),
-                   "rows": rows})
+                   "normalization_integral": float(grid.normalization_integral)},
+          {"re_alpha": np.repeat(grid.re_alpha, points).tolist(),
+           "im_alpha": np.tile(grid.im_alpha, points).tolist(),
+           "w": grid.values.ravel().tolist()})
     return 0
 
 
 def cmd_verify(merged: dict) -> int:
     n_max = int(merged["n_max"])
     tol = float(merged["tol"])
-    rows = [{"identity": rep.identity_name, "projector": rep.projector,
-             "truncation_sensitive": bool(rep.truncation_sensitive),
-             "residual": float(rep.residual), "passed": rep.passes(tol)}
-            for rep in run_all_checks(HilbertConfig(n_max))]
-    all_pass = all(row["passed"] for row in rows)
+    reports = run_all_checks(HilbertConfig(n_max))
+    passed = [bool(rep.passes(tol)) for rep in reports]
     _emit(merged, {"kind": "verify", "n_max": n_max, "tolerance": tol,
-                   "all_pass": all_pass, "rows": rows})
-    return 0 if all_pass else 4
+                   "all_pass": all(passed)},
+          {"identity": [rep.identity_name for rep in reports],
+           "projector": [rep.projector for rep in reports],
+           "truncation_sensitive": [bool(rep.truncation_sensitive)
+                                    for rep in reports],
+           "residual": [float(rep.residual) for rep in reports],
+           "passed": passed})
+    return 0 if all(passed) else 4
 
 
 def cmd_far(merged: dict) -> int:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,6 @@ SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "susyjc" / "schemas"
 
 
 def run_cli(*args, env_extra=None):
-    import os
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -225,24 +225,55 @@ def test_verify_tolerance_scales_with_the_entries(capsysbinary):
     assert max(row["residual"] for row in rows) > 1e-12
 
 
-# sha256 of `verify` stdout as printed by the dense-matrix implementation
-# that the banded checks replaced; residuals must keep every bit
-VERIFY_SHA256 = {
-    (16, "csv"): "e245b52a4b82360c9e636872bb09cda96fd5b1a504fa8290d50756a8da43f7c7",
-    (16, "json"): "f828f55145a43c6469bc08b6b30c908ece041fa8d0edde3185b7962f999af69f",
-    (64, "csv"): "4cb691733a6614b531cdb6b0bed72b4ef2834a2b86fd0a0484f9f0c029c54f71",
-    (64, "json"): "9b6758d8900a68b69384ad1c216effdf70b1ed24bdaeca3f916e60d7336b19ea",
-    (256, "csv"): "7b86103bcfe8373547f09c435ed7ad1c257c0a162056e9176abe2ab3dbbf9725",
-    (256, "json"): "c3016079b9d46f64afbc410b1c568c6ed40dfdfdcd7fb7633c41565ce9d62180",
+# sha256 of stdout at pinned inputs, keyed by case id (the verify ids are
+# n_max-format). The verify digests are those of the dense-matrix
+# implementation that the banded checks replaced (residuals must keep every
+# bit); the others were printed by the row-dict emitter that the column
+# tables replaced
+WIGNER = "wigner --label minus:1 --lambda 1.0 --window 2 --points 21"
+AR = "spectrum --model ar --lambda 0.3 --mu 0.1 --levels 3 --n-max 20"
+CROSSINGS = "crossings --model jc --lambda 0.5:1.5:16 --n-max 40"
+FAR = "far --alpha0 0.01 --alphaQ 1.0 --alphaR 0.5 --n-max 60"
+BYTE_PINS = {
+    "16-csv": ("verify --n-max 16 --format csv",
+               "e245b52a4b82360c9e636872bb09cda96fd5b1a504fa8290d50756a8da43f7c7"),
+    "16-json": ("verify --n-max 16 --format json",
+                "f828f55145a43c6469bc08b6b30c908ece041fa8d0edde3185b7962f999af69f"),
+    "64-csv": ("verify --n-max 64 --format csv",
+               "4cb691733a6614b531cdb6b0bed72b4ef2834a2b86fd0a0484f9f0c029c54f71"),
+    "64-json": ("verify --n-max 64 --format json",
+                "9b6758d8900a68b69384ad1c216effdf70b1ed24bdaeca3f916e60d7336b19ea"),
+    "256-csv": ("verify --n-max 256 --format csv",
+                "7b86103bcfe8373547f09c435ed7ad1c257c0a162056e9176abe2ab3dbbf9725"),
+    "256-json": ("verify --n-max 256 --format json",
+                 "c3016079b9d46f64afbc410b1c568c6ed40dfdfdcd7fb7633c41565ce9d62180"),
+    "wigner-closed-csv": (WIGNER + " --format csv",
+                          "ca029e8ed6564d49768d83dfd07afd8d900a4e5d6d1d55c8157e0234d3c7f270"),
+    "wigner-closed-json": (WIGNER + " --format json",
+                           "21b90a2b212a930d6fe5da19f10bccbdcf5aa1c2fdbc0b5c6756139423e5f1cf"),
+    # empty label and closed-form cells
+    "spectrum-ar-csv": (AR + " --format csv",
+                        "e244997615123317f228a130736cd65712bb96033088c1a61e460ba648cfc81e"),
+    "spectrum-ar-json": (AR + " --format json",
+                         "cd3f68c7d07db0567c3b22c51a6731559b3101e499ae71820de12ce6f234772d"),
+    "crossings-jc-csv": (CROSSINGS + " --format csv",
+                         "8537b6758e104a70fa027d1616a39dd060f2e9e86ba992c15ec43d36ded4b3ee"),
+    "crossings-jc-json": (CROSSINGS + " --format json",
+                          "7adeb6a79f4dd1d3fc6a7f53eb7878ce470c52fa4cbf612c5557c3313a0d8cf4"),
+    "far-csv": (FAR + " --format csv",
+                "2b1fb0aa5add5a28b89ed82d93697edbc1802ea5dc45f85e745ce5d58618099f"),
+    "far-json": (FAR + " --format json",
+                 "7f20e80994bbf3f28e28354304ef421faa92247a64aab5241f5eba8ca86b8fcf"),
 }
 
 
-@pytest.mark.parametrize("n_max,fmt", sorted(VERIFY_SHA256))
-def test_verify_bytes_are_pinned(n_max, fmt, capsysbinary):
+@pytest.mark.parametrize("case", sorted(BYTE_PINS))
+def test_verify_bytes_are_pinned(case, capsysbinary):
+    # every case, not only the verify subcommand, prints its pinned bytes
     from susyjc import cli
-    assert cli.main(["verify", "--n-max", str(n_max), "--format", fmt]) == 0
-    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
-    assert digest == VERIFY_SHA256[n_max, fmt]
+    args, digest = BYTE_PINS[case]
+    assert cli.main(args.split()) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
 
 
 def test_verify_at_the_cutoff_cap_stays_small(capsysbinary):
@@ -319,7 +350,9 @@ def test_unknown_config_key_rejected(tmp_path):
 # allocations sized from the input; then parameters whose chain entries,
 # far coefficients, closed levels or Wigner values overflow, a
 # ground-state hop that no positive coupling makes (omega < 0), a result
-# that overflows in --units omega0, and an output file that cannot be written
+# that overflows in --units omega0 (refused by the emitter, in either format
+# and before an --output file is created), and an output file that cannot
+# be written
 REFUSED = [
     ["spectrum", "--model", "jc", "--lambda", "0.5", "--omega", "nan",
      "--n-max", "20"],
@@ -367,6 +400,14 @@ REFUSED = [
     ["wigner", "--label", "minus:1", "--lambda", "1e308"],
     ["spectrum", "--model", "ar", "--lambda", "1", "--mu", "0.3", "--omega0",
      "1e-320", "--n-max", "8", "--format", "json"],
+    ["spectrum", "--model", "ar", "--lambda", "1", "--mu", "0.3", "--omega0",
+     "1e-320", "--n-max", "8", "--format", "csv"],
+    ["spectrum", "--model", "jc", "--lambda", "1", "--omega0", "1e-320"],
+    ["spectrum", "--model", "jc", "--lambda", "1", "--omega0", "1e-320",
+     "--format", "json"],
+    ["spectrum", "--model", "jc", "--lambda", "1", "--omega0", "1e-320",
+     "--output", "{out_file}"],
+    ["wigner", "--label", "plus:100000000", "--lambda", "1", "--points", "16"],
     ["verify", "--n-max", "4", "--output", "{missing_dir}"],
     ["verify", "--n-max", "4", "--output", "{tmp_dir}"],
 ]
@@ -403,8 +444,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     from susyjc import cli
     cfg = tmp_path / "run.json"
     cfg.write_text('{"model": "jc", "lambda": 0.5, "omega0": NaN}')
+    out_file = tmp_path / "out.csv"
     paths = {"{cfg}": str(cfg), "{tmp_dir}": str(tmp_path),
-             "{missing_dir}": str(tmp_path / "missing" / "x.csv")}
+             "{missing_dir}": str(tmp_path / "missing" / "x.csv"),
+             "{out_file}": str(out_file)}
     for name, content in BAD_CONFIGS.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(content))
@@ -418,6 +461,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         if "far" in argv and "1e308" in argv:
             # an overflowing far coefficient is named in the message
             assert "alpha0, alphaQ or alphaR" in err, err
+        if "1e-320" in argv:
+            # the value is named as a Python float, not a numpy repr
+            assert err.startswith("susyjc: error: a result is inf in the "
+                                  "requested units;"), err
+    assert not out_file.exists()
 
 
 # extreme finite values, each put through every template below
@@ -443,6 +491,16 @@ EXTREME_TEMPLATES = [
     "far --alpha0={v} --alphaQ 1 --alphaR 2 --n-max 8",
     "far --alpha0 0.1 --alphaQ={v} --alphaR 2 --n-max 8",
 ]
+
+
+def test_closed_wigner_label_is_capped(capsys):
+    # the closed form runs the Laguerre recurrence N times
+    from susyjc import cli
+    base = ["wigner", "--lambda", "1", "--points", "16", "--output", os.devnull]
+    assert cli.main(base + ["--label", "plus:2048"]) == 0
+    assert cli.main(base + ["--label", "plus:2049"]) == 2
+    assert capsys.readouterr().err == ("susyjc: error: --label N must be at "
+                                       "most 2048, got 2049\n")
 
 
 def test_extreme_values_exit_with_a_documented_code(capsys):
