@@ -9,10 +9,9 @@ point: two independent pipelines, one answer.
 
 import numpy as np
 
-from susyjc import (DressedLabel, HilbertConfig, ModelParams, closed_evaluator,
-                    dressed_state, numeric_evaluator, reduced_density,
-                    von_neumann_entropy, wigner_closed_jc, wigner_grid,
-                    wigner_numeric)
+from susyjc import (DressedLabel, HilbertConfig, ModelParams, dressed_state,
+                    numeric_evaluator, reduced_density, von_neumann_entropy,
+                    wigner_closed_jc, wigner_grid)
 
 params = ModelParams(omega=1.0, omega0=1.0, lam=0.6)
 label = DressedLabel("minus", 2)
@@ -23,11 +22,12 @@ print(f"dressed state ({label.branch},{label.n_total}), resonance:")
 print("  boson density matrix support:",
       [int(n) for n in np.flatnonzero(np.abs(np.diag(rho)) > 1e-12)])
 
+numeric = numeric_evaluator(rho)
 probe = [0.0, 0.3 + 0.4j, -1.2j, 2.0]
 print("\n  alpha          closed            numeric           |diff|")
 for alpha in probe:
     wc = wigner_closed_jc(label, params, alpha)
-    wn = wigner_numeric(rho, alpha)
+    wn = numeric(alpha)
     print(f"  {alpha!s:<12}  {wc:+.12f}   {wn:+.12f}   {abs(wc - wn):.1e}")
 
 # At phase-space zero every odd Fock component contributes -2/pi and every
@@ -39,12 +39,16 @@ for branch in ("minus", "plus"):
 
 # Integrating a sampled grid recovers unit norm, a global sanity check on
 # the closed form and on the quadrature window.
-grid = wigner_grid(closed_evaluator(label, params), window=4.5, points=161)
+def closed(alpha):
+    return wigner_closed_jc(label, params, alpha)
+
+
+grid = wigner_grid(closed, window=4.5, points=161)
 print(f"\ngrid normalization over |Re|,|Im| <= 4.5:"
       f" {grid.normalization_integral:.9f}")
 
-num = wigner_grid(numeric_evaluator(rho), window=2.0, points=41)
-ref = wigner_grid(closed_evaluator(label, params), window=2.0, points=41)
+num = wigner_grid(numeric, window=2.0, points=41)
+ref = wigner_grid(closed, window=2.0, points=41)
 print("closed vs numeric on a 41x41 grid, max |diff|:",
       np.abs(num.values - ref.values).max())
 
@@ -54,4 +58,4 @@ rho_f = reduced_density(label, params, "fermion")
 s = von_neumann_entropy(rho_f)
 print(f"\nspin entropy: {s:.12f}   (ln 2 = {np.log(2.0):.12f})")
 state = dressed_state(label, params, cfg=cfg)
-print("dressed-state norm:", np.linalg.norm(state.amplitudes))
+print("dressed-state norm:", np.linalg.norm(state))

@@ -17,21 +17,20 @@ from .anisotropic import (JCApproximation, SqueezedFrame, approx_spectrum,
 from .errors import (DegenerateAngle, DegenerateCouplings, DimensionMismatch,
                      EqualCouplings, FactorizationMismatch, InvalidLabel,
                      InvalidN, IsotropicSingularLimit, NoConvergence,
-                     NotConverged, NotHermitian, SupportExceeded,
-                     SusyJCError, TruncationTooSmall)
+                     NotHermitian, SupportExceeded, SusyJCError,
+                     TruncationTooSmall)
 from .far import (FarParams, SpectrumShape, constraint_check, far_chains,
                   far_from_alphas, far_spectrum_shape)
 from .hilbert import (HilbertConfig, ModelParams, ParityChains, boson_op,
                       exchange_op, excitation_number, jc_to_ajc_rotation,
                       parity_chains, parity_op, spin_op, su11_generator)
-from .jc import (CrossingRecord, DressedLabel, DressedState, coupling_for,
-                 crossing_pair, dressed_energy, dressed_state,
-                 ground_state_critical, lowest_closed_levels, mixing_angle,
-                 rabi_frequency, reduced_density, von_neumann_entropy)
+from .jc import (CrossingRecord, DressedLabel, coupling_for, crossing_pair,
+                 dressed_energy, dressed_state, ground_state_critical,
+                 lowest_closed_levels, mixing_angle, rabi_frequency,
+                 reduced_density, von_neumann_entropy)
 from .oracle import (EigenSolution, certify_cutoff, certify_truncation,
                      diagonalize, eigenvalues, find_crossings)
-from .wigner import (WignerGrid, closed_evaluator, displacement_op,
-                     laguerre_pair, numeric_evaluator, wigner_closed_jc,
-                     wigner_grid, wigner_numeric)
+from .wigner import (WignerGrid, laguerre_pair, numeric_evaluator,
+                     wigner_closed_jc, wigner_grid)
 
 __version__ = "0.1.0"

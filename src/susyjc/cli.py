@@ -11,9 +11,10 @@ Exit codes: 0 ok, 2 usage or parameter error (including a non-finite number,
 a config value its flag would not accept, a number outside BOUNDS, or
 sweep points above MAX_POINTS, all refused before any work, parameters
 that overflow, a result that is not finite in the requested units, and an
-output file that cannot be written), 3 truncation did not converge, 4
-internal consistency failure (non-Hermitian build, factorization mismatch,
-phase-space support overflow, failed verification).
+output file that cannot be written), 3 truncation did not converge
+(including a pinned cutoff that certifies fewer than the 3 levels far
+needs), 4 internal consistency failure (factorization mismatch, phase-space
+support overflow, failed verification). errors.py sets each error's code.
 """
 
 from __future__ import annotations
@@ -28,17 +29,14 @@ import sys
 import numpy as np
 
 from .algebra import run_all_checks
-from .errors import (DegenerateAngle, DegenerateCouplings, EqualCouplings,
-                     FactorizationMismatch, InvalidLabel, InvalidN,
-                     IsotropicSingularLimit, NoConvergence, NotConverged,
-                     NotHermitian, SupportExceeded, TruncationTooSmall)
+from .errors import DegenerateCouplings, SusyJCError
 from .far import constraint_check, far_chains, far_from_alphas, far_spectrum_shape
 from .hilbert import HilbertConfig, ModelParams, parity_chains
 from .jc import (DressedLabel, ground_state_critical, lowest_closed_levels,
                  reduced_density)
 from .oracle import (CAP_N_MAX, certify_cutoff, certify_truncation, eigenvalues,
                      find_crossings)
-from .wigner import closed_evaluator, numeric_evaluator, wigner_grid
+from .wigner import numeric_evaluator, wigner_closed_jc, wigner_grid
 
 __all__ = ["main"]
 
@@ -62,6 +60,11 @@ BOUNDS = {"levels": (1, False, None), "n_max": (2, False, CAP_N_MAX),
           "points": (16, False, MAX_POINTS),
           **{dest: (0.0, True, None) for dest in
              ("conv_tol", "xtol", "min_gap", "window", "tol", "shape_tol")}}
+
+
+# stderr prefix of each exit code a library error can carry
+ERROR_PREFIX = {2: "parameter error", 3: "convergence failure",
+                4: "consistency failure"}
 
 
 class UsageError(Exception):
@@ -510,7 +513,7 @@ def cmd_wigner(merged: dict) -> int:
         if label.n_total > CAP_N_MAX:
             raise UsageError(f"--label N must be at most {CAP_N_MAX}, "
                              f"got {label.n_total}")
-        evaluator = closed_evaluator(label, params)
+        evaluator = lambda alpha: wigner_closed_jc(label, params, alpha)
     else:
         if merged.get("n_max") is not None:
             n_max = int(merged["n_max"])
@@ -604,17 +607,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"susyjc: error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidLabel, InvalidN, DegenerateAngle, DegenerateCouplings,
-            EqualCouplings, IsotropicSingularLimit, TruncationTooSmall,
-            ValueError, OverflowError) as exc:
-        print(f"susyjc: parameter error: {exc}", file=sys.stderr)
-        return 2
-    except (NoConvergence, NotConverged) as exc:
-        print(f"susyjc: convergence failure: {exc}", file=sys.stderr)
-        return 3
-    except (FactorizationMismatch, NotHermitian, SupportExceeded) as exc:
-        print(f"susyjc: consistency failure: {exc}", file=sys.stderr)
-        return 4
+    except (SusyJCError, ValueError, OverflowError) as exc:
+        code = getattr(exc, "exit_code", 2)
+        print(f"susyjc: {ERROR_PREFIX[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with the CLI exit code
+it ends a run with: 2 (the default) for a parameter the models cannot take,
+3 for a truncation that did not converge, 4 for a consistency failure."""
+
+__all__ = ["SusyJCError", "EqualCouplings", "DimensionMismatch", "InvalidN",
+           "DegenerateAngle", "InvalidLabel", "TruncationTooSmall",
+           "IsotropicSingularLimit", "DegenerateCouplings",
+           "FactorizationMismatch", "NotHermitian", "NoConvergence",
+           "SupportExceeded"]
 
 
 class SusyJCError(Exception):
     """Base class for all library-specific errors."""
+    exit_code = 2
 
 
 class EqualCouplings(SusyJCError):
@@ -11,6 +20,7 @@ class EqualCouplings(SusyJCError):
 
 class DimensionMismatch(SusyJCError):
     """Operands act on spaces of different dimension."""
+    exit_code = 4
 
 
 class InvalidN(SusyJCError):
@@ -39,19 +49,19 @@ class DegenerateCouplings(SusyJCError):
 
 class FactorizationMismatch(SusyJCError):
     """Factorized and explicit Hamiltonian forms disagree beyond tolerance."""
-
-
-class NotConverged(SusyJCError):
-    """Eigen-solution lacks a truncation-convergence certificate."""
+    exit_code = 4
 
 
 class NotHermitian(SusyJCError):
     """Matrix handed to the eigensolver is not Hermitian within tolerance."""
+    exit_code = 4
 
 
 class NoConvergence(SusyJCError):
-    """Truncation doubling hit the cap before eigenvalues stabilized."""
+    """Too few eigenvalues certified stable under truncation doubling."""
+    exit_code = 3
 
 
 class SupportExceeded(SusyJCError):
     """Displaced state leaks past the Fock cutoff beyond tolerance."""
+    exit_code = 4

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCouplings, FactorizationMismatch, NotConverged
+from .errors import DegenerateCouplings, FactorizationMismatch, NoConvergence
 from .hilbert import HilbertConfig, ParityChains
 from .oracle import EigenSolution
 
@@ -195,9 +195,8 @@ def far_spectrum_shape(eigs: EigenSolution, tol: float = 1e-8) -> SpectrumShape:
     """
     k = int(eigs.converged_levels)
     if k < 3:
-        raise NotConverged(
-            "need a truncation-certified spectrum (>= 3 levels) to assess "
-            "its shape; run certify_truncation first")
+        raise NoConvergence("the spectrum shape needs 3 certified levels and "
+                            f"n_max {eigs.n_max_used} certifies {k}")
     evs = np.asarray(eigs.eigenvalues[:k], dtype=float)
     span = evs[-1] - evs[0]
     if span <= 0.0:

@@ -26,7 +26,6 @@ from .hilbert import HilbertConfig, ModelParams
 
 __all__ = [
     "DressedLabel",
-    "DressedState",
     "CrossingRecord",
     "coupling_for",
     "rabi_frequency",
@@ -61,14 +60,6 @@ class DressedLabel:
             raise InvalidLabel("n_total must be a nonnegative integer")
         if self.n_total == 0 and self.branch == "plus":
             raise InvalidLabel("(plus, 0) is not a level; the N=0 sector is a singlet")
-
-
-@dataclass
-class DressedState:
-    """Closed-form eigenvector with its label, on a given truncation."""
-
-    label: DressedLabel
-    amplitudes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -129,8 +120,8 @@ def dressed_energy(label: DressedLabel, params: ModelParams) -> float:
 
 
 def dressed_state(label: DressedLabel, params: ModelParams,
-                  cfg: HilbertConfig) -> DressedState:
-    """Closed-form eigenvector on the composite space.
+                  cfg: HilbertConfig) -> np.ndarray:
+    """Closed-form eigenvector on the composite space, as amplitudes.
 
     The global phase makes the amplitude of lowest composite index real
     positive. jc sectors live on {|g,N>, |e,N-1>}, ajc sectors on
@@ -146,7 +137,7 @@ def dressed_state(label: DressedLabel, params: ModelParams,
             amp[cfg.index("g", 0)] = 1.0
         else:
             amp[cfg.index("e", 0)] = 1.0
-        return DressedState(label, amp)
+        return amp
 
     delta = params.delta
     omega_n = _omega_n(n, delta, coupling_for(label.model, params))
@@ -170,7 +161,7 @@ def dressed_state(label: DressedLabel, params: ModelParams,
         else:
             amp[cfg.index("g", n - 1)] = c_lo
             amp[cfg.index("e", n)] = np.conj(phase) * c_hi
-    return DressedState(label, amp)
+    return amp
 
 
 def lowest_closed_levels(params: ModelParams, count: int,
@@ -264,7 +255,7 @@ def reduced_density(label: DressedLabel, params: ModelParams, subsystem: str,
         raise ValueError(f"subsystem must be 'fermion' or 'boson', got {subsystem!r}")
     if cfg is None:
         cfg = HilbertConfig(max(label.n_total, 1))
-    state = dressed_state(label, params, cfg).amplitudes
+    state = dressed_state(label, params, cfg)
     mat = state.reshape(2, cfg.n_fock)
     if subsystem == "fermion":
         return mat @ mat.conj().T

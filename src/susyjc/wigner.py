@@ -17,15 +17,12 @@ import numpy as np
 
 from .errors import DegenerateAngle, SupportExceeded
 from .hilbert import ModelParams, _ladder
-from .jc import DressedLabel, _omega_n, coupling_for
+from .jc import DressedLabel, rabi_frequency
 
 __all__ = [
     "WignerGrid",
     "laguerre_pair",
-    "displacement_op",
-    "wigner_numeric",
     "wigner_closed_jc",
-    "closed_evaluator",
     "numeric_evaluator",
     "wigner_grid",
 ]
@@ -59,9 +56,9 @@ def laguerre_pair(order: int, x):
     return prev, cur
 
 
-# one eigendecomposition (w, u) of the generator i(a^dag - a) serves every
-# displacement: D(r e^{i phi}) = R_phi u diag(exp(-i r w)) u^dag R_phi^dag with
-# R_phi the diagonal Fock-phase rotation
+# one eigendecomposition (w, u) of the generator i(a^dag - a), Hermitian also
+# when truncated, serves every displacement and keeps it exactly unitary:
+# D(r e^{i phi}) = R_phi u diag(exp(-i r w)) u^dag R_phi^dag, R_phi diagonal
 def _generator_eig(n_fock: int) -> tuple[np.ndarray, np.ndarray]:
     a = _ladder(n_fock, 1).dense()
     return np.linalg.eigh(1j * (a.conj().T - a))
@@ -77,12 +74,6 @@ def _displacement(eig: tuple[np.ndarray, np.ndarray], alpha: complex) -> np.ndar
         rot = np.exp(1j * phi * np.arange(w.size))
         core = rot[:, None] * core * np.conj(rot)[None, :]
     return core
-
-
-def displacement_op(n_fock: int, alpha: complex) -> np.ndarray:
-    """exp(alpha a^dag - alpha* a) on the truncated Fock space; exactly
-    unitary because the truncated generator stays anti-Hermitian."""
-    return _displacement(_generator_eig(n_fock), alpha)
 
 
 def _check_density(rho: np.ndarray) -> None:
@@ -110,19 +101,6 @@ def _parity_trace(rho: np.ndarray, d: np.ndarray) -> float:
     return float(val.real)
 
 
-def wigner_numeric(rho: np.ndarray, alpha: complex) -> float:
-    """Displaced-parity value (2/pi) tr[rho D P D^dag] for a photon density
-    matrix on the truncated space.
-
-    Raises ValueError for a rho that is not a density matrix, and
-    SupportExceeded when the displaced state puts more than LEAK_TOL
-    population in the top two Fock levels.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    _check_density(rho)
-    return _parity_trace(rho, displacement_op(rho.shape[0], alpha))
-
-
 def wigner_closed_jc(label: DressedLabel, params: ModelParams, alpha):
     """Closed Wigner function of the photon state of a dressed level.
 
@@ -143,8 +121,7 @@ def wigner_closed_jc(label: DressedLabel, params: ModelParams, alpha):
     if n == 0:
         out = (2.0 / math.pi) * gauss
         return float(out) if out.ndim == 0 else out
-    g = coupling_for(label.model, params)
-    omega_n = _omega_n(n, params.delta, g)
+    omega_n = rabi_frequency(n, params, label.model)
     if omega_n == 0.0:
         raise DegenerateAngle("Wigner form undefined in a degenerate sector")
     lag_below, lag_n = laguerre_pair(n, 4.0 * r2)
@@ -157,16 +134,12 @@ def wigner_closed_jc(label: DressedLabel, params: ModelParams, alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def closed_evaluator(label: DressedLabel, params: ModelParams) -> Callable:
-    """Vectorized closed-form evaluator alpha -> W(alpha)."""
-    return lambda alpha: wigner_closed_jc(label, params, alpha)
-
-
 def numeric_evaluator(rho: np.ndarray) -> Callable:
-    """Displaced-parity evaluator alpha -> W(alpha) for a scalar or an array
-    of alphas. The density matrix is validated, and the generator
-    diagonalized, once per evaluator; each point then runs the arithmetic of
-    `wigner_numeric`, so values are bit-identical to it."""
+    """Evaluator alpha -> (2/pi) tr[rho D P D^dag] of a photon density
+    matrix, validated once (ValueError), at a scalar or an array of alphas;
+    each point runs the same arithmetic, so array and scalar calls agree
+    bitwise. SupportExceeded when a displaced state puts more than LEAK_TOL
+    population in the top two Fock levels."""
     rho = np.asarray(rho, dtype=complex)
     _check_density(rho)
     eig = _generator_eig(rho.shape[0])
@@ -183,7 +156,9 @@ def numeric_evaluator(rho: np.ndarray) -> Callable:
 
 def wigner_grid(evaluator: Callable, window: float, points: int) -> WignerGrid:
     """Sample W on the square [-window, window]^2 and attach the trapezoid
-    normalization integral (1 for a window that holds the support)."""
+    normalization integral (1 for a window that holds the support). The
+    evaluator maps an array of alphas to W, e.g. numeric_evaluator(rho) or
+    lambda alpha: wigner_closed_jc(label, params, alpha)."""
     if points < 16:
         raise ValueError("points must be >= 16")
     if not (np.isfinite(window) and window > 0):

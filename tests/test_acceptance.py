@@ -27,7 +27,7 @@ from susyjc.jc import (DressedLabel, dressed_state, ground_state_critical,
                        lowest_closed_levels, rabi_frequency, reduced_density,
                        von_neumann_entropy)
 from susyjc.oracle import certify_truncation, diagonalize, find_crossings
-from susyjc.wigner import closed_evaluator, numeric_evaluator, wigner_grid
+from susyjc.wigner import numeric_evaluator, wigner_closed_jc, wigner_grid
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -82,7 +82,7 @@ def test_criterion_03_closed_forms_match_oracle():
             e_num = sol.eigenvalues[k]
             worst_energy = max(worst_energy,
                                abs(e_closed - e_num) / max(1.0, abs(e_num)))
-            vec = dressed_state(label, params, cfg).amplitudes
+            vec = dressed_state(label, params, cfg)
             # project on the (possibly degenerate) numeric eigenspace
             scale = max(1.0, abs(e_num))
             idx = np.abs(sol.eigenvalues - e_num) <= 1e-8 * scale
@@ -299,7 +299,6 @@ def test_criterion_11_wigner_cross_validation():
     axis = np.linspace(-3.0, 3.0, 25)
     for label, lam in labels:
         p = ModelParams(omega=1.0, omega0=1.0, lam=lam)
-        closed = closed_evaluator(label, p)
         n_fock_needed = label.n_total + 75
         rho = reduced_density(label, p, "boson", HilbertConfig(n_fock_needed))
         numeric = numeric_evaluator(rho)
@@ -309,8 +308,10 @@ def test_criterion_11_wigner_cross_validation():
                 if abs(alpha) > 3.0:
                     continue
                 worst_agree = max(worst_agree,
-                                  abs(closed(alpha) - numeric(alpha)))
-        grid = wigner_grid(closed, window=4.5, points=181)
+                                  abs(wigner_closed_jc(label, p, alpha)
+                                      - numeric(alpha)))
+        grid = wigner_grid(lambda alpha: wigner_closed_jc(label, p, alpha),
+                           window=4.5, points=181)
         worst_norm = max(worst_norm, abs(grid.normalization_integral - 1.0))
         if label.n_total >= 1:
             s = von_neumann_entropy(reduced_density(label, p, "fermion"))

@@ -33,6 +33,26 @@ def test_help_runs():
     assert b"spectrum" in cp.stdout and b"wigner" in cp.stdout
 
 
+def test_package_exports_are_in_each_module_all():
+    # every name the package imports is in its module's __all__, and every
+    # module's __all__ names only what the module defines
+    import ast
+    import importlib
+    import susyjc
+    package = Path(susyjc.__file__)
+    imports = [node for node in ast.parse(package.read_text()).body
+               if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"susyjc.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, (node.module, alias.name)
+    for path in package.parent.glob("[!_]*.py"):
+        module = importlib.import_module(f"susyjc.{path.stem}")
+        for name in module.__all__:
+            assert hasattr(module, name), (path.stem, name)
+
+
 def test_spectrum_scalar_point_csv():
     cp = run_cli("spectrum", "--model", "jc", "--lambda", "0.5",
                  "--levels", "6", "--n-max", "40")
@@ -557,11 +577,44 @@ def test_closed_levels_far_from_resonance_stay_small(capsys):
         assert peak < 8e6, peak
 
 
-def test_consistency_failures_exit_4():
-    cp = run_cli("wigner", "--label", "minus:0", "--source", "numeric",
-                 "--n-max", "10", "--window", "3", "--points", "17")
-    assert cp.returncode == 4
-    assert b"consistency" in cp.stderr
+# exit code of each library error that does not end a run with 2, and the
+# stderr prefix of each code
+EXIT_CODES = {"NoConvergence": 3, "DimensionMismatch": 4,
+              "FactorizationMismatch": 4, "NotHermitian": 4,
+              "SupportExceeded": 4}
+PREFIXES = {2: "parameter error", 3: "convergence failure",
+            4: "consistency failure"}
+
+# runs that end in a library error, with their exact stderr
+FAILED_RUNS = [
+    ("far --alpha0 0.01 --alphaQ 1 --alphaR 0.5 --n-max 2", 3,
+     "susyjc: convergence failure: the spectrum shape needs 3 certified "
+     "levels and n_max 2 certifies 0\n"),
+    ("wigner --label minus:0 --source numeric --n-max 10 --window 3 "
+     "--points 17", 4,
+     "susyjc: consistency failure: displaced state holds 1.319e-01 "
+     "population at the cutoff; increase n_max\n"),
+]
+
+
+def test_consistency_failures_exit_4(monkeypatch, capsys):
+    from susyjc import cli, errors
+    for argv, code, message in FAILED_RUNS:
+        assert cli.main(argv.split()) == code, argv
+        assert capsys.readouterr() == ("", message), argv
+    # every library error, raised from a subcommand, ends the run with its
+    # class's exit code and one stderr line
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.SusyJCError)]
+    assert sorted(c.__name__ for c in classes) == sorted(errors.__all__)
+    for cls in classes:
+        def handler(merged, cls=cls):
+            raise cls("injected")
+        monkeypatch.setattr(cli, "cmd_verify", handler)
+        code = cli.main(["verify", "--n-max", "4"])
+        assert code == cls.exit_code == EXIT_CODES.get(cls.__name__, 2), cls
+        assert capsys.readouterr() == (
+            "", f"susyjc: {PREFIXES[code]}: injected\n"), cls
 
 
 def test_output_file_matches_stdout(tmp_path):

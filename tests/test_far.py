@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susyjc.errors import (DegenerateCouplings, FactorizationMismatch,
-                           NoConvergence, NotConverged)
+                           NoConvergence)
 from susyjc.far import (FarParams, constraint_check, far_chains,
                         far_from_alphas, far_spectrum_shape)
 from susyjc.hilbert import (HilbertConfig, ModelParams, exchange_op,
@@ -187,7 +187,7 @@ def test_spectrum_shape_on_synthetic_ladders():
 
 def test_spectrum_shape_requires_certification():
     sol = diagonalize(far_chains(HilbertConfig(30), far_from_alphas(0.1, 1.0, 0.2)).dense())
-    with pytest.raises(NotConverged):
+    with pytest.raises(NoConvergence, match="n_max 30 certifies 0$"):
         far_spectrum_shape(sol)
 
 

@@ -7,9 +7,8 @@ from scipy.special import eval_laguerre
 from susyjc.errors import SupportExceeded
 from susyjc.hilbert import HilbertConfig, ModelParams
 from susyjc.jc import DressedLabel, reduced_density
-from susyjc.wigner import (closed_evaluator, displacement_op,
-                           laguerre_pair, numeric_evaluator, wigner_closed_jc,
-                           wigner_grid, wigner_numeric)
+from susyjc.wigner import (_displacement, _generator_eig, laguerre_pair,
+                           numeric_evaluator, wigner_closed_jc, wigner_grid)
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -33,13 +32,14 @@ def test_laguerre_recurrence_matches_scipy():
 
 
 def test_displacement_operator():
-    d0 = displacement_op(30, 0.0)
+    d0 = _displacement(_generator_eig(30), 0.0)
     assert np.abs(d0 - np.eye(30)).max() == 0.0
-    d = displacement_op(60, 1.2 - 0.4j)
+    eig = _generator_eig(60)
+    d = _displacement(eig, 1.2 - 0.4j)
     assert np.abs(d @ d.conj().T - np.eye(60)).max() < 1e-12
     # displacing the vacuum gives Poisson photon statistics
     alpha = 0.9 + 0.7j
-    d = displacement_op(60, alpha)
+    d = _displacement(eig, alpha)
     coherent = d[:, 0]
     nbar = abs(alpha) ** 2
     expected = np.empty(60)
@@ -50,31 +50,30 @@ def test_displacement_operator():
 
 
 def test_vacuum_and_fock_one_wigner():
-    rho = _fock_rho(40, 0)
-    assert abs(wigner_numeric(rho, 0.0) - TWO_OVER_PI) < 1e-14
+    vacuum = numeric_evaluator(_fock_rho(40, 0))
+    assert abs(vacuum(0.0) - TWO_OVER_PI) < 1e-14
     r = 0.8
-    assert abs(wigner_numeric(rho, r) - TWO_OVER_PI * math.exp(-2 * r * r)) < 1e-12
+    assert abs(vacuum(r) - TWO_OVER_PI * math.exp(-2 * r * r)) < 1e-12
     # one photon: negative at the origin
-    rho1 = _fock_rho(40, 1)
-    assert abs(wigner_numeric(rho1, 0.0) + TWO_OVER_PI) < 1e-14
+    assert abs(numeric_evaluator(_fock_rho(40, 1))(0.0) + TWO_OVER_PI) < 1e-14
 
 
 def test_density_matrix_validation():
     bad_trace = np.diag([0.5, 0.3]).astype(complex)
     with pytest.raises(ValueError):
-        wigner_numeric(bad_trace, 0.0)
+        numeric_evaluator(bad_trace)
     not_herm = np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
-        wigner_numeric(not_herm, 0.0)
+        numeric_evaluator(not_herm)
     not_psd = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
-        wigner_numeric(not_psd, 0.0)
+        numeric_evaluator(not_psd)
 
 
 def test_support_guard_fires_on_large_displacement():
-    rho = _fock_rho(12, 0)
+    evaluate = numeric_evaluator(_fock_rho(12, 0))
     with pytest.raises(SupportExceeded):
-        wigner_numeric(rho, 4.0)
+        evaluate(4.0)
 
 
 def test_closed_form_anchors():
@@ -106,9 +105,9 @@ def test_closed_vs_numeric_cross_check():
                   DressedLabel("plus", 2)]:
         rho = reduced_density(label, params, "boson", cfg)
         numeric = numeric_evaluator(rho)
-        closed = closed_evaluator(label, params)
         for alpha in [0.0, 0.4, 1.0 - 0.5j, -1.7 + 0.2j, 2.5j]:
-            assert abs(numeric(alpha) - closed(alpha)) < 1e-9
+            assert abs(numeric(alpha)
+                       - wigner_closed_jc(label, params, alpha)) < 1e-9
 
 
 def test_mixed_state_linearity():
@@ -122,7 +121,8 @@ def test_mixed_state_linearity():
 
 def test_grid_normalization_and_layout():
     params = ModelParams()
-    grid = wigner_grid(closed_evaluator(DressedLabel("minus", 0), params),
+    grid = wigner_grid(lambda alpha: wigner_closed_jc(DressedLabel("minus", 0),
+                                                      params, alpha),
                        window=4.0, points=128)
     assert abs(grid.normalization_integral - 1.0) < 1e-6
     assert grid.values.shape == (128, 128)
@@ -135,19 +135,19 @@ def test_grid_normalization_and_layout():
 
 
 def test_numeric_evaluator_fills_a_grid_in_one_call():
-    rho = _fock_rho(50, 1)
-    grid = wigner_grid(numeric_evaluator(rho), window=2.0, points=17)
+    evaluate = numeric_evaluator(_fock_rho(50, 1))
+    grid = wigner_grid(evaluate, window=2.0, points=17)
     assert grid.values.shape == (17, 17)
     mid = 8
     assert abs(grid.values[mid, mid] + TWO_OVER_PI) < 1e-12
     # the array path runs the pointwise arithmetic: values are bit-identical
     for i, j in [(0, 0), (3, 11), (mid, mid), (16, 5)]:
         alpha = complex(grid.re_alpha[i], grid.im_alpha[j])
-        assert grid.values[i, j] == wigner_numeric(rho, alpha)
+        assert grid.values[i, j] == evaluate(alpha)
 
 
 def test_grid_argument_guards():
-    ev = closed_evaluator(DressedLabel("minus", 0), ModelParams())
+    ev = numeric_evaluator(_fock_rho(20, 0))
     with pytest.raises(ValueError):
         wigner_grid(ev, window=2.0, points=8)
     with pytest.raises(ValueError):
