@@ -8,11 +8,13 @@ bisecting their ground-energy gap, so closed-form results can be validated
 against it. Eigenvalue paths take parity chains; `diagonalize` is the dense
 reference with eigenvectors. A chain is solved by one of three routes:
 chains that split into excitation-number sectors (jc/ajc) sector by sector
-in numpy; the full spectrum of any other chain (ar/far) of at most
-SMALL_CHAIN states in numpy, as the singular values of its Cholesky factor;
-longer chains, and every lowest-eigenvalue solve of a chain that does not
-split, by SciPy's tridiagonal solver, imported on first use. So importing
-the package, solving jc/ajc or certifying a short ar/far run loads no SciPy.
+in numpy; the full spectrum of any other chain (ar/far) as a dense symmetric
+matrix by numpy's LAPACK while the process's dense work stays within
+DENSE_BUDGET; past the budget, and for every lowest-eigenvalue solve of a
+chain that does not split, by SciPy's tridiagonal solver, imported on first
+use. Both full-spectrum routes end in the same LAPACK dsterf, so their
+eigenvalues are bitwise equal. So importing the package, solving jc/ajc or
+certifying an ar/far run within the budget loads no SciPy.
 """
 
 from __future__ import annotations
@@ -40,15 +42,14 @@ __all__ = [
 CAP_N_MAX = 2048
 # largest |H - H^dag| entry diagonalize accepts, per unit of max(1, max |H|)
 HERMITICITY_TOL = 1e-12
-# longest chain that does not split whose full spectrum is solved in numpy
-# (`_bidiagonal_eigenvalues`). Up to 128 rows LAPACK reduces a matrix to
-# bidiagonal form unblocked, which does no updates on a bidiagonal input, so
-# numpy's SVD costs O(n^2); past it the blocked reduction costs O(n^3).
-SMALL_CHAIN = 128
-# smallest Cholesky pivot, in units of the chain's largest entry: far above
-# the few eps by which the shift and the Gershgorin radii round, far below
-# the entries, so it costs no accuracy
-PIVOT_MARGIN = 2.0 ** -26
+# rows^2 summed over the dense full-spectrum solves of a process, checked
+# before each: about 0.17 s of dense solves on a 2-CPU host, half the cost of
+# importing scipy.linalg. A short run never pays the import, and a long one
+# pays at most about one import more than with SciPy from the start. The
+# count is per process, like the import it stands in for; both routes give
+# the same eigenvalues, so it changes cost only, never results.
+DENSE_BUDGET = 2 ** 21
+_dense_spent = 0
 
 
 @dataclass
@@ -93,8 +94,7 @@ def _real_chain(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # (diag, |off|), with the same eigenvalues and the same |v_k|. Couplings
     # at or below eps times the largest entry are dropped: by Weyl's bound
     # that moves no eigenvalue by more than 2 eps times that entry, and it
-    # keeps LAPACK's tridiagonal solvers and the Cholesky pivots of
-    # `_bidiagonal_eigenvalues`, which all square the couplings, off
+    # keeps LAPACK's tridiagonal solvers, which square the couplings, off
     # subnormal squares, where they lose digits (|off| ~ 1e-160 next to O(1)
     # entries cost 5e-4). A non-finite entry means a parameter overflowed,
     # and the threshold would then drop every coupling, so it is refused.
@@ -123,46 +123,30 @@ def _sectors(diag: np.ndarray, off: np.ndarray):
             np.concatenate([pair_evals[:, 0], diag[singles]]), pair_evals[:, 1])
 
 
-def _bidiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of the real chain (diag, off >= 0) that does
-    not split, from the singular values s of its upper bidiagonal Cholesky
-    factor B: B^T B = chain / scale + shift, so the eigenvalues are
-    (s^2 - shift) scale.
-
-    scale is the largest entry, so nonzero squared couplings (at least
-    eps^2 after `_real_chain`) cannot underflow. shift puts the Gershgorin
-    lower bound of the scaled chain at PIVOT_MARGIN, so every pivot is at
-    least its coupling to the next state plus the margin: none is negative
-    or zero.
-    numpy's SVD finds s by dqds (Fernando & Parlett, Numer. Math. 67, 191
-    (1994)), LAPACK's method for positive definite tridiagonals (dpteqr).
-    """
-    scale = max(float(np.abs(diag).max()), float(off.max()))
-    d, e = diag / scale, off / scale
-    radius = np.pad(e, (0, 1)) + np.pad(e, (1, 0))
-    shift = PIVOT_MARGIN - float((d - radius).min())
-    pivots = [float(d[0]) + shift]
-    for d_k, e_k in zip((d[1:] + shift).tolist(), e.tolist()):
-        pivots.append(d_k - e_k * (e_k / pivots[-1]))
-    root = np.sqrt(pivots)
-    n = d.size
-    b = np.zeros((n, n))
-    b.flat[::n + 1] = root
-    b.flat[1::n + 1] = e / root[:-1]
-    s = np.linalg.svd(b, compute_uv=False)
-    return (s[::-1] ** 2 - shift) * scale
+def _dense_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the real chain (diag, off >= 0) as a dense
+    symmetric matrix. numpy's eigvalsh runs LAPACK dsyevd, whose reduction
+    to tridiagonal form leaves a tridiagonal input unchanged (every reflector
+    is the identity), and then dsterf: the solver behind SciPy's
+    eigvalsh_tridiagonal, so the two agree bitwise."""
+    n = diag.size
+    a = np.diag(diag)
+    a.flat[n::n + 1] = off
+    return np.linalg.eigvalsh(a, UPLO="L")
 
 
 def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, lowest: bool = False) -> np.ndarray:
     """Eigenvalues of one chain (only the lowest if lowest), unsorted when
     the chain splits into sectors."""
+    global _dense_spent
     diag, off = _real_chain(diag, off)
     split = _sectors(diag, off)
     if split is not None:
         _, lows, highs = split
         return lows.min(keepdims=True) if lowest else np.concatenate([lows, highs])
-    if not lowest and diag.size <= SMALL_CHAIN:
-        return _bidiagonal_eigenvalues(diag, off)
+    if not lowest and _dense_spent + diag.size ** 2 <= DENSE_BUDGET:
+        _dense_spent += diag.size ** 2
+        return _dense_eigenvalues(diag, off)
     from scipy.linalg import eigvalsh_tridiagonal
     if lowest:
         return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))

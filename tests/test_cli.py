@@ -160,11 +160,12 @@ def _scipy_loaded_after(*jobs) -> bool:
 
 
 def test_light_jobs_load_no_scipy():
-    # scipy loads on the first solve of a chain that does not split into
-    # excitation-number sectors (ar, far) and is longer than
-    # oracle.SMALL_CHAIN states, on a lowest-level solve of such a chain (a
-    # crossing search), or on a squeeze; not on import, help, verify, either
-    # Wigner source, any jc/ajc spectrum or crossing, or a short ar/far run
+    # scipy loads on a lowest-level solve of a chain that does not split
+    # into excitation-number sectors (an ar/far crossing search), on a full
+    # solve of such a chain once the process has spent oracle.DENSE_BUDGET on
+    # dense solves, or on a squeeze; not on import, help, verify, either
+    # Wigner source, any jc/ajc spectrum or crossing, or the ar/far runs
+    # below, which all fit in one process's budget
     assert not _scipy_loaded_after(
         ["verify", "--n-max", "8"],
         ["wigner", "--label", "minus:1", "--lambda", "1", "--points", "16"],
@@ -178,9 +179,16 @@ def test_light_jobs_load_no_scipy():
         ["spectrum", "--model", "ar", "--lambda", "0.7", "--mu", "0.2",
          "--n-max", "40"],
         ["far", "--alpha0", "0.01", "--alphaQ", "1.0", "--alphaR", "0.5",
-         "--n-max", "60"])
-    assert _scipy_loaded_after(["spectrum", "--model", "ar", "--lambda", "0.7",
-                                "--mu", "0.2", "--n-max", "200"])
+         "--n-max", "60"],
+        ["spectrum", "--model", "far", "--alphaR", "4.1:5.5:2", "--auto"],
+        ["spectrum", "--model", "ar", "--omega", "0.12", "--lambda", "0.82:1.42:2",
+         "--mu", "0.3", "--auto"],
+        ["far", "--alpha0", "0.01", "--alphaQ", "1.0", "--alphaR", "2.7",
+         "--format", "json"],
+        ["spectrum", "--model", "ar", "--lambda", "0.7", "--mu", "0.2",
+         "--n-max", "200"])
+    assert _scipy_loaded_after(["spectrum", "--model", "far", "--alphaR", "1:5:101",
+                                "--n-max", "512"])
     assert _scipy_loaded_after(["crossings", "--model", "ar", "--lambda", "0.3:1.5:20",
                                 "--mu", "0.2", "--n-max", "40"])
 
@@ -271,11 +279,12 @@ BYTE_PINS = {
                           "ca029e8ed6564d49768d83dfd07afd8d900a4e5d6d1d55c8157e0234d3c7f270"),
     "wigner-closed-json": (WIGNER + " --format json",
                            "21b90a2b212a930d6fe5da19f10bccbdcf5aa1c2fdbc0b5c6756139423e5f1cf"),
-    # empty label and closed-form cells
+    # empty label and closed-form cells; the eigenvalues are bitwise those of
+    # SciPy's tridiagonal solver
     "spectrum-ar-csv": (AR + " --format csv",
-                        "e244997615123317f228a130736cd65712bb96033088c1a61e460ba648cfc81e"),
+                        "8c5e21eb653e307d2513077c1b38e95eed4c337b5aead7aad5d38d2a9a5d7016"),
     "spectrum-ar-json": (AR + " --format json",
-                         "cd3f68c7d07db0567c3b22c51a6731559b3101e499ae71820de12ce6f234772d"),
+                         "58b1e955d15fccb961cad0f7f315e4104f9fd0d807059fca53148cfbe28a5e02"),
     "crossings-jc-csv": (CROSSINGS + " --format csv",
                          "8537b6758e104a70fa027d1616a39dd060f2e9e86ba992c15ec43d36ded4b3ee"),
     "crossings-jc-json": (CROSSINGS + " --format json",

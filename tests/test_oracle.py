@@ -11,8 +11,7 @@ from susyjc.far import far_chains, far_from_alphas
 from susyjc.hilbert import (HilbertConfig, ModelParams, ParityChains,
                             parity_chains, spin_op)
 from susyjc.jc import DressedLabel, ground_state_critical
-from susyjc.oracle import (_EXCITATION, SMALL_CHAIN, _chain_eigenvalues,
-                           _ground_label, _real_chain, _sectors,
+from susyjc.oracle import (_EXCITATION, _ground_label, _real_chain, _sectors,
                            certify_cutoff, certify_truncation, diagonalize,
                            eigenvalues, find_crossings)
 
@@ -202,59 +201,54 @@ def test_sector_solve_matches_the_tridiagonal_solver(model, omega, omega0, theta
 
 
 @st.composite
-def _unsplit_chain(draw):
-    """A real chain of 3..SMALL_CHAIN states at an entry scale in
-    1e-150..1e150, with couplings of either sign or zero, and two
-    consecutive couplings of at least half the scale, so it never splits."""
-    m = draw(st.integers(3, SMALL_CHAIN))
+def _real_chains(draw):
+    """A chain of 2..600 states at an entry scale in 1e-150..1e150, with
+    couplings of either sign or zero, made real by `_real_chain`."""
+    m = draw(st.integers(2, 600))
     scale = 10.0 ** draw(st.floats(-150.0, 150.0))
-    unit = st.floats(-1.0, 1.0)
-    diag = np.array(draw(st.lists(unit, min_size=m, max_size=m)))
-    off = np.array(draw(st.lists(st.one_of(st.just(0.0), unit),
-                                 min_size=m - 1, max_size=m - 1)))
-    k = draw(st.integers(0, m - 3))
-    off[k:k + 2] = draw(st.lists(st.floats(0.5, 1.0), min_size=2, max_size=2))
-    return scale * diag, scale * off
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    off = rng.uniform(-1.0, 1.0, m - 1)
+    off[rng.random(m - 1) < draw(st.floats(0.0, 1.0))] = 0.0
+    return _real_chain(scale * rng.uniform(-1.0, 1.0, m), scale * off)
 
 
 @settings(max_examples=300, deadline=None)
-@given(chain=_unsplit_chain())
-def test_short_chains_solved_in_numpy_match_the_tridiagonal_solver(chain):
-    # an unsplit chain of at most SMALL_CHAIN states is solved from the
-    # singular values of its Cholesky factor; SciPy's tridiagonal solver on
-    # the same chain is the reference. The singular values carry an error
-    # of 1-2 ulps, and the largest squared one reaches 6 times the largest
-    # entry, so even 3-state chains differ by up to about 25 eps times it.
+@given(chain=_real_chains())
+def test_dense_chain_solve_equals_the_tridiagonal_solver(chain):
+    # numpy's dense eigvalsh of a tridiagonal input runs the same LAPACK
+    # dsterf as SciPy's tridiagonal solver, so the two routes agree bitwise
     from scipy.linalg import eigvalsh_tridiagonal
-    diag, off = chain
-    got = _chain_eigenvalues(diag, off)
-    assert np.all(np.diff(got) >= 0)
-    ref = eigvalsh_tridiagonal(*_real_chain(diag, off))
-    scale = max(np.abs(diag).max(), np.abs(off).max())
-    bound = 4 * (diag.size + 8) * np.finfo(float).eps * scale
-    assert np.abs(got - ref).max() <= bound
+    got = oracle._dense_eigenvalues(*chain)
+    assert np.array_equal(got, eigvalsh_tridiagonal(*chain))
 
 
-def test_chains_past_small_chain_go_to_scipy(monkeypatch):
-    # ar chains hold n_max + 1 states: 128 are solved in numpy, 129 by
-    # SciPy, and both agree with SciPy and on their converged low levels
-    from scipy.linalg import eigvalsh_tridiagonal
+def test_results_do_not_depend_on_the_dense_budget(monkeypatch):
+    # unsplit chains go to numpy's dense solver until the process has spent
+    # DENSE_BUDGET rows^2, then to SciPy: the same solution either way, also
+    # when the budget runs out after the first rung (cutoff 32)
     sizes = []
-    bidiagonal = oracle._bidiagonal_eigenvalues
-    monkeypatch.setattr(oracle, "_bidiagonal_eigenvalues",
-                        lambda d, e: sizes.append(d.size) or bidiagonal(d, e))
-    params = ModelParams(omega=1.0, omega0=1.0, lam=0.7, mu=0.2)
-    low = []
-    for n_max in (SMALL_CHAIN - 1, SMALL_CHAIN):
-        h = parity_chains(HilbertConfig(n_max), params, "ar")
-        evals = eigenvalues(h)
-        ref = np.sort(np.concatenate([eigvalsh_tridiagonal(*_real_chain(d, e))
-                                      for d, e in zip(h.diag, h.off)]))
-        scale = max(np.abs(h.diag).max(), np.abs(h.off).max())
-        assert np.abs(evals - ref).max() <= 4 * (n_max + 1) * np.finfo(float).eps * scale
-        low.append(evals[:20])
-    assert sizes == [SMALL_CHAIN, SMALL_CHAIN]
-    assert np.abs(low[0] - low[1]).max() < 1e-10
+    dense = oracle._dense_eigenvalues
+    monkeypatch.setattr(oracle, "_dense_eigenvalues",
+                        lambda d, e: sizes.append(d.size) or dense(d, e))
+    part_way = oracle.DENSE_BUDGET - 2 * 33 ** 2
+    ar = ModelParams(omega=1.0, omega0=1.0, lam=0.7, mu=0.2)
+    for builder in (lambda n: parity_chains(HilbertConfig(n), ar, "ar"),
+                    lambda n: far_chains(HilbertConfig(n), far_from_alphas(0.01, 1.0, 2.8))):
+        runs = {}
+        for spent in (0, part_way, oracle.DENSE_BUDGET, oracle.DENSE_BUDGET + 1):
+            monkeypatch.setattr(oracle, "_dense_spent", spent)
+            sizes.clear()
+            runs[spent] = (certify_truncation(builder, k_levels=8),
+                           certify_cutoff(builder, 64), sorted(sizes))
+        truncation, cutoff, _ = runs[0]
+        assert truncation.n_max_used >= 64
+        assert len(runs[0][2]) > 2 and runs[part_way][2] == [33, 33]
+        assert runs[oracle.DENSE_BUDGET][2] == runs[oracle.DENSE_BUDGET + 1][2] == []
+        for got_truncation, got_cutoff, _ in runs.values():
+            for got, ref in ((got_truncation, truncation), (got_cutoff, cutoff)):
+                assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+                assert (got.converged_levels, got.n_max_used) == (ref.converged_levels,
+                                                                  ref.n_max_used)
 
 
 def test_labels_need_a_conserved_excitation_number():
