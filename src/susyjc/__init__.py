@@ -17,8 +17,7 @@ from .anisotropic import (JCApproximation, SqueezedFrame, approx_spectrum,
 from .errors import (DegenerateAngle, DegenerateCouplings, DimensionMismatch,
                      EqualCouplings, FactorizationMismatch, InvalidLabel,
                      InvalidN, IsotropicSingularLimit, NoConvergence,
-                     NotHermitian, SupportExceeded, SusyJCError,
-                     TruncationTooSmall)
+                     SupportExceeded, SusyJCError, TruncationTooSmall)
 from .far import (FarParams, SpectrumShape, constraint_check, far_chains,
                   far_from_alphas, far_spectrum_shape)
 from .hilbert import (HilbertConfig, ModelParams, ParityChains, boson_op,
@@ -29,7 +28,7 @@ from .jc import (CrossingRecord, DressedLabel, coupling_for, crossing_pair,
                  lowest_closed_levels, mixing_angle, rabi_frequency,
                  reduced_density, von_neumann_entropy)
 from .oracle import (EigenSolution, certify_cutoff, certify_truncation,
-                     diagonalize, eigenvalues, find_crossings)
+                     eigenvalues, find_crossings)
 from .wigner import (WignerGrid, laguerre_pair, numeric_evaluator,
                      wigner_closed_jc, wigner_grid)
 

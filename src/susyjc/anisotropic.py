@@ -86,11 +86,10 @@ def frame_unitary(cfg: HilbertConfig, params: ModelParams) -> SqueezedFrame:
     amount for which conjugation maps the lab Hamiltonian onto
     `effective_hamiltonian` entrywise (plus the `lab_frame_offset` constant);
     doubling it preserves the spectrum, being unitary, but not the matrix
-    identity. The first factor is diagonal and the second has the exact
-    closed form [[0, 1], [-1, 0]] on the spin; only the squeeze needs a
-    dense expm.
+    identity. The first factor is diagonal, the second is [[0, 1], [-1, 0]]
+    on the spin, and the squeeze is u diag(exp(-i xi w)) u^dag from numpy's
+    eigh of Ky = u diag(w) u^dag, Hermitian also when truncated.
     """
-    from scipy.linalg import expm
     sign = _guard_couplings(params.lam, params.mu)
     xi = squeeze_parameter(params.lam, params.mu)
     n_diag = np.real(boson_op(cfg, "number").diags[0])
@@ -99,7 +98,8 @@ def frame_unitary(cfg: HilbertConfig, params: ModelParams) -> SqueezedFrame:
     if flipped:
         v = v @ jc_to_ajc_rotation(cfg).dense()
     if xi != 0.0:
-        v = v @ expm(-1j * xi * su11_generator(cfg, "y").dense())
+        w, u = np.linalg.eigh(su11_generator(cfg, "y").dense())
+        v = v @ (u * np.exp(-1j * xi * w)[None, :]) @ u.conj().T
     return SqueezedFrame(xi=xi, theta_rotation_applied=flipped, sign=sign,
                          unitary=v)
 

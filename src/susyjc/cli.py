@@ -183,16 +183,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description="Spectral analysis of the JC family of models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, auto=True):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--output", help="output path (default stdout)")
         p.add_argument("--units", choices=("omega0", "absolute"))
         p.add_argument("--n-max", dest="n_max", type=int,
                        help="fixed Fock cutoff")
-        p.add_argument("--auto", action="store_const", const=True,
-                       help="auto-converge the cutoff (default when --n-max "
-                            "is absent; exclusive with it)")
+        if auto:
+            p.add_argument("--auto", action="store_const", const=True,
+                           help="auto-converge the cutoff (default when "
+                                "--n-max is absent; exclusive with it)")
 
     def model_params(p):
         p.add_argument("--model", choices=MODELS)
@@ -237,7 +238,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--source", choices=("closed", "numeric"))
 
     p = sub.add_parser("verify", help="operator-identity residual table")
-    common(p)
+    common(p, auto=False)  # verify has no cutoff search
     p.add_argument("--tol", type=float)
 
     p = sub.add_parser("far", help="factorizable-model report")

@@ -5,8 +5,7 @@ it ends a run with: 2 (the default) for a parameter the models cannot take,
 __all__ = ["SusyJCError", "EqualCouplings", "DimensionMismatch", "InvalidN",
            "DegenerateAngle", "InvalidLabel", "TruncationTooSmall",
            "IsotropicSingularLimit", "DegenerateCouplings",
-           "FactorizationMismatch", "NotHermitian", "NoConvergence",
-           "SupportExceeded"]
+           "FactorizationMismatch", "NoConvergence", "SupportExceeded"]
 
 
 class SusyJCError(Exception):
@@ -49,11 +48,6 @@ class DegenerateCouplings(SusyJCError):
 
 class FactorizationMismatch(SusyJCError):
     """Factorized and explicit Hamiltonian forms disagree beyond tolerance."""
-    exit_code = 4
-
-
-class NotHermitian(SusyJCError):
-    """Matrix handed to the eigensolver is not Hermitian within tolerance."""
     exit_code = 4
 
 

@@ -5,16 +5,15 @@ The oracle never uses the closed forms: it diagonalizes the truncated
 Hamiltonian, certifies convergence by doubling the Fock cutoff, and locates
 ground-state crossings between the two parity chains by scanning and
 bisecting their ground-energy gap, so closed-form results can be validated
-against it. Eigenvalue paths take parity chains; `diagonalize` is the dense
-reference with eigenvectors. A chain is solved by one of three routes:
+against it. Every solve takes parity chains, by one of three routes:
 chains that split into excitation-number sectors (jc/ajc) sector by sector
-in numpy; the full spectrum of any other chain (ar/far) as a dense symmetric
-matrix by numpy's LAPACK while the process's dense work stays within
-DENSE_BUDGET; past the budget, and for every lowest-eigenvalue solve of a
-chain that does not split, by SciPy's tridiagonal solver, imported on first
-use. Both full-spectrum routes end in the same LAPACK dsterf, so their
-eigenvalues are bitwise equal. So importing the package, solving jc/ajc or
-certifying an ar/far run within the budget loads no SciPy.
+in numpy; the full spectra of a Hamiltonian's other chains (ar/far) as
+dense symmetric matrices by numpy's LAPACK while the process's dense work
+stays within DENSE_BUDGET; past the budget, and for every lowest-eigenvalue
+solve of a chain that does not split, by SciPy's tridiagonal solver,
+imported on first use. Both full-spectrum routes end in the same LAPACK
+dsterf, so their eigenvalues are bitwise equal. So importing the package,
+solving jc/ajc or certifying an ar/far run within the budget loads no SciPy.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian
+from .errors import NoConvergence
 from .hilbert import HilbertConfig, ParityChains
 from .jc import CrossingRecord, DressedLabel
 
 __all__ = [
     "EigenSolution",
-    "diagonalize",
     "eigenvalues",
     "certify_truncation",
     "certify_cutoff",
@@ -40,52 +38,24 @@ __all__ = [
 
 # largest Fock cutoff certification doubles up to
 CAP_N_MAX = 2048
-# largest |H - H^dag| entry diagonalize accepts, per unit of max(1, max |H|)
-HERMITICITY_TOL = 1e-12
 # rows^2 summed over the dense full-spectrum solves of a process, checked
-# before each: about 0.17 s of dense solves on a 2-CPU host, half the cost of
-# importing scipy.linalg. A short run never pays the import, and a long one
-# pays at most about one import more than with SciPy from the start. The
-# count is per process, like the import it stands in for; both routes give
-# the same eigenvalues, so it changes cost only, never results.
+# before each Hamiltonian's: about 0.17 s of dense solves on a 2-CPU host,
+# half the cost of importing scipy.linalg. A short run never pays the
+# import, and a long one pays at most about one import more than with SciPy
+# from the start. The count is per process, like the import it stands in
+# for; both routes give the same eigenvalues, so it changes cost only.
 DENSE_BUDGET = 2 ** 21
 _dense_spent = 0
 
 
 @dataclass
 class EigenSolution:
-    """Eigen-decomposition, ascending; converged_levels counts the leading
-    eigenvalues certified stable under truncation doubling (0 = uncertified).
-    Certified solutions carry eigenvalues only (eigenvectors None)."""
+    """Certified eigenvalues, ascending; converged_levels counts the leading
+    eigenvalues certified stable under truncation doubling (0 = uncertified)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
     converged_levels: int
     n_max_used: int
-
-
-def diagonalize(h: np.ndarray) -> EigenSolution:
-    """Eigh with a Hermiticity gate and deterministic ordering.
-
-    Columns are phase-fixed so the largest-magnitude amplitude is real
-    positive; bitwise-equal eigenvalues are ordered by the basis index of
-    that amplitude.
-    """
-    dev = float(np.abs(h - h.conj().T).max())
-    scale = max(1.0, float(np.abs(h).max()))
-    if dev > HERMITICITY_TOL * scale:
-        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} exceeds tolerance")
-    evals, evecs = np.linalg.eigh(h)
-    anchors = np.abs(evecs).argmax(axis=0)
-    order = np.lexsort((anchors, evals))
-    evals = evals[order]
-    evecs = evecs[:, order]
-    anchors = anchors[order]
-    cols = np.arange(evecs.shape[1])
-    pivots = evecs[anchors, cols]
-    phases = np.where(np.abs(pivots) > 0, pivots / np.abs(np.where(pivots == 0, 1, pivots)), 1.0)
-    evecs = evecs * np.conj(phases)[None, :]
-    return EigenSolution(evals, evecs, 0, h.shape[0] // 2 - 1)
 
 
 def _real_chain(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,14 +76,19 @@ def _real_chain(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return diag, off
 
 
+def _splits(off: np.ndarray) -> bool:
+    """Whether a real chain has no two consecutive nonzero couplings."""
+    coupled = off != 0
+    return not (coupled[1:] & coupled[:-1]).any()
+
+
 def _sectors(diag: np.ndarray, off: np.ndarray):
     """Blocks of <= 2 states of a real chain with no two consecutive nonzero
     couplings (else None): each block's first state and lowest eigenvalue,
     2x2 blocks first, then their upper eigenvalues, from one stacked eigvalsh."""
-    coupled = off != 0
-    if (coupled[1:] & coupled[:-1]).any():
+    if not _splits(off):
         return None
-    pairs = np.flatnonzero(coupled)
+    pairs = np.flatnonzero(off)
     blocks = np.zeros((pairs.size, 2, 2))
     blocks[:, 0, 0], blocks[:, 1, 1] = diag[pairs], diag[pairs + 1]
     blocks[:, 0, 1] = blocks[:, 1, 0] = off[pairs]
@@ -135,17 +110,16 @@ def _dense_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a, UPLO="L")
 
 
-def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, lowest: bool = False) -> np.ndarray:
-    """Eigenvalues of one chain (only the lowest if lowest), unsorted when
-    the chain splits into sectors."""
-    global _dense_spent
-    diag, off = _real_chain(diag, off)
+def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, dense: bool = False,
+                       lowest: bool = False) -> np.ndarray:
+    """Eigenvalues of one real chain (only the lowest if lowest), unsorted
+    when the chain splits into sectors; a full spectrum of a chain that does
+    not split is solved dense if dense, else by SciPy."""
     split = _sectors(diag, off)
     if split is not None:
         _, lows, highs = split
         return lows.min(keepdims=True) if lowest else np.concatenate([lows, highs])
-    if not lowest and _dense_spent + diag.size ** 2 <= DENSE_BUDGET:
-        _dense_spent += diag.size ** 2
+    if dense:
         return _dense_eigenvalues(diag, off)
     from scipy.linalg import eigvalsh_tridiagonal
     if lowest:
@@ -155,9 +129,14 @@ def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, lowest: bool = False) 
 
 def eigenvalues(h: ParityChains) -> np.ndarray:
     """All eigenvalues, ascending, solved one chain (or sector) at a time
-    and merged."""
-    return np.sort(np.concatenate([_chain_eigenvalues(d, e)
-                                   for d, e in zip(h.diag, h.off)]))
+    and merged. One budget check covers all chains that do not split, so
+    they all take the same route."""
+    global _dense_spent
+    chains = [_real_chain(d, e) for d, e in zip(h.diag, h.off)]
+    work = sum(d.size ** 2 for d, e in chains if not _splits(e))
+    dense = _dense_spent + work <= DENSE_BUDGET
+    _dense_spent += work if dense else 0
+    return np.sort(np.concatenate([_chain_eigenvalues(d, e, dense) for d, e in chains]))
 
 
 def _converged_count(evals: np.ndarray, ref: np.ndarray, tol: float) -> int:
@@ -185,7 +164,7 @@ def certify_truncation(builder: Callable[[int], ParityChains],
             k = min(k_levels, prev.size, evals.size)
             if k == k_levels and np.abs(evals[:k] - prev[:k]).max() < tol:
                 converged = _converged_count(evals, prev, tol)
-                return EigenSolution(evals, None, max(converged, k_levels), n_max)
+                return EigenSolution(evals, max(converged, k_levels), n_max)
         prev = evals
         n_max *= 2
     raise NoConvergence(f"lowest {k_levels} eigenvalues not stable below n_max={CAP_N_MAX}")
@@ -197,7 +176,7 @@ def certify_cutoff(builder: Callable[[int], ParityChains], n_max: int,
     converged_levels counts the leading eigenvalues that move < tol."""
     evals = eigenvalues(builder(n_max))
     ref = eigenvalues(builder(2 * n_max))
-    return EigenSolution(evals, None, _converged_count(evals, ref, tol), n_max)
+    return EigenSolution(evals, _converged_count(evals, ref, tol), n_max)
 
 
 # the excitation number each label model conserves: N+ = n + (1 + sigma_z)/2
@@ -207,7 +186,8 @@ _EXCITATION = {"jc": lambda spin, n: n + spin, "ajc": lambda spin, n: n + 1 - sp
 
 def _ground_gap(h: ParityChains) -> float:
     """Sector gap E0(chain 0) - E0(chain 1)."""
-    e0 = [_chain_eigenvalues(d, e, lowest=True)[0] for d, e in zip(h.diag, h.off)]
+    e0 = [_chain_eigenvalues(*_real_chain(d, e), lowest=True)[0]
+          for d, e in zip(h.diag, h.off)]
     return float(e0[0] - e0[1])
 
 

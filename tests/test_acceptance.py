@@ -26,7 +26,7 @@ from susyjc.hilbert import HilbertConfig, ModelParams, parity_chains, su11_gener
 from susyjc.jc import (DressedLabel, dressed_state, ground_state_critical,
                        lowest_closed_levels, rabi_frequency, reduced_density,
                        von_neumann_entropy)
-from susyjc.oracle import certify_truncation, diagonalize, find_crossings
+from susyjc.oracle import certify_truncation, find_crossings
 from susyjc.wigner import numeric_evaluator, wigner_closed_jc, wigner_grid
 
 
@@ -76,17 +76,17 @@ def test_criterion_03_closed_forms_match_oracle():
         model = "jc" if trial % 2 == 0 else "ajc"
         params = (ModelParams(omega=omega, omega0=omega0, lam=g) if model == "jc"
                   else ModelParams(omega=omega, omega0=omega0, mu=g))
-        sol = diagonalize(parity_chains(cfg, params, model).dense())
+        evals, evecs = np.linalg.eigh(parity_chains(cfg, params, model).dense())
         closed = lowest_closed_levels(params, 12, model)
         for k, (e_closed, label) in enumerate(closed):
-            e_num = sol.eigenvalues[k]
+            e_num = evals[k]
             worst_energy = max(worst_energy,
                                abs(e_closed - e_num) / max(1.0, abs(e_num)))
             vec = dressed_state(label, params, cfg)
             # project on the (possibly degenerate) numeric eigenspace
             scale = max(1.0, abs(e_num))
-            idx = np.abs(sol.eigenvalues - e_num) <= 1e-8 * scale
-            overlaps = sol.eigenvectors[:, idx].conj().T @ vec
+            idx = np.abs(evals - e_num) <= 1e-8 * scale
+            overlaps = evecs[:, idx].conj().T @ vec
             worst_fidelity = min(worst_fidelity,
                                  float((np.abs(overlaps) ** 2).sum()))
     elapsed = time.monotonic() - t0
@@ -153,11 +153,11 @@ def test_criterion_05_squared_spectrum_gap():
 
 def test_criterion_06_ajc_spectrum_equals_jc():
     cfg = HilbertConfig(100)
-    jc = diagonalize(parity_chains(
-        cfg, ModelParams(omega=1.0, omega0=1.3, lam=0.9), "jc").dense())
-    ajc = diagonalize(parity_chains(
-        cfg, ModelParams(omega=1.0, omega0=1.3, mu=0.9), "ajc").dense())
-    dev = float(np.abs(jc.eigenvalues[:20] - ajc.eigenvalues[:20]).max())
+    jc = np.linalg.eigh(parity_chains(
+        cfg, ModelParams(omega=1.0, omega0=1.3, lam=0.9), "jc").dense()).eigenvalues
+    ajc = np.linalg.eigh(parity_chains(
+        cfg, ModelParams(omega=1.0, omega0=1.3, mu=0.9), "ajc").dense()).eigenvalues
+    dev = float(np.abs(jc[:20] - ajc[:20]).max())
     ok = dev < 1e-10
     _line(6, ok, f"lowest 20 levels differ by at most {dev:.3e}")
     assert dev < 1e-10
@@ -170,8 +170,10 @@ def test_criterion_07_squeezed_frame_equivalence():
     h_s = effective_hamiltonian(cfg, params)
     v = frame_unitary(cfg, params).unitary
     h_rot = v.conj().T @ parity_chains(cfg, params, "ar").dense() @ v
-    e_s = diagonalize(h_s).eigenvalues[:15]
-    e_rot = diagonalize(h_rot).eigenvalues[:15]
+    # the rotated Hamiltonian is Hermitian up to rounding in the products
+    assert np.abs(h_rot - h_rot.conj().T).max() <= 1e-12 * max(1.0, np.abs(h_rot).max())
+    e_s = np.linalg.eigh(h_s).eigenvalues[:15]
+    e_rot = np.linalg.eigh(h_rot).eigenvalues[:15]
     shifts = e_rot - e_s
     const = float(shifts.mean())
     dev = float(np.abs(shifts - const).max())
@@ -200,7 +202,7 @@ def test_criterion_08_jc_approximation_error_scaling():
         validity = jc_approximation(params).validity
         assert validity <= 0.05
         validities.append(validity)
-        lab = diagonalize(parity_chains(cfg, params, "ar").dense()).eigenvalues[:8]
+        lab = np.linalg.eigh(parity_chains(cfg, params, "ar").dense()).eigenvalues[:8]
         approx = np.sort([approx_spectrum(l, params) for l in labels])[:8]
         approx = approx + lab_frame_offset(params)
         errors.append(float((np.abs(approx - lab)

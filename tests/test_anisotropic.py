@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from susyjc.anisotropic import (approx_spectrum, effective_hamiltonian,
 from susyjc.errors import InvalidLabel, IsotropicSingularLimit
 from susyjc.hilbert import HilbertConfig, ModelParams, parity_chains
 from susyjc.jc import DressedLabel
-from susyjc.oracle import diagonalize
 
 
 def test_squeeze_parameter_anchor():
@@ -33,12 +34,24 @@ def test_frame_unitary_is_unitary_and_records_flip():
     assert fr2.sign == -1
 
 
+def test_frame_unitary_loads_no_scipy():
+    # the squeeze is exponentiated through numpy's eigh; the test session
+    # itself imports SciPy, so this runs in a fresh interpreter
+    code = ("import sys\n"
+            "from susyjc import HilbertConfig, ModelParams, frame_unitary\n"
+            "frame_unitary(HilbertConfig(40), ModelParams(lam=0.1, mu=0.3))\n"
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.decode().split() == ["False"]
+
+
 def _frame_defect(params, n_max=140, keep=40):
     """Entrywise defect of V^dag H_lab V = H_eff + offset on low Fock rows.
 
     The squeeze stretches a level-n state out to roughly e^xi * n quanta, so
-    rows within reach of the cutoff are corrupted by the truncated expm and
-    only the low block tests the identity itself.
+    rows within reach of the cutoff are corrupted by the truncated squeeze
+    generator and only the low block tests the identity itself.
     """
     cfg = HilbertConfig(n_max)
     h_lab = parity_chains(cfg, params, "ar").dense()
@@ -66,8 +79,8 @@ def test_effective_hamiltonian_exactly_hermitian():
 def test_spectra_agree_up_to_the_constant():
     params = ModelParams(lam=0.4, mu=0.15)
     cfg = HilbertConfig(140)
-    lab = diagonalize(parity_chains(cfg, params, "ar").dense()).eigenvalues[:12]
-    sq = diagonalize(effective_hamiltonian(cfg, params)).eigenvalues[:12]
+    lab = np.linalg.eigh(parity_chains(cfg, params, "ar").dense()).eigenvalues[:12]
+    sq = np.linalg.eigh(effective_hamiltonian(cfg, params)).eigenvalues[:12]
     shifts = lab - sq
     assert np.abs(shifts - lab_frame_offset(params)).max() < 1e-8
 
@@ -87,7 +100,7 @@ def test_approx_spectrum_tracks_oracle_when_validity_small():
     params = ModelParams(omega=1.0, omega0=1.0, lam=0.1, mu=0.00125)
     assert jc_approximation(params).validity < 0.05
     cfg = HilbertConfig(160)
-    lab = diagonalize(parity_chains(cfg, params, "ar").dense()).eigenvalues[:8]
+    lab = np.linalg.eigh(parity_chains(cfg, params, "ar").dense()).eigenvalues[:8]
     labels = [DressedLabel("minus", 0)]
     for n in range(1, 5):
         labels += [DressedLabel("minus", n), DressedLabel("plus", n)]

@@ -163,7 +163,7 @@ def test_light_jobs_load_no_scipy():
     # scipy loads on a lowest-level solve of a chain that does not split
     # into excitation-number sectors (an ar/far crossing search), on a full
     # solve of such a chain once the process has spent oracle.DENSE_BUDGET on
-    # dense solves, or on a squeeze; not on import, help, verify, either
+    # dense solves; not on import, help, verify, either
     # Wigner source, any jc/ajc spectrum or crossing, or the ar/far runs
     # below, which all fit in one process's budget
     assert not _scipy_loaded_after(
@@ -372,6 +372,11 @@ def test_unknown_config_key_rejected(tmp_path):
     cp = run_cli("spectrum", "--config", str(cfg))
     assert cp.returncode == 2
     assert b"unknown config key" in cp.stderr
+    # verify has no cutoff search, so auto is not one of its keys
+    cfg.write_text(json.dumps({"auto": True}))
+    cp = run_cli("verify", "--config", str(cfg))
+    assert cp.returncode == 2
+    assert b"unknown config key 'auto' for subcommand 'verify'" in cp.stderr
 
 
 # inputs refused before any work: non-finite numbers (flags, bare sweep
@@ -408,6 +413,7 @@ REFUSED = [
     ["spectrum", "--config", "{cfg_sweep}"],
     ["spectrum", "--config", "{cfg_n_max}"],
     ["spectrum", "--config", "{cfg_conv_tol}"],
+    ["verify", "--config", "{cfg_verify_auto}"],
     ["spectrum", "--model", "jc", "--lambda", "0.5", "--levels", "0"],
     ["wigner", "--label", "minus:1", "--points", "15"],
     ["wigner", "--label", "minus:1", "--window", "0"],
@@ -451,6 +457,7 @@ BAD_CONFIGS = {
     "cfg_sweep": {"model": "jc", "lambda": [0, 1, 3]},
     "cfg_n_max": {"model": "jc", "lambda": 0.5, "n_max": 1},
     "cfg_conv_tol": {"model": "jc", "lambda": 0.5, "conv_tol": 0},
+    "cfg_verify_auto": {"auto": True},  # verify has no cutoff search
 }
 
 
@@ -460,6 +467,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli("spectrum", "--model", "jc", "--lambda", "1:0:5").returncode == 2
     assert run_cli("spectrum", "--model", "jc", "--lambda", "0.1",
                    "--n-max", "20", "--auto").returncode == 2
+    cp = run_cli("verify", "--auto")  # verify takes no --auto at all
+    assert cp.returncode == 2
+    assert b"unrecognized arguments: --auto" in cp.stderr, cp.stderr
     assert run_cli("spectrum", "--model", "ajc", "--lambda", "0.5",
                    "--n-max", "20").returncode == 2  # ajc sweeps --mu
     cp = run_cli("spectrum", "--model", "ar", "--lambda", "0.3", "--mu", "0.3",
@@ -589,8 +599,7 @@ def test_closed_levels_far_from_resonance_stay_small(capsys):
 # exit code of each library error that does not end a run with 2, and the
 # stderr prefix of each code
 EXIT_CODES = {"NoConvergence": 3, "DimensionMismatch": 4,
-              "FactorizationMismatch": 4, "NotHermitian": 4,
-              "SupportExceeded": 4}
+              "FactorizationMismatch": 4, "SupportExceeded": 4}
 PREFIXES = {2: "parameter error", 3: "convergence failure",
             4: "consistency failure"}
 

@@ -6,47 +6,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from susyjc import oracle
-from susyjc.errors import NoConvergence, NotHermitian
+from susyjc.errors import NoConvergence
 from susyjc.far import far_chains, far_from_alphas
-from susyjc.hilbert import (HilbertConfig, ModelParams, ParityChains,
-                            parity_chains, spin_op)
+from susyjc.hilbert import HilbertConfig, ModelParams, ParityChains, parity_chains
 from susyjc.jc import DressedLabel, ground_state_critical
 from susyjc.oracle import (_EXCITATION, _ground_label, _real_chain, _sectors,
-                           certify_cutoff, certify_truncation, diagonalize,
-                           eigenvalues, find_crossings)
-
-
-def test_diagonalize_basic_contract():
-    cfg = HilbertConfig(20)
-    h = parity_chains(cfg, ModelParams(omega=1.0, omega0=0.8, lam=0.4), "jc").dense()
-    sol = diagonalize(h)
-    assert np.all(np.diff(sol.eigenvalues) >= 0)
-    assert sol.converged_levels == 0
-    assert sol.n_max_used == 20
-    v = sol.eigenvectors
-    assert np.abs(v.conj().T @ v - np.eye(cfg.dim)).max() < 1e-12
-    recon = v @ np.diag(sol.eigenvalues) @ v.conj().T
-    assert np.abs(recon - h).max() < 1e-12
-    # phase convention: the anchor amplitude is real positive
-    anchors = np.abs(v).argmax(axis=0)
-    pivots = v[anchors, np.arange(cfg.dim)]
-    assert np.abs(pivots.imag).max() < 1e-12
-    assert pivots.real.min() > 0
-
-
-def test_diagonalize_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
-def test_diagonalize_is_deterministic_under_degeneracy():
-    # sigma_z x 1 has two flat bands; ordering and phases must still be fixed
-    cfg = HilbertConfig(9)
-    h = spin_op(cfg, "sigma_z").dense()
-    a = diagonalize(h)
-    b = diagonalize(h.copy())
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+                           certify_cutoff, certify_truncation, eigenvalues,
+                           find_crossings)
 
 
 def test_certify_truncation_on_decoupled_model():
@@ -75,10 +41,9 @@ def test_chain_and_dense_builders_certify_alike(chain, k_levels):
     a = certify_truncation(chain, k_levels=k_levels)
     assert a.n_max_used > 32
     assert a.converged_levels >= k_levels
-    assert a.eigenvectors is None
     # the dense reference at the certifying cutoff
-    dense = diagonalize(chain(a.n_max_used).dense())
-    assert np.abs(a.eigenvalues - dense.eigenvalues).max() < 1e-11
+    dense = np.linalg.eigh(chain(a.n_max_used).dense()).eigenvalues
+    assert np.abs(a.eigenvalues - dense).max() < 1e-11
     pinned = certify_cutoff(chain, a.n_max_used)
     assert pinned.n_max_used == a.n_max_used
     assert pinned.converged_levels >= k_levels
@@ -225,17 +190,21 @@ def test_dense_chain_solve_equals_the_tridiagonal_solver(chain):
 def test_results_do_not_depend_on_the_dense_budget(monkeypatch):
     # unsplit chains go to numpy's dense solver until the process has spent
     # DENSE_BUDGET rows^2, then to SciPy: the same solution either way, also
-    # when the budget runs out after the first rung (cutoff 32)
+    # when the budget runs out after the first rung (cutoff 32). Both chains
+    # of a Hamiltonian take one route: with room for one 33-row chain left,
+    # neither is solved dense
     sizes = []
     dense = oracle._dense_eigenvalues
     monkeypatch.setattr(oracle, "_dense_eigenvalues",
                         lambda d, e: sizes.append(d.size) or dense(d, e))
     part_way = oracle.DENSE_BUDGET - 2 * 33 ** 2
+    one_chain = oracle.DENSE_BUDGET - 33 ** 2
     ar = ModelParams(omega=1.0, omega0=1.0, lam=0.7, mu=0.2)
     for builder in (lambda n: parity_chains(HilbertConfig(n), ar, "ar"),
                     lambda n: far_chains(HilbertConfig(n), far_from_alphas(0.01, 1.0, 2.8))):
         runs = {}
-        for spent in (0, part_way, oracle.DENSE_BUDGET, oracle.DENSE_BUDGET + 1):
+        for spent in (0, part_way, one_chain, oracle.DENSE_BUDGET,
+                      oracle.DENSE_BUDGET + 1):
             monkeypatch.setattr(oracle, "_dense_spent", spent)
             sizes.clear()
             runs[spent] = (certify_truncation(builder, k_levels=8),
@@ -243,7 +212,8 @@ def test_results_do_not_depend_on_the_dense_budget(monkeypatch):
         truncation, cutoff, _ = runs[0]
         assert truncation.n_max_used >= 64
         assert len(runs[0][2]) > 2 and runs[part_way][2] == [33, 33]
-        assert runs[oracle.DENSE_BUDGET][2] == runs[oracle.DENSE_BUDGET + 1][2] == []
+        assert runs[one_chain][2] == runs[oracle.DENSE_BUDGET][2] == []
+        assert runs[oracle.DENSE_BUDGET + 1][2] == []
         for got_truncation, got_cutoff, _ in runs.values():
             for got, ref in ((got_truncation, truncation), (got_cutoff, cutoff)):
                 assert np.array_equal(got.eigenvalues, ref.eigenvalues)
