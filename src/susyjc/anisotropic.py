@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidLabel, IsotropicSingularLimit
-from .hilbert import (HilbertConfig, ModelParams, boson_op, exchange_op,
-                      jc_to_ajc_rotation, spin_op, su11_generator)
+from .hilbert import (HilbertConfig, ModelParams, exchange_op, jc_to_ajc_rotation,
+                      spin_op, su11_generator)
 from .jc import DressedLabel
 
 __all__ = [
@@ -87,19 +87,23 @@ def frame_unitary(cfg: HilbertConfig, params: ModelParams) -> SqueezedFrame:
     `effective_hamiltonian` entrywise (plus the `lab_frame_offset` constant);
     doubling it preserves the spectrum, being unitary, but not the matrix
     identity. The first factor is diagonal, the second is [[0, 1], [-1, 0]]
-    on the spin, and the squeeze is u diag(exp(-i xi w)) u^dag from numpy's
-    eigh of Ky = u diag(w) u^dag, Hermitian also when truncated.
+    on the spin, and the squeeze is 1 (x) exp(-i xi ky), since Ky = 1 (x) ky
+    on the spin-major basis; exp(-i xi ky) is u diag(exp(-i xi w)) u^dag from
+    numpy's eigh of the boson block ky = u diag(w) u^dag, Hermitian also when
+    truncated. So the whole unitary is (spin factor) (x) (boson block).
     """
     sign = _guard_couplings(params.lam, params.mu)
     xi = squeeze_parameter(params.lam, params.mu)
-    n_diag = np.real(boson_op(cfg, "number").diags[0])
-    v = np.diag(np.exp(-1j * params.theta * n_diag))
-    flipped = params.mu > params.lam
-    if flipped:
-        v = v @ jc_to_ajc_rotation(cfg).dense()
+    n_fock = cfg.n_fock
+    phase = np.exp(-1j * params.theta * np.arange(n_fock))
+    block = np.diag(phase)
     if xi != 0.0:
-        w, u = np.linalg.eigh(su11_generator(cfg, "y").dense())
-        v = v @ (u * np.exp(-1j * xi * w)[None, :]) @ u.conj().T
+        w, u = np.linalg.eigh(su11_generator(cfg, "y").dense()[:n_fock, :n_fock])
+        block = phase[:, None] * ((u * np.exp(-1j * xi * w)[None, :]) @ u.conj().T)
+    flipped = params.mu > params.lam
+    # the spin flip alone: the rotation on a one-state boson space
+    spin = jc_to_ajc_rotation(HilbertConfig(0)).dense() if flipped else np.eye(2)
+    v = np.kron(spin, block)
     return SqueezedFrame(xi=xi, theta_rotation_applied=flipped, sign=sign,
                          unitary=v)
 

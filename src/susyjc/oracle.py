@@ -7,13 +7,15 @@ ground-state crossings between the two parity chains by scanning and
 bisecting their ground-energy gap, so closed-form results can be validated
 against it. Every solve takes parity chains, by one of three routes:
 chains that split into excitation-number sectors (jc/ajc) sector by sector
-in numpy; the full spectra of a Hamiltonian's other chains (ar/far) as
-dense symmetric matrices by numpy's LAPACK while the process's dense work
-stays within DENSE_BUDGET; past the budget, and for every lowest-eigenvalue
-solve of a chain that does not split, by SciPy's tridiagonal solver,
-imported on first use. Both full-spectrum routes end in the same LAPACK
-dsterf, so their eigenvalues are bitwise equal. So importing the package,
-solving jc/ajc or certifying an ar/far run within the budget loads no SciPy.
+in numpy; a Hamiltonian's other chains (ar/far), full spectrum or lowest
+level alike, as dense symmetric matrices by numpy's LAPACK while the
+process's dense work stays within DENSE_BUDGET; past the budget by SciPy's
+tridiagonal solver, imported on first use. A crossing search takes its
+route once, before its grid: the grid goes to SciPy whole unless all of
+it fits in the budget. Both full-spectrum routes end in the same LAPACK
+dsterf, so their eigenvalues are bitwise equal; a lowest level differs by
+rounding only. So importing the package, solving jc/ajc, or certifying or
+searching an ar/far run within the budget loads no SciPy.
 """
 
 from __future__ import annotations
@@ -38,12 +40,14 @@ __all__ = [
 
 # largest Fock cutoff certification doubles up to
 CAP_N_MAX = 2048
-# rows^2 summed over the dense full-spectrum solves of a process, checked
-# before each Hamiltonian's: about 0.17 s of dense solves on a 2-CPU host,
-# half the cost of importing scipy.linalg. A short run never pays the
-# import, and a long one pays at most about one import more than with SciPy
-# from the start. The count is per process, like the import it stands in
-# for; both routes give the same eigenvalues, so it changes cost only.
+# rows^2 summed over the dense solves of a process, checked before each
+# Hamiltonian's (and before each crossing search's grid): about 0.17 s of
+# dense solves on a 2-CPU host, half the cost of importing scipy.linalg. A
+# short run never pays the import, and a long one pays at most about one
+# import more than with SciPy from the start. The count is per process,
+# like the import it stands in for; both routes give the same eigenvalues
+# (a lowest level to rounding, too little to move any crossing tested), so
+# it changes cost only.
 DENSE_BUDGET = 2 ** 21
 _dense_spent = 0
 
@@ -113,29 +117,36 @@ def _dense_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, dense: bool = False,
                        lowest: bool = False) -> np.ndarray:
     """Eigenvalues of one real chain (only the lowest if lowest), unsorted
-    when the chain splits into sectors; a full spectrum of a chain that does
-    not split is solved dense if dense, else by SciPy."""
+    when the chain splits into sectors; a chain that does not split is
+    solved dense if dense, else by SciPy."""
     split = _sectors(diag, off)
     if split is not None:
         _, lows, highs = split
         return lows.min(keepdims=True) if lowest else np.concatenate([lows, highs])
     if dense:
-        return _dense_eigenvalues(diag, off)
+        return _dense_eigenvalues(diag, off)[:1 if lowest else None]
     from scipy.linalg import eigvalsh_tridiagonal
     if lowest:
         return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     return eigvalsh_tridiagonal(diag, off)
 
 
-def eigenvalues(h: ParityChains) -> np.ndarray:
-    """All eigenvalues, ascending, solved one chain (or sector) at a time
-    and merged. One budget check covers all chains that do not split, so
-    they all take the same route."""
+def _routed_chains(h: ParityChains, dense: bool = True) -> tuple[list, bool]:
+    """The real chains of h, and whether those that do not split are solved
+    dense: if dense and their rows^2 still fit in DENSE_BUDGET, which is then
+    charged with them. One check covers them all, so they take one route."""
     global _dense_spent
     chains = [_real_chain(d, e) for d, e in zip(h.diag, h.off)]
     work = sum(d.size ** 2 for d, e in chains if not _splits(e))
-    dense = _dense_spent + work <= DENSE_BUDGET
+    dense = dense and _dense_spent + work <= DENSE_BUDGET
     _dense_spent += work if dense else 0
+    return chains, dense
+
+
+def eigenvalues(h: ParityChains) -> np.ndarray:
+    """All eigenvalues, ascending, solved one chain (or sector) at a time
+    and merged."""
+    chains, dense = _routed_chains(h)
     return np.sort(np.concatenate([_chain_eigenvalues(d, e, dense) for d, e in chains]))
 
 
@@ -184,10 +195,10 @@ def certify_cutoff(builder: Callable[[int], ParityChains], n_max: int,
 _EXCITATION = {"jc": lambda spin, n: n + spin, "ajc": lambda spin, n: n + 1 - spin}
 
 
-def _ground_gap(h: ParityChains) -> float:
-    """Sector gap E0(chain 0) - E0(chain 1)."""
-    e0 = [_chain_eigenvalues(*_real_chain(d, e), lowest=True)[0]
-          for d, e in zip(h.diag, h.off)]
+def _ground_gap(chains: list, dense: bool) -> float:
+    """Sector gap E0(chain 0) - E0(chain 1) of two real chains; those that
+    do not split are solved dense if dense, else by SciPy."""
+    e0 = [_chain_eigenvalues(d, e, dense, lowest=True)[0] for d, e in chains]
     return float(e0[0] - e0[1])
 
 
@@ -237,7 +248,20 @@ def find_crossings(builder: Callable[[float], ParityChains],
     if label_model not in (None, *_EXCITATION):
         raise ValueError(f"label_model must be None or one of {tuple(_EXCITATION)}")
     grid = np.linspace(lo, hi, grid_points)
-    gaps = np.array([_ground_gap(builder(x)) for x in grid])
+    # the search takes its route once: the grid goes dense only if
+    # grid_points solves of every chain fit in the budget (a chain that
+    # splits at one coupling may not at the next), else the whole search
+    # goes to SciPy, so no search pays for dense solves and the import on
+    # one grid. Each solve is then charged, and past the grid each
+    # bisection step is checked like any other Hamiltonian
+    first = builder(grid[0])
+    rows = sum(d.size ** 2 for d in first.diag)
+    dense = _dense_spent + grid_points * rows <= DENSE_BUDGET
+
+    def gap(h):
+        return _ground_gap(*_routed_chains(h, dense))
+
+    gaps = np.array([gap(first)] + [gap(builder(x)) for x in grid[1:]])
 
     def label(x, g):
         # the ground state lies on chain 0 where g < 0, on chain 1 where g > 0
@@ -255,7 +279,7 @@ def find_crossings(builder: Callable[[float], ParityChains],
             a = b = grid[i + 1]
         while b - a > xtol:
             mid = 0.5 * (a + b)
-            g_mid = _ground_gap(builder(mid))
+            g_mid = gap(builder(mid))
             if g_mid == 0.0:
                 a = b = mid
             elif (g_mid < 0) == (g_a < 0):

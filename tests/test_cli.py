@@ -160,12 +160,13 @@ def _scipy_loaded_after(*jobs) -> bool:
 
 
 def test_light_jobs_load_no_scipy():
-    # scipy loads on a lowest-level solve of a chain that does not split
-    # into excitation-number sectors (an ar/far crossing search), on a full
-    # solve of such a chain once the process has spent oracle.DENSE_BUDGET on
-    # dense solves; not on import, help, verify, either
-    # Wigner source, any jc/ajc spectrum or crossing, or the ar/far runs
-    # below, which all fit in one process's budget
+    # scipy loads once the process has spent oracle.DENSE_BUDGET on dense
+    # solves of chains that do not split into excitation-number sectors
+    # (ar/far): on a full solve past it, and on a crossing search whose
+    # whole grid does not fit in what is left. It does not load on import,
+    # help, verify, either Wigner source, any jc/ajc spectrum or crossing,
+    # or the ar/far runs and searches below, which all fit in one
+    # process's budget
     assert not _scipy_loaded_after(
         ["verify", "--n-max", "8"],
         ["wigner", "--label", "minus:1", "--lambda", "1", "--points", "16"],
@@ -186,11 +187,20 @@ def test_light_jobs_load_no_scipy():
         ["far", "--alpha0", "0.01", "--alphaQ", "1.0", "--alphaR", "2.7",
          "--format", "json"],
         ["spectrum", "--model", "ar", "--lambda", "0.7", "--mu", "0.2",
-         "--n-max", "200"])
+         "--n-max", "200"],
+        ["crossings", "--model", "ar", "--lambda", "0.3:1.5:20", "--mu", "0.2",
+         "--n-max", "40"])
+    # the benchmark's ar and far searches, each alone in its process: each
+    # spends more than half of the budget
+    assert not _scipy_loaded_after(
+        ["crossings", "--model", "ar", "--omega", "0.1", "--lambda", "0.045:0.49:40",
+         "--mu", "0.02", "--auto"])
+    assert not _scipy_loaded_after(
+        ["crossings", "--model", "far", "--alphaR", "1.2:4.95:12", "--n-max", "220"])
     assert _scipy_loaded_after(["spectrum", "--model", "far", "--alphaR", "1:5:101",
                                 "--n-max", "512"])
     assert _scipy_loaded_after(["crossings", "--model", "ar", "--lambda", "0.3:1.5:20",
-                                "--mu", "0.2", "--n-max", "40"])
+                                "--mu", "0.2", "--n-max", "512"])
 
 
 def test_crossings_need_a_range():

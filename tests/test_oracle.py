@@ -11,8 +11,8 @@ from susyjc.far import far_chains, far_from_alphas
 from susyjc.hilbert import HilbertConfig, ModelParams, ParityChains, parity_chains
 from susyjc.jc import DressedLabel, ground_state_critical
 from susyjc.oracle import (_EXCITATION, _ground_label, _real_chain, _sectors,
-                           certify_cutoff, certify_truncation, eigenvalues,
-                           find_crossings)
+                           _splits, certify_cutoff, certify_truncation,
+                           eigenvalues, find_crossings)
 
 
 def test_certify_truncation_on_decoupled_model():
@@ -187,6 +187,24 @@ def test_dense_chain_solve_equals_the_tridiagonal_solver(chain):
     assert np.array_equal(got, eigvalsh_tridiagonal(*chain))
 
 
+@settings(max_examples=300, deadline=None)
+@given(chain=_real_chains())
+def test_dense_lowest_level_matches_the_tridiagonal_solver(chain):
+    # a chain that does not split takes its lowest level from the dense full
+    # spectrum, where SciPy's stebz bisects for it alone: the two agree to
+    # rounding. Over 20,000 random draws of 2-600 rows the spread peaked at
+    # 0.58 (m + 8) eps times the largest entry, and it grows with m (102 eps
+    # at m = 1025), so this allows twice that
+    from scipy.linalg import eigvalsh_tridiagonal
+    diag, off = chain
+    assume(not _splits(off))
+    got = oracle._chain_eigenvalues(diag, off, dense=True, lowest=True)
+    assert np.array_equal(got, oracle._dense_eigenvalues(diag, off)[:1])
+    ref = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    scale = max(np.abs(diag).max(), off.max())
+    assert abs(got[0] - ref[0]) <= 2 * (diag.size + 8) * np.finfo(float).eps * scale
+
+
 def test_results_do_not_depend_on_the_dense_budget(monkeypatch):
     # unsplit chains go to numpy's dense solver until the process has spent
     # DENSE_BUDGET rows^2, then to SciPy: the same solution either way, also
@@ -219,6 +237,41 @@ def test_results_do_not_depend_on_the_dense_budget(monkeypatch):
                 assert np.array_equal(got.eigenvalues, ref.eigenvalues)
                 assert (got.converged_levels, got.n_max_used) == (ref.converged_levels,
                                                                   ref.n_max_used)
+
+
+def test_crossings_do_not_depend_on_the_dense_budget(monkeypatch):
+    # a crossing search routes its grid once: dense if every grid solve
+    # fits in the budget, else SciPy for the whole search; past the grid,
+    # each bisection step is checked alone. The lowest levels of the two
+    # routes differ by rounding, but not the crossings they bracket
+    sizes = []
+    dense = oracle._dense_eigenvalues
+    monkeypatch.setattr(oracle, "_dense_eigenvalues",
+                        lambda d, e: sizes.append(d.size) or dense(d, e))
+    grid_points, rows = 20, 2 * 41 ** 2
+    # the grid fits, and three bisection steps after it
+    part_way = oracle.DENSE_BUDGET - (grid_points + 3) * rows
+    ar = lambda x: parity_chains(HilbertConfig(40),
+                                 ModelParams(omega=1.0, omega0=1.0, lam=x, mu=0.2), "ar")
+    far = lambda x: far_chains(HilbertConfig(40), far_from_alphas(0.01, 1.0, x))
+    for builder, coupling_range in ((ar, (0.3, 1.5)), (far, (0.1, 8.0))):
+        runs = {}
+        for spent in (0, part_way, oracle.DENSE_BUDGET + 1):
+            monkeypatch.setattr(oracle, "_dense_spent", spent)
+            sizes.clear()
+            records = find_crossings(builder, coupling_range, grid_points=grid_points)
+            runs[spent] = (np.array([rec.coupling for rec in records]), len(sizes))
+        assert runs[0][0].size == 1 and runs[0][1] > 2 * grid_points
+        assert runs[part_way][1] == 2 * (grid_points + 3)
+        assert runs[oracle.DENSE_BUDGET + 1][1] == 0
+        for couplings, _ in runs.values():
+            assert np.array_equal(couplings, runs[0][0])
+    # the grid check counts every chain: the ar chains split at lam = 0 but
+    # not at the next grid point, and a grid one short of room runs all SciPy
+    monkeypatch.setattr(oracle, "_dense_spent", oracle.DENSE_BUDGET - grid_points * rows + 1)
+    sizes.clear()
+    find_crossings(ar, (0.0, 1.5), grid_points=grid_points)
+    assert sizes == []
 
 
 def test_labels_need_a_conserved_excitation_number():
