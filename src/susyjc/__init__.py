@@ -8,8 +8,8 @@ everything against a diagonalization oracle. A CLI exports spectra, crossings, W
 verification tables as reproducible CSV/JSON.
 """
 
-from .algebra import (IdentityReport, all_pass, anticommutator, commutator,
-                      interior_mask, run_all_checks)
+from .algebra import (IdentityReport, anticommutator, commutator, interior_mask,
+                      run_all_checks)
 from .anisotropic import (JCApproximation, SqueezedFrame, approx_spectrum,
                           effective_hamiltonian, frame_unitary,
                           jc_approximation, lab_frame_offset,

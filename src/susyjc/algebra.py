@@ -1,10 +1,12 @@
 """Residual checks for the operator algebras behind the dressed spectra.
 
-Each check builds both sides of an identity from the hilbert factories and
-reports the largest entry of the difference, restricted to the projector on
-which the identity survives the hard Fock cutoff, together with the largest
-entry of either side there. Identities that never move population through
-the cutoff are reported on the full space and come out exactly zero.
+One ordered table holds every identity: the u(1|1) charges and their
+closures, su(1,1), and the deformed su(2). Each row names both sides of an
+identity, built from the hilbert factories, and the projector on which it
+survives the hard Fock cutoff; `run_all_checks` reports the largest entry of
+the difference there, together with the largest entry of either side.
+Identities that never move population through the cutoff are reported on
+the full space and come out exactly zero.
 
 Every operator here has at most a few nonzero diagonals, so the checks run
 on `hilbert.BandedOp` in O(n_max) time and memory; no (2 n_max + 2)-square
@@ -27,17 +29,15 @@ __all__ = [
     "commutator",
     "anticommutator",
     "interior_mask",
-    "check_susy_u11",
-    "check_su11",
-    "check_deformed_su2",
     "run_all_checks",
-    "all_pass",
 ]
 
 PROJ_FULL = "full"
 PROJ_IN1 = "n<n_max"
 PROJ_IN2 = "n<n_max-1"
 PROJ_EXC = "excited & n<n_max"
+
+_SIGNS = ("plus", "minus", "x", "y")
 
 # Identities whose two sides are assembled from bitwise-identical floats
 # (structural zeros, integer diagonals, power-of-two rescalings), so the
@@ -89,31 +89,6 @@ def interior_mask(cfg: HilbertConfig, margin: int = 1) -> np.ndarray:
     return cfg.boson_index() <= cfg.n_max - margin
 
 
-def _excited_interior_mask(cfg: HilbertConfig) -> np.ndarray:
-    mask = interior_mask(cfg, 1)
-    mask = mask.copy()
-    mask[cfg.index("g", 0)] = False  # N+ kernel
-    return mask
-
-
-def _report(name: str, lhs: BandedOp, rhs: BandedOp, projector: str,
-            cfg: HilbertConfig, sensitive: bool, terms=()) -> IdentityReport:
-    """terms are operators summed into a side whose entries cancel there;
-    they join the entry scale, since rounding follows them."""
-    if projector == PROJ_FULL:
-        mask = None
-    elif projector == PROJ_IN1:
-        mask = interior_mask(cfg, 1)
-    elif projector == PROJ_IN2:
-        mask = interior_mask(cfg, 2)
-    elif projector == PROJ_EXC:
-        mask = _excited_interior_mask(cfg)
-    else:
-        raise ValueError(f"unknown projector {projector!r}")
-    return IdentityReport(name, (lhs - rhs).masked_max(mask), sensitive, projector,
-                          max(op.masked_max(mask) for op in (lhs, rhs, *terms)))
-
-
 def _pinv_sqrt_diag(diag_op: BandedOp) -> BandedOp:
     """Pseudo-inverse square root of a nonnegative diagonal operator
     (zero stays zero, so the kernel is annihilated, not inverted)."""
@@ -124,109 +99,88 @@ def _pinv_sqrt_diag(diag_op: BandedOp) -> BandedOp:
     return BandedOp.diagonal(diag_op.dim, out)
 
 
-def check_susy_u11(cfg: HilbertConfig) -> list[IdentityReport]:
-    """Nilpotent charges, their closures, and the mixed anticommutators."""
-    zero = BandedOp(cfg.dim)
-    qp = hilbert.exchange_op(cfg, "Q", "plus")
-    qm = hilbert.exchange_op(cfg, "Q", "minus")
-    qx = hilbert.exchange_op(cfg, "Q", "x")
-    qy = hilbert.exchange_op(cfg, "Q", "y")
-    rp = hilbert.exchange_op(cfg, "R", "plus")
-    rm = hilbert.exchange_op(cfg, "R", "minus")
-    rx = hilbert.exchange_op(cfg, "R", "x")
-    ry = hilbert.exchange_op(cfg, "R", "y")
+def _identities(cfg: HilbertConfig):
+    """The identity table, row by row: (name, lhs, rhs, projector, *terms),
+    where terms are operators summed into a side whose entries cancel on the
+    projector; they join the entry scale, since rounding follows them. Each
+    operator is built once, and each row's products only when it is read."""
+    qp, qm, qx, qy = (hilbert.exchange_op(cfg, "Q", s) for s in _SIGNS)
+    rp, rm, rx, ry = (hilbert.exchange_op(cfg, "R", s) for s in _SIGNS)
     nplus = hilbert.excitation_number(cfg, "plus")
     nminus = hilbert.excitation_number(cfg, "minus")
-    kp = hilbert.su11_generator(cfg, "plus")
-    km = hilbert.su11_generator(cfg, "minus")
+    kx, ky, kz, kp, km, cas = (hilbert.su11_generator(cfg, axis) for axis in
+                               ("x", "y", "z", "plus", "minus", "casimir"))
+    sz = hilbert.spin_op(cfg, "s_z")
+    zero = BandedOp(cfg.dim)
+    eye = BandedOp.diagonal(cfg.dim, 1.0)
 
-    # sector Hamiltonians as exact diagonals: the Q ladder acts on
+    # u(1|1): nilpotent charges, their closures, and the mixed anticommutators.
+    # The sector Hamiltonians are exact diagonals: the Q ladder acts on
     # (|e,n> -> n+1 ; |g,n> -> n) pairs, the R ladder on the mirror
     n = np.arange(cfg.n_fock, dtype=float)
     hf_q = BandedOp.diagonal(cfg.dim, np.concatenate([np.zeros_like(n), n + 1.0]))
     hb_q = BandedOp.diagonal(cfg.dim, np.concatenate([n, np.zeros_like(n)]))
     hf_r = BandedOp.diagonal(cfg.dim, np.concatenate([n + 1.0, np.zeros_like(n)]))
     hb_r = BandedOp.diagonal(cfg.dim, np.concatenate([np.zeros_like(n), n]))
+    qx2, qy2 = qx @ qx, qy @ qy
+    yield "Q+^2 = 0", qp @ qp, zero, PROJ_FULL
+    yield "Q-^2 = 0", qm @ qm, zero, PROJ_FULL
+    yield "R+^2 = 0", rp @ rp, zero, PROJ_FULL
+    yield "R-^2 = 0", rm @ rm, zero, PROJ_FULL
+    yield "{Q+,Q-} = N+", anticommutator(qp, qm), nplus, PROJ_IN1
+    yield "{R+,R-} = N-", anticommutator(rp, rm), nminus, PROJ_IN1
+    yield "Qx^2 = N+", qx2, nplus, PROJ_IN1
+    yield "Qy^2 = N+", qy2, nplus, PROJ_IN1
+    yield "Rx^2 = N-", rx @ rx, nminus, PROJ_IN1
+    yield "Ry^2 = N-", ry @ ry, nminus, PROJ_IN1
+    yield "Qx^2 = Qy^2", qx2, qy2, PROJ_FULL
+    yield "[N+,Q+] = 0", commutator(nplus, qp), zero, PROJ_FULL
+    yield "[N+,Q-] = 0", commutator(nplus, qm), zero, PROJ_FULL
+    yield "[N-,R+] = 0", commutator(nminus, rp), zero, PROJ_FULL
+    yield "[N-,R-] = 0", commutator(nminus, rm), zero, PROJ_FULL
+    yield "Q- Hf = Hb Q-", qm @ hf_q, hb_q @ qm, PROJ_FULL
+    yield "Hf Q+ = Q+ Hb", hf_q @ qp, qp @ hb_q, PROJ_FULL
+    yield "R- Hf' = Hb' R-", rm @ hf_r, hb_r @ rm, PROJ_FULL
+    yield "Hf' R+ = R+ Hb'", hf_r @ rp, rp @ hb_r, PROJ_FULL
+    yield "{Q+,R+} = 2K-", anticommutator(qp, rp), 2.0 * km, PROJ_IN1
+    yield "{Q-,R-} = 2K+", anticommutator(qm, rm), 2.0 * kp, PROJ_IN1
+    yield "{Q+,R-} = 0", anticommutator(qp, rm), zero, PROJ_FULL
+    yield "{Q-,R+} = 0", anticommutator(qm, rp), zero, PROJ_FULL
 
-    reports = [
-        _report("Q+^2 = 0", qp @ qp, zero, PROJ_FULL, cfg, False),
-        _report("Q-^2 = 0", qm @ qm, zero, PROJ_FULL, cfg, False),
-        _report("R+^2 = 0", rp @ rp, zero, PROJ_FULL, cfg, False),
-        _report("R-^2 = 0", rm @ rm, zero, PROJ_FULL, cfg, False),
-        _report("{Q+,Q-} = N+", anticommutator(qp, qm), nplus, PROJ_IN1, cfg, True),
-        _report("{R+,R-} = N-", anticommutator(rp, rm), nminus, PROJ_IN1, cfg, True),
-        _report("Qx^2 = N+", qx @ qx, nplus, PROJ_IN1, cfg, True),
-        _report("Qy^2 = N+", qy @ qy, nplus, PROJ_IN1, cfg, True),
-        _report("Rx^2 = N-", rx @ rx, nminus, PROJ_IN1, cfg, True),
-        _report("Ry^2 = N-", ry @ ry, nminus, PROJ_IN1, cfg, True),
-        _report("Qx^2 = Qy^2", qx @ qx, qy @ qy, PROJ_FULL, cfg, False),
-        _report("[N+,Q+] = 0", commutator(nplus, qp), zero, PROJ_FULL, cfg, False),
-        _report("[N+,Q-] = 0", commutator(nplus, qm), zero, PROJ_FULL, cfg, False),
-        _report("[N-,R+] = 0", commutator(nminus, rp), zero, PROJ_FULL, cfg, False),
-        _report("[N-,R-] = 0", commutator(nminus, rm), zero, PROJ_FULL, cfg, False),
-        _report("Q- Hf = Hb Q-", qm @ hf_q, hb_q @ qm, PROJ_FULL, cfg, False),
-        _report("Hf Q+ = Q+ Hb", hf_q @ qp, qp @ hb_q, PROJ_FULL, cfg, False),
-        _report("R- Hf' = Hb' R-", rm @ hf_r, hb_r @ rm, PROJ_FULL, cfg, False),
-        _report("Hf' R+ = R+ Hb'", hf_r @ rp, rp @ hb_r, PROJ_FULL, cfg, False),
-        _report("{Q+,R+} = 2K-", anticommutator(qp, rp), 2.0 * km, PROJ_IN1, cfg, True),
-        _report("{Q-,R-} = 2K+", anticommutator(qm, rm), 2.0 * kp, PROJ_IN1, cfg, True),
-        _report("{Q+,R-} = 0", anticommutator(qp, rm), zero, PROJ_FULL, cfg, False),
-        _report("{Q-,R+} = 0", anticommutator(qm, rp), zero, PROJ_FULL, cfg, False),
-    ]
-    return reports
+    # su(1,1) closure and Casimir of the two-boson realization; Kz^2 is the
+    # term the Casimir cancels
+    yield "K+ = Kx + i Ky", kp, kx + 1j * ky, PROJ_FULL
+    yield "K- = Kx - i Ky", km, kx - 1j * ky, PROJ_FULL
+    yield "[Kz,K+] = K+", commutator(kz, kp), kp, PROJ_FULL
+    yield "[Kz,K-] = -K-", commutator(kz, km), -km, PROJ_FULL
+    yield "[K+,K-] = -2Kz", commutator(kp, km), -2.0 * kz, PROJ_IN2
+    yield "K^2 = -3/16", cas, (-3.0 / 16.0) * eye, PROJ_IN2, kz @ kz
 
-
-def check_su11(cfg: HilbertConfig) -> list[IdentityReport]:
-    """su(1,1) closure and Casimir of the two-boson realization."""
-    kx = hilbert.su11_generator(cfg, "x")
-    ky = hilbert.su11_generator(cfg, "y")
-    kz = hilbert.su11_generator(cfg, "z")
-    kp = hilbert.su11_generator(cfg, "plus")
-    km = hilbert.su11_generator(cfg, "minus")
-    cas = hilbert.su11_generator(cfg, "casimir")
-    eye = BandedOp.diagonal(cfg.dim, 1.0)
-    return [
-        _report("K+ = Kx + i Ky", kp, kx + 1j * ky, PROJ_FULL, cfg, False),
-        _report("K- = Kx - i Ky", km, kx - 1j * ky, PROJ_FULL, cfg, False),
-        _report("[Kz,K+] = K+", commutator(kz, kp), kp, PROJ_FULL, cfg, False),
-        _report("[Kz,K-] = -K-", commutator(kz, km), -km, PROJ_FULL, cfg, False),
-        _report("[K+,K-] = -2Kz", commutator(kp, km), -2.0 * kz, PROJ_IN2, cfg, True),
-        # Kz^2 is the term the Casimir cancels
-        _report("K^2 = -3/16", cas, (-3.0 / 16.0) * eye, PROJ_IN2, cfg, True,
-                terms=(kz @ kz,)),
-    ]
-
-
-def check_deformed_su2(cfg: HilbertConfig) -> list[IdentityReport]:
-    """Deformed su(2) closed by the charges, and the rescaled spin that is a
-    standard su(2) on the excited subspace (N+ kernel |g,0> annihilated)."""
-    qp = hilbert.exchange_op(cfg, "Q", "plus")
-    qm = hilbert.exchange_op(cfg, "Q", "minus")
-    qx = hilbert.exchange_op(cfg, "Q", "x")
-    qy = hilbert.exchange_op(cfg, "Q", "y")
-    sz = hilbert.spin_op(cfg, "s_z")
-    nplus = hilbert.excitation_number(cfg, "plus")
-
+    # deformed su(2) closed by the charges, and the rescaled spin that is a
+    # standard su(2) on the excited subspace (N+ kernel |g,0> annihilated)
     inv_sqrt = _pinv_sqrt_diag(nplus)
     sxq = 0.5 * inv_sqrt @ qx
     syq = 0.5 * inv_sqrt @ qy
-    eye = BandedOp.diagonal(cfg.dim, 1.0)
-
-    return [
-        _report("[Sz,Q+] = Q+", commutator(sz, qp), qp, PROJ_FULL, cfg, False),
-        _report("[Sz,Q-] = -Q-", commutator(sz, qm), -qm, PROJ_FULL, cfg, False),
-        _report("[Q+,Q-] = 2 Hq Sz", commutator(qp, qm), 2.0 * nplus @ sz,
-                PROJ_IN1, cfg, True),
-        _report("[Sx,Sy] = i Sz (excited)", commutator(sxq, syq), 1j * sz,
-                PROJ_EXC, cfg, True),
-        _report("Sx^2 + Sy^2 = 1/2 (excited)", sxq @ sxq + syq @ syq, 0.5 * eye,
-                PROJ_EXC, cfg, True),
-    ]
+    yield "[Sz,Q+] = Q+", commutator(sz, qp), qp, PROJ_FULL
+    yield "[Sz,Q-] = -Q-", commutator(sz, qm), -qm, PROJ_FULL
+    yield "[Q+,Q-] = 2 Hq Sz", commutator(qp, qm), 2.0 * nplus @ sz, PROJ_IN1
+    yield "[Sx,Sy] = i Sz (excited)", commutator(sxq, syq), 1j * sz, PROJ_EXC
+    yield ("Sx^2 + Sy^2 = 1/2 (excited)", sxq @ sxq + syq @ syq, 0.5 * eye,
+           PROJ_EXC)
 
 
 def run_all_checks(cfg: HilbertConfig) -> list[IdentityReport]:
-    return check_susy_u11(cfg) + check_su11(cfg) + check_deformed_su2(cfg)
-
-
-def all_pass(reports: list[IdentityReport], tol: float = 1e-12) -> bool:
-    return all(r.passes(tol) for r in reports)
+    """One report per row of the identity table, in its order; a row is
+    truncation-sensitive exactly when its projector is not the full space."""
+    inner = interior_mask(cfg, 1)
+    excited = inner.copy()
+    excited[cfg.index("g", 0)] = False  # N+ kernel
+    masks = {PROJ_FULL: None, PROJ_IN1: inner, PROJ_IN2: interior_mask(cfg, 2),
+             PROJ_EXC: excited}
+    reports = []
+    for name, lhs, rhs, projector, *terms in _identities(cfg):
+        mask = masks[projector]
+        reports.append(IdentityReport(
+            name, (lhs - rhs).masked_max(mask), projector != PROJ_FULL,
+            projector, max(op.masked_max(mask) for op in (lhs, rhs, *terms))))
+    return reports

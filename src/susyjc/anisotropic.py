@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidLabel, IsotropicSingularLimit
-from .hilbert import (HilbertConfig, ModelParams, exchange_op, jc_to_ajc_rotation,
-                      spin_op, su11_generator)
+from .hilbert import (HilbertConfig, ModelParams, _ladder, exchange_op, spin_op,
+                      su11_generator)
 from .jc import DressedLabel
 
 __all__ = [
@@ -98,11 +98,12 @@ def frame_unitary(cfg: HilbertConfig, params: ModelParams) -> SqueezedFrame:
     phase = np.exp(-1j * params.theta * np.arange(n_fock))
     block = np.diag(phase)
     if xi != 0.0:
-        w, u = np.linalg.eigh(su11_generator(cfg, "y").dense()[:n_fock, :n_fock])
+        ky = -1j * (_ladder(n_fock, -2) - _ladder(n_fock, 2)) / 4.0
+        w, u = np.linalg.eigh(ky.dense())
         block = phase[:, None] * ((u * np.exp(-1j * xi * w)[None, :]) @ u.conj().T)
     flipped = params.mu > params.lam
-    # the spin flip alone: the rotation on a one-state boson space
-    spin = jc_to_ajc_rotation(HilbertConfig(0)).dense() if flipped else np.eye(2)
+    # the spin factor of hilbert.jc_to_ajc_rotation, exp(-i pi/2 sigma_y)
+    spin = np.array([[0.0, 1.0], [-1.0, 0.0]]) if flipped else np.eye(2)
     v = np.kron(spin, block)
     return SqueezedFrame(xi=xi, theta_rotation_applied=flipped, sign=sign,
                          unitary=v)

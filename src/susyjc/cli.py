@@ -41,19 +41,14 @@ from .wigner import numeric_evaluator, wigner_closed_jc, wigner_grid
 __all__ = ["main"]
 
 MODELS = ("jc", "ajc", "ar", "far")
+# the sweepable flag of each model, which takes a number or min:max:points
 SWEEP_FLAG = {"jc": "lambda", "ajc": "mu", "ar": "lambda", "far": "alphaR"}
-
-# config-file key -> argparse dest (identity unless noted)
-CONFIG_TO_DEST = {"lambda": "lam"}
-
-# dests of the sweepable flags, which take a number or min:max:points
-SWEEP_DESTS = frozenset(CONFIG_TO_DEST.get(f, f) for f in SWEEP_FLAG.values())
 
 # largest Wigner grid side (the grid holds MAX_POINTS^2 samples), and the
 # largest number of points in a min:max:points sweep
 MAX_POINTS = 1001
 
-# bounds of the numeric flags, those of config.schema.json plus the caps:
+# bounds of the numeric flags, the same as in config.schema.json:
 # dest -> (lowest, lowest excluded, highest or None); flags and config
 # values alike are refused outside them
 BOUNDS = {"levels": (1, False, None), "n_max": (2, False, CAP_N_MAX),
@@ -199,7 +194,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--model", choices=MODELS)
         p.add_argument("--omega", type=float)
         p.add_argument("--omega0", type=float)
-        p.add_argument("--lambda", dest="lam",
+        p.add_argument("--lambda",
                        help="rotating coupling; sweep syntax min:max:points")
         p.add_argument("--mu", help="counter-rotating coupling; sweepable "
                                     "for --model ajc")
@@ -229,7 +224,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--model", choices=("jc", "ajc"))
     p.add_argument("--omega", type=float)
     p.add_argument("--omega0", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", type=float)
     p.add_argument("--mu", type=float)
     p.add_argument("--label", help="dressed level, e.g. minus:0 or plus:3")
     p.add_argument("--window", type=float)
@@ -263,7 +258,7 @@ DEFAULTS = {
                   "conv_tol": 1e-10, "xtol": 1e-9,
                   "alpha0": 0.01, "alphaQ": 1.0},
     "wigner": {"format": "csv", "units": "omega0", "model": "jc",
-               "omega": 1.0, "omega0": 1.0, "lam": 0.0, "mu": 0.0,
+               "omega": 1.0, "omega0": 1.0, "lambda": 0.0, "mu": 0.0,
                "window": 3.0, "points": 101, "source": "closed"},
     "verify": {"format": "csv", "units": "omega0", "n_max": 64, "tol": 1e-12},
     "far": {"format": "csv", "units": "omega0", "levels": 11,
@@ -289,7 +284,7 @@ def _config_value(action: argparse.Action, key: str, value):
                 value = action.type(value)
             except (ValueError, OverflowError):
                 ok = False
-    elif action.dest in SWEEP_DESTS:
+    elif action.dest in SWEEP_FLAG.values():
         ok, want = is_number or isinstance(value, str), "a number or min:max:points"
     else:
         ok, want = isinstance(value, str), "a string"
@@ -315,13 +310,12 @@ def _merge_config(args: argparse.Namespace, actions: dict) -> dict:
         if not isinstance(from_file, dict):
             raise UsageError("config file must hold a JSON object")
         for key, value in from_file.items():
-            dest = CONFIG_TO_DEST.get(key, key)
-            if dest not in actions or dest not in merged:
+            if key not in actions or key not in merged:
                 raise UsageError(f"unknown config key {key!r} for "
                                  f"subcommand {args.command!r}")
-            value = _config_value(actions[dest], key, value)
-            if merged[dest] is None:
-                merged[dest] = value
+            value = _config_value(actions[key], key, value)
+            if merged[key] is None:
+                merged[key] = value
     for key, value in DEFAULTS[args.command].items():
         if merged.get(key) is None:
             merged[key] = value
@@ -343,7 +337,7 @@ def _merge_config(args: argparse.Namespace, actions: dict) -> dict:
 
 
 def _flag(key: str) -> str:
-    return "--" + {"lam": "lambda"}.get(key, key).replace("_", "-")
+    return "--" + key.replace("_", "-")
 
 
 def _require(merged: dict, key: str, why: str):
@@ -369,8 +363,7 @@ def _energy_unit(merged: dict, model: str) -> tuple[float, str]:
 
 def _sweep_values(merged: dict, model: str) -> tuple[list[float], int | None]:
     flag = SWEEP_FLAG[model]
-    dest = CONFIG_TO_DEST.get(flag, flag)
-    raw = merged.get(dest)
+    raw = merged.get(flag)
     if raw is None:
         raise UsageError(f"--{flag} is required for --model {model}")
     return _parse_sweep(raw)
@@ -504,7 +497,7 @@ def cmd_wigner(merged: dict) -> int:
     model = merged["model"]
     label = _parse_label(_require(merged, "label", "for wigner"), model)
     params = ModelParams(omega=merged["omega"], omega0=merged["omega0"],
-                         lam=float(merged["lam"]), mu=float(merged["mu"]))
+                         lam=float(merged["lambda"]), mu=float(merged["mu"]))
     window = float(merged["window"])
     points = int(merged["points"])
 

@@ -174,8 +174,7 @@ def certify_truncation(builder: Callable[[int], ParityChains],
         if prev is not None:
             k = min(k_levels, prev.size, evals.size)
             if k == k_levels and np.abs(evals[:k] - prev[:k]).max() < tol:
-                converged = _converged_count(evals, prev, tol)
-                return EigenSolution(evals, max(converged, k_levels), n_max)
+                return EigenSolution(evals, _converged_count(evals, prev, tol), n_max)
         prev = evals
         n_max *= 2
     raise NoConvergence(f"lowest {k_levels} eigenvalues not stable below n_max={CAP_N_MAX}")

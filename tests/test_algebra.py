@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from susyjc import algebra
-from susyjc.algebra import (BITWISE_ZERO, all_pass, anticommutator,
-                            commutator, interior_mask, run_all_checks)
+from susyjc import algebra, hilbert
+from susyjc.algebra import (BITWISE_ZERO, anticommutator, commutator,
+                            interior_mask, run_all_checks)
 from susyjc.errors import DimensionMismatch
 from susyjc.hilbert import (BandedOp, HilbertConfig, exchange_op,
                             excitation_number)
@@ -32,10 +34,22 @@ def test_interior_mask_counts():
 def test_all_identities_pass_at_default_tolerance():
     reports = run_all_checks(HilbertConfig(12))
     assert len(reports) == 34
-    assert all_pass(reports)
+    assert len({r.identity_name for r in reports}) == 34
+    assert all(r.passes(1e-12) for r in reports)
     worst = max(r.residual for r in reports)
     assert worst < 1e-12
-    assert not all_pass(reports, tol=0.0)
+    assert not all(r.passes(0.0) for r in reports)
+
+
+def test_each_operator_is_built_once(monkeypatch):
+    calls = Counter()
+    for name in ("exchange_op", "excitation_number", "su11_generator", "spin_op"):
+        def counted(cfg, *key, factory=getattr(hilbert, name), name=name):
+            calls[name, *key] += 1
+            return factory(cfg, *key)
+        monkeypatch.setattr(hilbert, name, counted)
+    run_all_checks(HilbertConfig(6))
+    assert len(calls) == 17 and set(calls.values()) == {1}
 
 
 def test_cutoff_insensitive_identities_are_bitwise_zero():
@@ -72,7 +86,11 @@ def test_casimir_constant_on_interior():
 
 
 def test_projector_labels_are_recorded():
-    names = {r.identity_name: r.projector for r in run_all_checks(HilbertConfig(8))}
+    reports = run_all_checks(HilbertConfig(8))
+    # a row is truncation-sensitive exactly when it needs a projector
+    for rep in reports:
+        assert rep.truncation_sensitive == (rep.projector != algebra.PROJ_FULL)
+    names = {r.identity_name: r.projector for r in reports}
     assert names["Q+^2 = 0"] == algebra.PROJ_FULL
     assert names["{Q+,Q-} = N+"] == algebra.PROJ_IN1
     assert names["[K+,K-] = -2Kz"] == algebra.PROJ_IN2

@@ -10,7 +10,8 @@ from susyjc.anisotropic import (approx_spectrum, effective_hamiltonian,
                                 lab_frame_offset, quadrature_weights,
                                 squeeze_parameter)
 from susyjc.errors import InvalidLabel, IsotropicSingularLimit
-from susyjc.hilbert import HilbertConfig, ModelParams, parity_chains
+from susyjc.hilbert import (HilbertConfig, ModelParams, jc_to_ajc_rotation,
+                            parity_chains, su11_generator)
 from susyjc.jc import DressedLabel
 
 
@@ -32,6 +33,25 @@ def test_frame_unitary_is_unitary_and_records_flip():
     fr2 = frame_unitary(cfg, ModelParams(lam=0.1, mu=0.3))
     assert fr2.theta_rotation_applied
     assert fr2.sign == -1
+
+
+@pytest.mark.parametrize("params", [ModelParams(lam=0.3, mu=0.1),
+                                    ModelParams(lam=0.1, mu=0.3, theta=0.7),
+                                    ModelParams(omega=0.5, omega0=0.2, lam=1.1,
+                                                mu=0.25)])
+def test_frame_unitary_matches_the_composite_space_operators(params):
+    # the squeeze from the boson block of Ky = 1 (x) ky and the flip from the
+    # jc-to-ajc rotation on a one-state boson space give the same floats
+    for n_max in (0, 1, 2, 3, 17, 64, 150):
+        cfg = HilbertConfig(n_max)
+        fr = frame_unitary(cfg, params)
+        w, u = np.linalg.eigh(
+            su11_generator(cfg, "y").dense()[:cfg.n_fock, :cfg.n_fock])
+        phase = np.exp(-1j * params.theta * np.arange(cfg.n_fock))
+        block = phase[:, None] * ((u * np.exp(-1j * fr.xi * w)[None, :]) @ u.conj().T)
+        spin = (jc_to_ajc_rotation(HilbertConfig(0)).dense()
+                if fr.theta_rotation_applied else np.eye(2))
+        assert np.array_equal(fr.unitary, np.kron(spin, block)), n_max
 
 
 def test_frame_unitary_loads_no_scipy():

@@ -389,6 +389,53 @@ def test_unknown_config_key_rejected(tmp_path):
     assert b"unknown config key 'auto' for subcommand 'verify'" in cp.stderr
 
 
+def test_bounds_match_the_config_schema():
+    from susyjc import cli
+    schema = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
+    props = schema["properties"]
+    bounded = {key for key, prop in props.items()
+               if {"minimum", "exclusiveMinimum", "maximum"} & prop.keys()}
+    assert bounded == set(cli.BOUNDS)
+    for key, (low, low_excluded, high) in cli.BOUNDS.items():
+        lower, other = ("exclusiveMinimum", "minimum") if low_excluded else \
+            ("minimum", "exclusiveMinimum")
+        assert props[key].get(lower) == low, key
+        assert other not in props[key], key
+        assert props[key].get("maximum") == high, key
+
+
+# config objects that the schema and the CLI must accept or refuse alike;
+# numeric strings are left out, since the CLI reads them as its flags do
+SCHEMA_CASES = [
+    ("spectrum", {"model": "jc", "lambda": 0.5, "n_max": 10}),
+    ("spectrum", {"model": "jc", "lam": 0.5, "n_max": 10}),
+    ("spectrum", {"model": "jc", "lambda": 0.5, "n_max": 2048, "levels": 1}),
+    ("spectrum", {"model": "jc", "lambda": 0.5, "n_max": 4096}),
+    ("spectrum", {"model": "jc", "lambda": 0.5, "n_max": 1}),
+    ("spectrum", {"model": "jc", "lambda": 0.5, "n_max": 10, "levels": 0}),
+    ("spectrum", {"model": "jc", "lambda": 0.5, "n_max": 10, "conv_tol": 0}),
+    ("wigner", {"label": "minus:0", "points": 16}),
+    ("wigner", {"label": "minus:0", "points": 15}),
+    ("wigner", {"label": "minus:0", "points": 5000}),
+    ("verify", {"n_max": 2048, "tol": 1e-9}),
+    ("verify", {"n_max": 2048, "tol": 0}),
+]
+
+
+@pytest.mark.parametrize("command,config", SCHEMA_CASES,
+                         ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_schema_and_cli_agree(command, config, tmp_path, capsys):
+    from susyjc import cli
+    schema = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
+    valid = jsonschema.Draft202012Validator(schema).is_valid(config)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code = cli.main([command, "--config", str(path),
+                     "--output", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == (0 if valid else 2)
+
+
 # inputs refused before any work: non-finite numbers (flags, bare sweep
 # values, config values), numbers outside their flag's bounds, and
 # allocations sized from the input; then parameters whose chain entries,
