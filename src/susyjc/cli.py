@@ -32,17 +32,18 @@ from .algebra import run_all_checks
 from .errors import DegenerateCouplings, SusyJCError
 from .far import constraint_check, far_chains, far_from_alphas, far_spectrum_shape
 from .hilbert import HilbertConfig, ModelParams, parity_chains
-from .jc import (DressedLabel, ground_state_critical, lowest_closed_levels,
-                 reduced_density)
+from .jc import (LABEL_MODELS, DressedLabel, ground_state_critical,
+                 lowest_closed_levels, reduced_density)
 from .oracle import (CAP_N_MAX, certify_cutoff, certify_truncation, eigenvalues,
                      find_crossings)
 from .wigner import numeric_evaluator, wigner_closed_jc, wigner_grid
 
 __all__ = ["main"]
 
-MODELS = ("jc", "ajc", "ar", "far")
-# the sweepable flag of each model, which takes a number or min:max:points
+# the sweepable flag of each model, which takes a number or min:max:points;
+# the closed forms cover jc.LABEL_MODELS
 SWEEP_FLAG = {"jc": "lambda", "ajc": "mu", "ar": "lambda", "far": "alphaR"}
+MODELS = tuple(SWEEP_FLAG)
 
 # largest Wigner grid side (the grid holds MAX_POINTS^2 samples), and the
 # largest number of points in a min:max:points sweep
@@ -190,7 +191,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                            help="auto-converge the cutoff (default when "
                                 "--n-max is absent; exclusive with it)")
 
-    def model_params(p):
+    def sweep(p):  # spectrum and crossings
         p.add_argument("--model", choices=MODELS)
         p.add_argument("--omega", type=float)
         p.add_argument("--omega0", type=float)
@@ -203,25 +204,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--alphaQ", type=float)
         p.add_argument("--alphaR", help="factorization coefficient; sweep "
                                         "syntax min:max:points")
+        p.add_argument("--levels", type=int)
+        p.add_argument("--conv-tol", dest="conv_tol", type=float)
 
     p = sub.add_parser("spectrum", help="lowest levels along a coupling sweep")
     common(p)
-    model_params(p)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--conv-tol", dest="conv_tol", type=float)
+    sweep(p)
 
     p = sub.add_parser("crossings", help="level crossings along a sweep")
     common(p)
-    model_params(p)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--conv-tol", dest="conv_tol", type=float)
+    sweep(p)
     p.add_argument("--xtol", type=float)
     p.add_argument("--min-gap", dest="min_gap", type=float,
                    help="accepted for old configs; has no effect")
 
     p = sub.add_parser("wigner", help="Wigner grid of a dressed level")
     common(p)
-    p.add_argument("--model", choices=("jc", "ajc"))
+    p.add_argument("--model", choices=LABEL_MODELS)
     p.add_argument("--omega", type=float)
     p.add_argument("--omega0", type=float)
     p.add_argument("--lambda", type=float)
@@ -249,20 +248,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     for name, p in sub.choices.items()}
 
 
+# defaults, each stated once: _OUTPUT for every subcommand, the groups for
+# the subcommands that share their flags (crossings certifies 4 levels)
+_OUTPUT = {"format": "csv", "units": "omega0"}
+_CERTIFY = {"levels": 11, "conv_tol": 1e-10}
+_FREQUENCIES = {"omega": 1.0, "omega0": 1.0}
+_SWEEP = {**_FREQUENCIES, **_CERTIFY, "theta": 0.0, "alpha0": 0.01, "alphaQ": 1.0}
 DEFAULTS = {
-    "spectrum": {"format": "csv", "units": "omega0", "omega": 1.0,
-                 "omega0": 1.0, "theta": 0.0, "levels": 11,
-                 "conv_tol": 1e-10, "alpha0": 0.01, "alphaQ": 1.0},
-    "crossings": {"format": "csv", "units": "omega0", "omega": 1.0,
-                  "omega0": 1.0, "theta": 0.0, "levels": 4,
-                  "conv_tol": 1e-10, "xtol": 1e-9,
-                  "alpha0": 0.01, "alphaQ": 1.0},
-    "wigner": {"format": "csv", "units": "omega0", "model": "jc",
-               "omega": 1.0, "omega0": 1.0, "lambda": 0.0, "mu": 0.0,
+    "spectrum": _SWEEP,
+    "crossings": {**_SWEEP, "levels": 4, "xtol": 1e-9},
+    "wigner": {**_FREQUENCIES, "model": "jc", "lambda": 0.0, "mu": 0.0,
                "window": 3.0, "points": 101, "source": "closed"},
-    "verify": {"format": "csv", "units": "omega0", "n_max": 64, "tol": 1e-12},
-    "far": {"format": "csv", "units": "omega0", "levels": 11,
-            "conv_tol": 1e-10, "shape_tol": 1e-8},
+    "verify": {"n_max": 64, "tol": 1e-12},
+    "far": {**_CERTIFY, "shape_tol": 1e-8},
 }
 
 
@@ -316,7 +314,7 @@ def _merge_config(args: argparse.Namespace, actions: dict) -> dict:
             value = _config_value(actions[key], key, value)
             if merged[key] is None:
                 merged[key] = value
-    for key, value in DEFAULTS[args.command].items():
+    for key, value in {**_OUTPUT, **DEFAULTS[args.command]}.items():
         if merged.get(key) is None:
             merged[key] = value
     if merged.get("n_max") is not None and merged.get("auto"):
@@ -351,81 +349,74 @@ def _energy_unit(merged: dict, model: str) -> tuple[float, str]:
     its own frequencies from the alphas, so it always reports absolute."""
     if model == "far" or merged["units"] == "absolute":
         return 1.0, "absolute"
-    omega0 = float(merged["omega0"])
-    if omega0 == 0.0:
+    if merged["omega0"] == 0.0:
         raise UsageError("--units omega0 needs a nonzero --omega0")
-    return omega0, "omega0"
+    return merged["omega0"], "omega0"
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _sweep_values(merged: dict, model: str) -> tuple[list[float], int | None]:
-    flag = SWEEP_FLAG[model]
-    raw = merged.get(flag)
-    if raw is None:
-        raise UsageError(f"--{flag} is required for --model {model}")
-    return _parse_sweep(raw)
-
-
-def _point_params(merged: dict, model: str, x: float) -> ModelParams:
-    if model == "jc":
-        return ModelParams(omega=merged["omega"], omega0=merged["omega0"],
-                           lam=x, theta=merged["theta"])
-    if model == "ajc":
-        return ModelParams(omega=merged["omega"], omega0=merged["omega0"],
-                           mu=x, theta=merged["theta"])
-    mu_raw = merged.get("mu")
-    mu_vals, mu_pts = _parse_sweep(mu_raw if mu_raw is not None else "0.0")
-    if mu_pts is not None:
-        raise UsageError("--mu must be a scalar for --model ar")
-    return ModelParams(omega=merged["omega"], omega0=merged["omega0"],
-                       lam=x, mu=mu_vals[0], theta=merged["theta"])
-
-
-def _builder(merged: dict, model: str, x: float):
-    """n_max -> parity chains of the model's Hamiltonian at sweep value x."""
+def _sweep(merged: dict, model: str):
+    """The model's inputs, read once: (sweep values, points or None for a
+    bare number, at), where at(x) gives the parity-chain builder n_max ->
+    ParityChains at sweep value x and the parameters it builds from
+    (FarParams for far, else ModelParams)."""
+    values, points = _parse_sweep(_require(merged, SWEEP_FLAG[model],
+                                           f"for --model {model}"))
     if model == "far":
-        fp = far_from_alphas(merged["alpha0"], merged["alphaQ"], x)
-        return lambda n: far_chains(HilbertConfig(n), fp)
-    params = _point_params(merged, model, x)
-    return lambda n: parity_chains(HilbertConfig(n), params, model)
+        def at(x):
+            fp = far_from_alphas(merged["alpha0"], merged["alphaQ"], x)
+            return (lambda n: far_chains(HilbertConfig(n), fp)), fp
+        return values, points, at
+    fixed = {"omega": merged["omega"], "omega0": merged["omega0"],
+             "theta": merged["theta"]}
+    if model == "ar":
+        mu, mu_points = _parse_sweep("0.0" if merged["mu"] is None
+                                     else merged["mu"])
+        if mu_points is not None:
+            raise UsageError("--mu must be a scalar for --model ar")
+        fixed["mu"] = mu[0]
+    coupling = "mu" if model == "ajc" else "lam"
+
+    def at(x):
+        params = ModelParams(**fixed, **{coupling: x})
+        return (lambda n: parity_chains(HilbertConfig(n), params, model)), params
+    return values, points, at
 
 
-def _solve(builder, merged: dict, k_levels: int) -> np.ndarray:
-    """Ascending eigenvalues at the pinned cutoff, or certified ones."""
-    if merged.get("n_max") is not None:
-        return eigenvalues(builder(int(merged["n_max"])))
-    return certify_truncation(builder, k_levels=k_levels,
-                              tol=float(merged["conv_tol"])).eigenvalues
+def _certify(builder, merged: dict):
+    """The lowest --levels of builder's chains, certified to --conv-tol."""
+    return certify_truncation(builder, k_levels=merged["levels"],
+                              tol=merged["conv_tol"])
 
 
 def cmd_spectrum(merged: dict) -> int:
     model = _require(merged, "model", "for spectrum")
-    levels = int(merged["levels"])
-    sweep, _ = _sweep_values(merged, model)
+    levels = merged["levels"]
+    sweep, _, at = _sweep(merged, model)
     unit, units_name = _energy_unit(merged, model)
 
     xs, ks, energies, closed = [], [], [], []
     for x in sweep:
         try:
-            builder = _builder(merged, model, x)
+            builder, params = at(x)
         except DegenerateCouplings as exc:
             print(f"susyjc: skipping sweep point {x!r}: {exc}", file=sys.stderr)
             continue
-        found = _solve(builder, merged, levels)[:levels].tolist()
+        found = (_certify(builder, merged).eigenvalues if merged["n_max"] is None
+                 else eigenvalues(builder(merged["n_max"])))[:levels].tolist()
         xs += [x] * len(found)
         ks += range(len(found))
         energies += found
-        closed += (lowest_closed_levels(_point_params(merged, model, x),
-                                        len(found), model)
-                   if model in ("jc", "ajc") else [(None, None)] * len(found))
+        closed += (lowest_closed_levels(params, len(found), model)
+                   if model in LABEL_MODELS else [(None, None)] * len(found))
 
     labels = [label for _, label in closed]
     _emit(merged, {"kind": "spectrum", "model": model,
                    "sweep_parameter": SWEEP_FLAG[model], "units": units_name,
-                   "levels": levels, "n_max": merged.get("n_max")},
+                   "levels": levels, "n_max": merged["n_max"]},
           {"sweep_value": [x / unit for x in xs],
            "level_index": ks,
            "energy": [e / unit for e in energies],
@@ -442,30 +433,26 @@ def cmd_spectrum(merged: dict) -> int:
 
 def cmd_crossings(merged: dict) -> int:
     model = _require(merged, "model", "for crossings")
-    sweep, points = _sweep_values(merged, model)
+    sweep, points, at = _sweep(merged, model)
     if points is None:
         raise UsageError("crossings need a min:max:points sweep")
     lo, hi = sweep[0], sweep[-1]
     unit, units_name = _energy_unit(merged, model)
 
-    if merged.get("n_max") is not None:
-        n_max = int(merged["n_max"])
-    else:
-        # certify at the top of the range (the most demanding point)
-        n_max = certify_truncation(_builder(merged, model, hi),
-                                   k_levels=int(merged["levels"]),
-                                   tol=float(merged["conv_tol"])).n_max_used
+    n_max = merged["n_max"]
+    if n_max is None:
+        # certify at the end of larger magnitude (the most demanding point)
+        end = lo if abs(lo) > abs(hi) else hi
+        n_max = _certify(at(end)[0], merged).n_max_used
 
-    records = find_crossings(lambda x: _builder(merged, model, x)(n_max),
-                             (lo, hi), grid_points=max(3, points),
-                             xtol=float(merged["xtol"]),
-                             label_model=model if model in ("jc", "ajc") else None)
+    records = find_crossings(lambda x: at(x)[0](n_max), (lo, hi),
+                             grid_points=max(3, points), xtol=merged["xtol"],
+                             label_model=model if model in LABEL_MODELS else None)
 
+    # labels, and so closed forms, only where find_crossings gave them
     couplings = [float(rec.coupling) for rec in records]
-    closed = [ground_state_critical(rec.right.n_total,
-                                    _point_params(merged, model, x))
-              if model in ("jc", "ajc") and rec.right is not None
-              and rec.right.n_total >= 1 else None
+    closed = [ground_state_critical(rec.right.n_total, at(x)[1])
+              if rec.right is not None and rec.right.n_total >= 1 else None
               for rec, x in zip(records, couplings)]
     lefts = [rec.left for rec in records]
     rights = [rec.right for rec in records]
@@ -486,20 +473,19 @@ def _parse_label(text: str, model: str) -> DressedLabel:
     parts = str(text).split(":")
     if len(parts) != 2 or parts[0] not in ("minus", "plus"):
         raise UsageError(f"--label must be minus:N or plus:N, got {text!r}")
-    try:
-        n_total = int(parts[1])
-    except ValueError:
+    # ASCII digits only: int() also reads signs, spaces and underscores
+    if not (parts[1].isascii() and parts[1].isdigit()):
         raise UsageError(f"--label N must be an integer, got {parts[1]!r}")
-    return DressedLabel(parts[0], n_total, model)
+    return DressedLabel(parts[0], int(parts[1]), model)
 
 
 def cmd_wigner(merged: dict) -> int:
     model = merged["model"]
     label = _parse_label(_require(merged, "label", "for wigner"), model)
     params = ModelParams(omega=merged["omega"], omega0=merged["omega0"],
-                         lam=float(merged["lambda"]), mu=float(merged["mu"]))
-    window = float(merged["window"])
-    points = int(merged["points"])
+                         lam=merged["lambda"], mu=merged["mu"])
+    window = merged["window"]
+    points = merged["points"]
 
     if merged["source"] == "closed":
         # the Laguerre recurrence runs N steps; the numeric source is bounded
@@ -510,7 +496,7 @@ def cmd_wigner(merged: dict) -> int:
         evaluator = lambda alpha: wigner_closed_jc(label, params, alpha)
     else:
         if merged.get("n_max") is not None:
-            n_max = int(merged["n_max"])
+            n_max = merged["n_max"]
         else:
             corner = 2.0 * window * window
             margin = min(corner + 6.0 * math.sqrt(corner) + 30, CAP_N_MAX + 1)
@@ -535,8 +521,8 @@ def cmd_wigner(merged: dict) -> int:
 
 
 def cmd_verify(merged: dict) -> int:
-    n_max = int(merged["n_max"])
-    tol = float(merged["tol"])
+    n_max = merged["n_max"]
+    tol = merged["tol"]
     reports = run_all_checks(HilbertConfig(n_max))
     passed = [bool(rep.passes(tol)) for rep in reports]
     _emit(merged, {"kind": "verify", "n_max": n_max, "tolerance": tol,
@@ -553,22 +539,19 @@ def cmd_verify(merged: dict) -> int:
 def cmd_far(merged: dict) -> int:
     for key in ("alpha0", "alphaQ", "alphaR"):
         _require(merged, key, "for far")
-    fp = far_from_alphas(float(merged["alpha0"]), float(merged["alphaQ"]),
-                         float(merged["alphaR"]))
-    builder = _builder(merged, "far", float(merged["alphaR"]))
-    if merged.get("n_max") is not None:
+    (alpha_r,), _, at = _sweep(merged, "far")
+    builder, fp = at(alpha_r)
+    if merged["n_max"] is not None:
         # the shape report needs certified levels, so a pinned cutoff is
         # still checked against its double
-        sol = certify_cutoff(builder, int(merged["n_max"]),
-                             tol=float(merged["conv_tol"]))
+        sol = certify_cutoff(builder, merged["n_max"], tol=merged["conv_tol"])
     else:
-        sol = certify_truncation(builder, k_levels=int(merged["levels"]),
-                                 tol=float(merged["conv_tol"]))
-    shape = far_spectrum_shape(sol, tol=float(merged["shape_tol"]))
+        sol = _certify(builder, merged)
+    shape = far_spectrum_shape(sol, tol=merged["shape_tol"])
 
     _emit(merged, {
-        "kind": "far", "alpha0": float(merged["alpha0"]),
-        "alphaQ": float(merged["alphaQ"]), "alphaR": float(merged["alphaR"]),
+        "kind": "far", "alpha0": merged["alpha0"],
+        "alphaQ": merged["alphaQ"], "alphaR": alpha_r,
         "effective": {"omega": fp.omega, "omega0": fp.omega0,
                       "lambda": fp.lam, "mu": fp.mu,
                       "phi_lambda": fp.phi_lambda, "phi_mu": fp.phi_mu,

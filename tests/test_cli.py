@@ -203,6 +203,62 @@ def test_light_jobs_load_no_scipy():
                                 "--mu", "0.2", "--n-max", "512"])
 
 
+def test_crossings_auto_certifies_at_the_larger_magnitude_end():
+    # a decreasing-magnitude sweep is most demanding at its first point; at
+    # -0.3 the certification stops at n_max 64 and finds 2 of the 9 crossings
+    base = ("crossings", "--model", "ar", "--omega", "0.1", "--lambda=-3:-0.3:20",
+            "--mu", "0.02", "--format", "json")
+    auto = run_cli(*base, "--auto")
+    pinned = run_cli(*base, "--n-max", "1024")
+    assert auto.returncode == pinned.returncode == 0, auto.stderr
+    auto, pinned = json.loads(auto.stdout), json.loads(pinned.stdout)
+    assert auto["n_max"] == 1024
+    assert auto["rows"] == pinned["rows"] and len(auto["rows"]) == 9
+
+
+def test_a_negative_sweep_is_joined_to_its_flag(capsys):
+    # argparse reads a separate -0.5:0.5:5 as an option
+    from susyjc import cli
+    argv = ["spectrum", "--model", "jc", "--levels", "2", "--n-max", "20"]
+    assert cli.main(argv + ["--lambda=-0.5:0.5:5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--lambda", "-0.5:0.5:5"])
+    assert exc.value.code == 2
+    assert "--lambda: expected one argument" in capsys.readouterr().err
+
+
+def test_each_model_input_is_parsed_once(monkeypatch, capsysbinary):
+    # the sweep flag and ar's scalar --mu, before any solve, not again at
+    # each grid point, bisection step or crossing record
+    from susyjc import cli
+    parse, texts = cli._parse_sweep, []
+    monkeypatch.setattr(cli, "_parse_sweep",
+                        lambda text: texts.append(text) or parse(text))
+    assert cli.main(["crossings", "--model", "ar", "--lambda", "0.3:1.5:20",
+                     "--mu", "0.2", "--n-max", "40"]) == 0
+    assert texts == ["0.3:1.5:20", "0.2"]
+    assert capsysbinary.readouterr().out.startswith(b"branch,M,N,")
+
+
+def test_schemas_and_parser_name_the_cli_model_facts():
+    from susyjc import cli
+    from susyjc.jc import LABEL_MODELS
+    out = json.loads((SCHEMA_DIR / "output.schema.json").read_text())["$defs"]
+    config = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
+    assert cli.MODELS == tuple(cli.SWEEP_FLAG)
+    assert config["properties"]["model"]["enum"] == list(cli.MODELS)
+    for kind in ("spectrum", "crossings"):
+        assert out[kind]["properties"]["model"]["enum"] == list(cli.MODELS)
+    assert (sorted(out["spectrum"]["properties"]["sweep_parameter"]["enum"])
+            == sorted(set(cli.SWEEP_FLAG.values())))
+    assert out["wigner"]["properties"]["model"]["enum"] == list(LABEL_MODELS)
+    _, actions = cli._build_parser()
+    assert {name: tuple(flags["model"].choices)
+            for name, flags in actions.items() if "model" in flags} == {
+        "spectrum": cli.MODELS, "crossings": cli.MODELS, "wigner": LABEL_MODELS}
+
+
 def test_crossings_need_a_range():
     cp = run_cli("crossings", "--model", "jc", "--lambda", "1.0", "--n-max", "40")
     assert cp.returncode == 2
@@ -417,6 +473,11 @@ SCHEMA_CASES = [
     ("wigner", {"label": "minus:0", "points": 16}),
     ("wigner", {"label": "minus:0", "points": 15}),
     ("wigner", {"label": "minus:0", "points": 5000}),
+    ("wigner", {"label": "minus:2048", "lambda": 1.0, "points": 16}),
+    ("wigner", {"label": "plus:5000", "lambda": 1.0, "points": 16}),
+    ("wigner", {"label": "plus:0", "lambda": 1.0, "points": 16}),
+    ("wigner", {"label": "plus:1_0", "lambda": 1.0, "points": 16}),
+    ("wigner", {"label": "plus: 3", "lambda": 1.0, "points": 16}),
     ("verify", {"n_max": 2048, "tol": 1e-9}),
     ("verify", {"n_max": 2048, "tol": 0}),
 ]
@@ -562,6 +623,48 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             assert err.startswith("susyjc: error: a result is inf in the "
                                   "requested units;"), err
     assert not out_file.exists()
+
+
+# config files named by REFUSAL_LINES, written into the test's directory
+REFUSAL_CONFIGS = {"auto.json": '{"auto": "yes"}', "bad.json": "{bad",
+                   "list.json": "[1, 2]"}
+
+# refusals and the one stderr line each prints; {dir} is the config directory
+REFUSAL_LINES = [
+    ("spectrum --model jc --lambda abc",
+     "expected a number or min:max:points, got 'abc'"),
+    ("spectrum --model jc --lambda 0:1",
+     "sweep must be min:max:points, got '0:1'"),
+    ("spectrum --model jc --lambda a:b:3", "could not parse sweep 'a:b:3'"),
+    ("spectrum --model jc --lambda 0.5 --config {dir}/auto.json",
+     "config key 'auto' must be true or false, got 'yes'"),
+    ("spectrum --model jc --lambda 0.5 --config {dir}/missing.json",
+     "cannot read config file: [Errno 2] No such file or directory: "
+     "'{dir}/missing.json'"),
+    ("spectrum --model jc --lambda 0.5 --config {dir}/bad.json",
+     "config file is not valid JSON: Expecting property name enclosed in "
+     "double quotes: line 1 column 2 (char 1)"),
+    ("spectrum --model jc --lambda 0.5 --config {dir}/list.json",
+     "config file must hold a JSON object"),
+    ("spectrum --lambda 0.5", "--model is required for spectrum"),
+    ("wigner", "--label is required for wigner"),
+    ("far --alpha0 1 --alphaQ 1", "--alphaR is required for far"),
+    ("spectrum --model ar --lambda 0.5 --mu 0:1:3",
+     "--mu must be a scalar for --model ar"),
+    ("wigner --label plus:x", "--label N must be an integer, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv,line", REFUSAL_LINES,
+                         ids=[argv for argv, _ in REFUSAL_LINES])
+def test_refusals_print_one_line(argv, line, tmp_path, capsys):
+    from susyjc import cli
+    for name, text in REFUSAL_CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    argv = argv.replace("{dir}", str(tmp_path)).split()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "susyjc: error: " + line.replace("{dir}", str(tmp_path)) + "\n")
 
 
 # extreme finite values, each put through every template below

@@ -49,6 +49,13 @@ def test_mixing_angle():
     assert mixing_angle(1, ModelParams(omega0=2.0, lam=0.0)) == 0.0
     with pytest.raises(DegenerateAngle):
         mixing_angle(1, ModelParams(lam=0.0))
+    # below resonance atan2 passes pi/2 and is folded back by pi, so the
+    # angle lies in (-pi/2, 0) with tan(beta) = 2 g sqrt(N) / delta = -1.2
+    for model, knob in (("jc", "lam"), ("ajc", "mu")):
+        beta = mixing_angle(1, ModelParams(omega=1.0, omega0=0.5, **{knob: 0.3}),
+                            model)
+        assert -math.pi / 2 < beta < 0
+        assert math.tan(beta) == pytest.approx(-1.2, rel=4 * 2.0 ** -52)
 
 
 def test_singlet_energy():
