@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .constants import LABEL_MODELS
 from .errors import (
     DegenerateAngle,
     InvalidLabel,
@@ -40,7 +41,6 @@ __all__ = [
 ]
 
 BRANCHES = ("plus", "minus")
-LABEL_MODELS = ("jc", "ajc")
 
 
 @dataclass(frozen=True)

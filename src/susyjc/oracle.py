@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .constants import CAP_N_MAX
 from .errors import NoConvergence
 from .hilbert import HilbertConfig, ParityChains
 from .jc import CrossingRecord, DressedLabel
@@ -38,8 +39,6 @@ __all__ = [
     "CAP_N_MAX",
 ]
 
-# largest Fock cutoff certification doubles up to
-CAP_N_MAX = 2048
 # rows^2 summed over the dense solves of a process, checked before each
 # Hamiltonian's (and before each crossing search's grid): about 0.17 s of
 # dense solves on a 2-CPU host, half the cost of importing scipy.linalg. A

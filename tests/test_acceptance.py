@@ -353,10 +353,9 @@ def test_criterion_12_cli_determinism():
                                   capture_output=True, env=env)
         first = run()
         second = run()
-        same = first.stdout == second.stdout and first.returncode == second.returncode
-        if name == "spectrum":
-            serial = run({"SUSYJC_THREADS": "1"})
-            same = same and serial.stdout == first.stdout
+        serial = run({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+        same = (first.stdout == second.stdout == serial.stdout
+                and first.returncode == second.returncode == serial.returncode)
         identical = identical and same and first.returncode == 0
         outcomes.append(f"{name}:{'=' if same else '!='}")
     _line(12, identical, "byte-identical reruns " + " ".join(outcomes))

@@ -33,20 +33,47 @@ def test_help_runs():
     assert b"spectrum" in cp.stdout and b"wigner" in cp.stdout
 
 
+# the 65 names the package exported when it imported them eagerly
+PACKAGE_EXPORTS = {
+    "CrossingRecord", "DegenerateAngle", "DegenerateCouplings",
+    "DimensionMismatch", "DressedLabel", "EigenSolution", "EqualCouplings",
+    "FactorizationMismatch", "FarParams", "HilbertConfig", "IdentityReport",
+    "InvalidLabel", "InvalidN", "IsotropicSingularLimit", "JCApproximation",
+    "ModelParams", "NoConvergence", "ParityChains", "SpectrumShape",
+    "SqueezedFrame", "SupportExceeded", "SusyJCError", "TruncationTooSmall",
+    "WignerGrid", "anticommutator", "approx_spectrum", "boson_op",
+    "certify_cutoff", "certify_truncation", "commutator", "constraint_check",
+    "coupling_for", "crossing_pair", "dressed_energy", "dressed_state",
+    "effective_hamiltonian", "eigenvalues", "exchange_op",
+    "excitation_number", "far_chains", "far_from_alphas",
+    "far_spectrum_shape", "find_crossings", "frame_unitary",
+    "ground_state_critical", "interior_mask", "jc_approximation",
+    "jc_to_ajc_rotation", "lab_frame_offset", "laguerre_pair",
+    "lowest_closed_levels", "mixing_angle", "numeric_evaluator",
+    "parity_chains", "parity_op", "quadrature_weights", "rabi_frequency",
+    "reduced_density", "run_all_checks", "spin_op", "squeeze_parameter",
+    "su11_generator", "von_neumann_entropy", "wigner_closed_jc",
+    "wigner_grid",
+}
+
+
 def test_package_exports_are_in_each_module_all():
-    # every name the package imports is in its module's __all__, and every
-    # module's __all__ names only what the module defines
-    import ast
+    # every name of the package's lazy table is in its module's __all__ and
+    # is that module's object, the table holds the 65 names the package
+    # always exported, and every module's __all__ names only what the
+    # module defines
     import importlib
     import susyjc
+    exported = []
+    for module_name, names in susyjc._EXPORTS.items():
+        module = importlib.import_module(f"susyjc.{module_name}")
+        for name in names:
+            assert name in module.__all__, (module_name, name)
+            assert getattr(susyjc, name) is getattr(module, name), name
+        exported += names
+    assert len(PACKAGE_EXPORTS) == 65
+    assert sorted(exported) == sorted(susyjc.__all__) == sorted(PACKAGE_EXPORTS)
     package = Path(susyjc.__file__)
-    imports = [node for node in ast.parse(package.read_text()).body
-               if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"susyjc.{node.module}")
-        for alias in node.names:
-            assert alias.name in module.__all__, (node.module, alias.name)
     for path in package.parent.glob("[!_]*.py"):
         module = importlib.import_module(f"susyjc.{path.stem}")
         for name in module.__all__:
@@ -127,6 +154,29 @@ def test_crossings_jc():
     assert rows[0]["residual"] < 1e-6
 
 
+@pytest.mark.parametrize("model, flag", [("jc", "--lambda"), ("ajc", "--mu")])
+def test_a_negative_crossing_sweep_mirrors_the_positive_one(model, flag,
+                                                            capsysbinary):
+    # the ground state hops from sector N-1 to N as |coupling| grows, so
+    # [-b, -a] meets the hops of [a, b] in reverse order, each from N to
+    # N-1 at the negated closed form
+    from susyjc import cli
+
+    def rows(sweep):
+        assert cli.main(["crossings", "--model", model, f"{flag}={sweep}",
+                         "--n-max", "40", "--format", "json"]) == 0
+        return json.loads(capsysbinary.readouterr().out.decode())["rows"]
+
+    positive, negative = rows("0.5:3:30"), rows("-3:-0.5:30")
+    assert len(positive) == len(negative) == 2
+    for pos, neg in zip(reversed(positive), negative):
+        assert pos["residual"] < 1e-6 and neg["residual"] < 1e-6
+        assert (neg["branch"], neg["M"], neg["N"]) == (pos["branch"], pos["N"],
+                                                       pos["M"])
+        assert neg["lambda_closed"] == -pos["lambda_closed"]
+        assert abs(neg["lambda_numeric"] + pos["lambda_numeric"]) < 1e-6
+
+
 def test_crossings_return_an_exact_tie(capsysbinary):
     # on resonance both sector energies at lambda = 1 round to the same
     # float, and a bisection midpoint lands on it: that midpoint is returned
@@ -203,6 +253,36 @@ def test_light_jobs_load_no_scipy():
                                 "--mu", "0.2", "--n-max", "512"])
 
 
+def test_the_argv_surface_loads_no_numpy(tmp_path):
+    # import, --help and every refusal of argparse or the config merge run
+    # on the standard library; the first accepted job loads numpy
+    config = tmp_path / "unknown.json"
+    config.write_text('{"bogus": 1}')
+    code = (
+        "import contextlib, io, os, sys\n"
+        "import susyjc\n"
+        "from susyjc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['--help'], ['spectrum', '--help']):\n"
+        "        try:\n"
+        "            main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code == 0, argv\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "    for argv in (['verify', '--n-max', '4096'],\n"
+        "                 ['wigner', '--points', '5000'],\n"
+        "                 ['spectrum', '--model', 'jc', '--n-max', '40', '--auto'],\n"
+        f"                 ['verify', '--config', {str(config)!r}]):\n"
+        "        assert main(argv) == 2, argv\n"
+        "assert err.getvalue().count('susyjc: error: ') == 4, err.getvalue()\n"
+        "print('numpy' in sys.modules)\n"
+        "assert main(['verify', '--n-max', '8', '--output', os.devnull]) == 0\n"
+        "print('numpy' in sys.modules)\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.decode().split() == ["False", "True"]
+
+
 def test_crossings_auto_certifies_at_the_larger_magnitude_end():
     # a decreasing-magnitude sweep is most demanding at its first point; at
     # -0.3 the certification stops at n_max 64 and finds 2 of the 9 crossings
@@ -231,9 +311,9 @@ def test_a_negative_sweep_is_joined_to_its_flag(capsys):
 def test_each_model_input_is_parsed_once(monkeypatch, capsysbinary):
     # the sweep flag and ar's scalar --mu, before any solve, not again at
     # each grid point, bisection step or crossing record
-    from susyjc import cli
-    parse, texts = cli._parse_sweep, []
-    monkeypatch.setattr(cli, "_parse_sweep",
+    from susyjc import cli, commands
+    parse, texts = commands._parse_sweep, []
+    monkeypatch.setattr(commands, "_parse_sweep",
                         lambda text: texts.append(text) or parse(text))
     assert cli.main(["crossings", "--model", "ar", "--lambda", "0.3:1.5:20",
                      "--mu", "0.2", "--n-max", "40"]) == 0
@@ -776,7 +856,7 @@ FAILED_RUNS = [
 
 
 def test_consistency_failures_exit_4(monkeypatch, capsys):
-    from susyjc import cli, errors
+    from susyjc import cli, commands, errors
     for argv, code, message in FAILED_RUNS:
         assert cli.main(argv.split()) == code, argv
         assert capsys.readouterr() == ("", message), argv
@@ -788,7 +868,7 @@ def test_consistency_failures_exit_4(monkeypatch, capsys):
     for cls in classes:
         def handler(merged, cls=cls):
             raise cls("injected")
-        monkeypatch.setattr(cli, "cmd_verify", handler)
+        monkeypatch.setattr(commands, "cmd_verify", handler)
         code = cli.main(["verify", "--n-max", "4"])
         assert code == cls.exit_code == EXIT_CODES.get(cls.__name__, 2), cls
         assert capsys.readouterr() == (
