@@ -96,7 +96,9 @@ def _sectors(diag: np.ndarray, off: np.ndarray):
     blocks[:, 0, 0], blocks[:, 1, 1] = diag[pairs], diag[pairs + 1]
     blocks[:, 0, 1] = blocks[:, 1, 0] = off[pairs]
     pair_evals = np.linalg.eigvalsh(blocks)
-    singles = np.setdiff1d(np.arange(diag.size), np.concatenate([pairs, pairs + 1]))
+    single = np.ones(diag.size, bool)  # a mask: np.setdiff1d loads numpy.ma
+    single[pairs] = single[pairs + 1] = False
+    singles = np.flatnonzero(single)
     return (np.concatenate([pairs, singles]),
             np.concatenate([pair_evals[:, 0], diag[singles]]), pair_evals[:, 1])
 

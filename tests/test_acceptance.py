@@ -351,11 +351,12 @@ def test_criterion_12_cli_determinism():
                 env.update(extra_env)
             return subprocess.run([sys.executable, "-m", "susyjc", *args],
                                   capture_output=True, env=env)
+        # the CLI runs BLAS on one thread by default; the threaded run sets two
         first = run()
         second = run()
-        serial = run({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
-        same = (first.stdout == second.stdout == serial.stdout
-                and first.returncode == second.returncode == serial.returncode)
+        threaded = run({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"})
+        same = (first.stdout == second.stdout == threaded.stdout
+                and first.returncode == second.returncode == threaded.returncode)
         identical = identical and same and first.returncode == 0
         outcomes.append(f"{name}:{'=' if same else '!='}")
     _line(12, identical, "byte-identical reruns " + " ".join(outcomes))

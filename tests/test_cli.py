@@ -283,6 +283,67 @@ def test_the_argv_surface_loads_no_numpy(tmp_path):
     assert cp.stdout.decode().split() == ["False", "True"]
 
 
+def test_jc_solves_load_no_numpy_ma():
+    # jc/ajc chains split into 2x2 sectors, whose single states a boolean
+    # mask finds; np.setdiff1d would load numpy.ma through np.unique
+    code = (
+        "import os, sys\n"
+        "from susyjc import cli\n"
+        "for argv in (['spectrum', '--model', 'jc', '--lambda', '0.7', '--auto'],\n"
+        "             ['spectrum', '--model', 'jc', '--lambda', '0:2:9', '--n-max', '40'],\n"
+        "             ['crossings', '--model', 'jc', '--lambda', '0.5:1.5:20']):\n"
+        "    assert cli.main(argv + ['--output', os.devnull]) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.decode().split() == ["False"]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_job(process_entry: bool, **env_extra) -> tuple[int, bool]:
+    """A fresh interpreter, with no BLAS thread variable set but env_extra,
+    runs one verify job through cli.main() reading sys.argv (as python -m
+    susyjc does) or through cli.main(argv) (as a library caller does). It
+    returns the process's thread count and whether os.environ is unchanged."""
+    argv = ["verify", "--n-max", "16", "--output", os.devnull]
+    call = (f"sys.argv = ['susyjc', *{argv!r}]\nstatus = cli.main()\n"
+            if process_entry else f"status = cli.main({argv!r})\n")
+    code = ("import os, sys\n"
+            "from susyjc import cli\n"
+            "before = dict(os.environ)\n"
+            + call +
+            "assert status == 0\n"
+            "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before)\n")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                        env={**env, **env_extra})
+    assert cp.returncode == 0, cp.stderr
+    threads, unchanged = cp.stdout.decode().split()
+    return int(threads), unchanged == "True"
+
+
+linux_only = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                                reason="counts threads in /proc/self/task")
+
+
+@linux_only
+def test_a_process_entry_runs_blas_on_one_thread():
+    assert _blas_job(True) == (1, False)
+
+
+@linux_only
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+def test_a_process_entry_keeps_the_users_blas_thread_count():
+    threads, unchanged = _blas_job(True, OPENBLAS_NUM_THREADS="2")
+    assert threads >= 2 and unchanged
+
+
+def test_a_library_call_leaves_the_environment_alone():
+    assert _blas_job(False)[1]
+
+
 def test_crossings_auto_certifies_at_the_larger_magnitude_end():
     # a decreasing-magnitude sweep is most demanding at its first point; at
     # -0.3 the certification stops at n_max 64 and finds 2 of the 9 crossings
