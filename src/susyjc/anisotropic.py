@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidLabel, IsotropicSingularLimit
+from .errors import DegenerateCouplings, InvalidLabel
 from .hilbert import (HilbertConfig, ModelParams, _ladder, exchange_op, spin_op,
                       su11_generator)
 from .jc import DressedLabel
@@ -67,7 +67,7 @@ def _guard_couplings(lam: float, mu: float) -> int:
     if lam < 0 or mu < 0:
         raise ValueError("couplings must be nonnegative")
     if lam == mu:
-        raise IsotropicSingularLimit(
+        raise DegenerateCouplings(
             "lam == mu: squeeze parameter diverges at the isotropic point")
     return 1 if lam > mu else -1
 

@@ -193,7 +193,7 @@ def _certify(builder, merged: dict):
 def cmd_spectrum(merged: dict) -> int:
     model = _require(merged, "model", "for spectrum")
     levels = merged["levels"]
-    sweep, _, at = _sweep(merged, model)
+    sweep, points, at = _sweep(merged, model)
     unit, units_name = _energy_unit(merged, model)
 
     xs, ks, energies, closed = [], [], [], []
@@ -201,6 +201,8 @@ def cmd_spectrum(merged: dict) -> int:
         try:
             builder, params = at(x)
         except DegenerateCouplings as exc:
+            if points is None:  # a bare value has no other point to show
+                raise
             print(f"susyjc: skipping sweep point {x!r}: {exc}", file=sys.stderr)
             continue
         found = (_certify(builder, merged).eigenvalues if merged["n_max"] is None

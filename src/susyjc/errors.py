@@ -2,19 +2,14 @@
 it ends a run with: 2 (the default) for a parameter the models cannot take,
 3 for a truncation that did not converge, 4 for a consistency failure."""
 
-__all__ = ["SusyJCError", "EqualCouplings", "DimensionMismatch", "InvalidN",
-           "DegenerateAngle", "InvalidLabel", "TruncationTooSmall",
-           "IsotropicSingularLimit", "DegenerateCouplings",
+__all__ = ["SusyJCError", "DimensionMismatch", "InvalidN", "DegenerateAngle",
+           "InvalidLabel", "TruncationTooSmall", "DegenerateCouplings",
            "FactorizationMismatch", "NoConvergence", "SupportExceeded"]
 
 
 class SusyJCError(Exception):
     """Base class for all library-specific errors."""
     exit_code = 2
-
-
-class EqualCouplings(SusyJCError):
-    """Rotating and counter-rotating couplings coincide where they must not."""
 
 
 class DimensionMismatch(SusyJCError):
@@ -38,12 +33,9 @@ class TruncationTooSmall(SusyJCError):
     """Requested state does not fit inside the configured Fock cutoff."""
 
 
-class IsotropicSingularLimit(SusyJCError):
-    """Squeezed-frame construction diverges at equal couplings."""
-
-
 class DegenerateCouplings(SusyJCError):
-    """Factorized coupling amplitudes have equal modulus."""
+    """Couplings on the isotropic line lam == mu, where the squeezed frame
+    and the factorizable map are singular (the lab-frame model is not)."""
 
 
 class FactorizationMismatch(SusyJCError):

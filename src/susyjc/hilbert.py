@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EqualCouplings
+from .errors import DimensionMismatch
 
 __all__ = [
     "HilbertConfig",
@@ -419,7 +419,8 @@ def parity_chains(cfg: HilbertConfig, params: ModelParams, model: str) -> Parity
 
     'jc'  : omega n + omega0 sigma_z/2 + lam (e^{i theta} Q+ + e^{-i theta} Q-)
     'ajc' : omega n - omega0 sigma_z/2 - mu (e^{-i theta} R- + e^{i theta} R+)
-    'ar'  : jc plus  mu (e^{-i theta} R- + e^{i theta} R+), requires lam != mu
+    'ar'  : jc plus  mu (e^{-i theta} R- + e^{i theta} R+); at lam == mu this
+            is the quantum Rabi model, regular in this lab frame
 
     The jc model ignores mu and the ajc model ignores lam. On a chain,
     Q- = a^dag sigma- takes |e,k> to sqrt(k+1) |g,k+1> and R- = a^dag sigma+
@@ -429,11 +430,6 @@ def parity_chains(cfg: HilbertConfig, params: ModelParams, model: str) -> Parity
     model = model.lower()
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    if model == "ar" and params.lam == params.mu:
-        raise EqualCouplings(
-            "anisotropic model requires lam != mu (exactly equal couplings "
-            "are the isotropic singular point)"
-        )
     spin = cfg.chain_spin()
     sz = 2.0 * spin - 1.0
     n = np.arange(cfg.n_fock, dtype=float)

@@ -79,17 +79,12 @@ def _real_chain(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return diag, off
 
 
-def _splits(off: np.ndarray) -> bool:
-    """Whether a real chain has no two consecutive nonzero couplings."""
-    coupled = off != 0
-    return not (coupled[1:] & coupled[:-1]).any()
-
-
 def _sectors(diag: np.ndarray, off: np.ndarray):
     """Blocks of <= 2 states of a real chain with no two consecutive nonzero
     couplings (else None): each block's first state and lowest eigenvalue,
     2x2 blocks first, then their upper eigenvalues, from one stacked eigvalsh."""
-    if not _splits(off):
+    coupled = off != 0
+    if (coupled[1:] & coupled[:-1]).any():
         return None
     pairs = np.flatnonzero(off)
     blocks = np.zeros((pairs.size, 2, 2))
@@ -115,12 +110,11 @@ def _dense_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a, UPLO="L")
 
 
-def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, dense: bool = False,
-                       lowest: bool = False) -> np.ndarray:
-    """Eigenvalues of one real chain (only the lowest if lowest), unsorted
-    when the chain splits into sectors; a chain that does not split is
-    solved dense if dense, else by SciPy."""
-    split = _sectors(diag, off)
+def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, split,
+                       dense: bool = False, lowest: bool = False) -> np.ndarray:
+    """Eigenvalues of one real chain (only the lowest if lowest), given its
+    _sectors split: unsorted when the chain splits; a chain that does not
+    split is solved dense if dense, else by SciPy."""
     if split is not None:
         _, lows, highs = split
         return lows.min(keepdims=True) if lowest else np.concatenate([lows, highs])
@@ -133,12 +127,14 @@ def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, dense: bool = False,
 
 
 def _routed_chains(h: ParityChains, dense: bool = True) -> tuple[list, bool]:
-    """The real chains of h, and whether those that do not split are solved
-    dense: if dense and their rows^2 still fit in DENSE_BUDGET, which is then
-    charged with them. One check covers them all, so they take one route."""
+    """The real chains of h as (diag, off, sectors or None), and whether
+    those that do not split are solved dense: if dense and their rows^2
+    still fit in DENSE_BUDGET, which is then charged with them. One check
+    covers them all, so they take one route."""
     global _dense_spent
-    chains = [_real_chain(d, e) for d, e in zip(h.diag, h.off)]
-    work = sum(d.size ** 2 for d, e in chains if not _splits(e))
+    chains = [(d, e, _sectors(d, e))
+              for d, e in (_real_chain(d, e) for d, e in zip(h.diag, h.off))]
+    work = sum(d.size ** 2 for d, _, split in chains if split is None)
     dense = dense and _dense_spent + work <= DENSE_BUDGET
     _dense_spent += work if dense else 0
     return chains, dense
@@ -148,7 +144,7 @@ def eigenvalues(h: ParityChains) -> np.ndarray:
     """All eigenvalues, ascending, solved one chain (or sector) at a time
     and merged."""
     chains, dense = _routed_chains(h)
-    return np.sort(np.concatenate([_chain_eigenvalues(d, e, dense) for d, e in chains]))
+    return np.sort(np.concatenate([_chain_eigenvalues(*chain, dense) for chain in chains]))
 
 
 def _converged_count(evals: np.ndarray, ref: np.ndarray, tol: float) -> int:
@@ -193,13 +189,6 @@ def certify_cutoff(builder: Callable[[int], ParityChains], n_max: int,
 # the excitation number each label model conserves: N+ = n + (1 + sigma_z)/2
 # for jc, N- = n + (1 - sigma_z)/2 for ajc
 _EXCITATION = {"jc": lambda spin, n: n + spin, "ajc": lambda spin, n: n + 1 - spin}
-
-
-def _ground_gap(chains: list, dense: bool) -> float:
-    """Sector gap E0(chain 0) - E0(chain 1) of two real chains; those that
-    do not split are solved dense if dense, else by SciPy."""
-    e0 = [_chain_eigenvalues(d, e, dense, lowest=True)[0] for d, e in chains]
-    return float(e0[0] - e0[1])
 
 
 def _ground_label(h: ParityChains, chain: int, model: str) -> DressedLabel:
@@ -259,7 +248,9 @@ def find_crossings(builder: Callable[[float], ParityChains],
     dense = _dense_spent + grid_points * rows <= DENSE_BUDGET
 
     def gap(h):
-        return _ground_gap(*_routed_chains(h, dense))
+        chains, routed = _routed_chains(h, dense)
+        e0, e1 = (_chain_eigenvalues(*chain, routed, lowest=True)[0] for chain in chains)
+        return float(e0 - e1)
 
     gaps = np.array([gap(first)] + [gap(builder(x)) for x in grid[1:]])
 

@@ -9,7 +9,7 @@ from susyjc.anisotropic import (approx_spectrum, effective_hamiltonian,
                                 frame_unitary, jc_approximation,
                                 lab_frame_offset, quadrature_weights,
                                 squeeze_parameter)
-from susyjc.errors import InvalidLabel, IsotropicSingularLimit
+from susyjc.errors import DegenerateCouplings, InvalidLabel
 from susyjc.hilbert import (HilbertConfig, ModelParams, jc_to_ajc_rotation,
                             parity_chains, su11_generator)
 from susyjc.jc import DressedLabel
@@ -18,7 +18,7 @@ from susyjc.jc import DressedLabel
 def test_squeeze_parameter_anchor():
     assert squeeze_parameter(3.0, 1.0) == math.log(2.0)
     assert squeeze_parameter(1.0, 3.0) == math.log(2.0)
-    with pytest.raises(IsotropicSingularLimit):
+    with pytest.raises(DegenerateCouplings):
         squeeze_parameter(0.4, 0.4)
     with pytest.raises(ValueError):
         squeeze_parameter(-0.1, 0.3)

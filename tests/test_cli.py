@@ -33,12 +33,12 @@ def test_help_runs():
     assert b"spectrum" in cp.stdout and b"wigner" in cp.stdout
 
 
-# the 65 names the package exported when it imported them eagerly
+# the 63 names the package exports
 PACKAGE_EXPORTS = {
     "CrossingRecord", "DegenerateAngle", "DegenerateCouplings",
-    "DimensionMismatch", "DressedLabel", "EigenSolution", "EqualCouplings",
+    "DimensionMismatch", "DressedLabel", "EigenSolution",
     "FactorizationMismatch", "FarParams", "HilbertConfig", "IdentityReport",
-    "InvalidLabel", "InvalidN", "IsotropicSingularLimit", "JCApproximation",
+    "InvalidLabel", "InvalidN", "JCApproximation",
     "ModelParams", "NoConvergence", "ParityChains", "SpectrumShape",
     "SqueezedFrame", "SupportExceeded", "SusyJCError", "TruncationTooSmall",
     "WignerGrid", "anticommutator", "approx_spectrum", "boson_op",
@@ -59,9 +59,8 @@ PACKAGE_EXPORTS = {
 
 def test_package_exports_are_in_each_module_all():
     # every name of the package's lazy table is in its module's __all__ and
-    # is that module's object, the table holds the 65 names the package
-    # always exported, and every module's __all__ names only what the
-    # module defines
+    # is that module's object, the table holds the package's 63 names,
+    # and every module's __all__ names only what the module defines
     import importlib
     import susyjc
     exported = []
@@ -71,13 +70,32 @@ def test_package_exports_are_in_each_module_all():
             assert name in module.__all__, (module_name, name)
             assert getattr(susyjc, name) is getattr(module, name), name
         exported += names
-    assert len(PACKAGE_EXPORTS) == 65
+    assert len(PACKAGE_EXPORTS) == 63
     assert sorted(exported) == sorted(susyjc.__all__) == sorted(PACKAGE_EXPORTS)
     package = Path(susyjc.__file__)
     for path in package.parent.glob("[!_]*.py"):
         module = importlib.import_module(f"susyjc.{path.stem}")
         for name in module.__all__:
             assert hasattr(module, name), (path.stem, name)
+
+
+def test_each_error_type_is_raised_and_has_a_cli_prefix():
+    # a guard deleted without its class leaves a public name nothing
+    # raises, and an exit code with no prefix would end cli.main in a
+    # KeyError traceback
+    import ast
+    import susyjc
+    from susyjc import cli, errors
+    raised = set()
+    for path in Path(susyjc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    for name in errors.__all__:
+        assert name == "SusyJCError" or name in raised, name
+        assert getattr(errors, name).exit_code in cli.ERROR_PREFIX, name
 
 
 def test_spectrum_scalar_point_csv():
@@ -137,6 +155,42 @@ def test_spectrum_far_skips_degenerate_sweep_point():
     lines = cp.stdout.decode().splitlines()
     assert len(lines) == 4  # header + the surviving alphaR=2 point
     assert all(line.split(",")[0] == "2.0" for line in lines[1:])
+
+
+def test_spectrum_far_refuses_a_bare_degenerate_value(capsys):
+    # a sweep skips the isotropic point; a bare value has nothing else to show
+    from susyjc import cli
+    assert cli.main(["spectrum", "--model", "far", "--alphaR", "1",
+                     "--auto"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("susyjc: parameter error: ") and err.count("\n") == 1
+
+
+def test_spectrum_ar_at_equal_couplings_is_the_rabi_model(capsys):
+    # lam == mu is the quantum Rabi model a^dag a + sigma_z/2
+    # + lam sigma_x (a + a^dag), regular in the lab frame
+    import numpy as np
+    from susyjc import cli
+    assert cli.main(["spectrum", "--model", "ar", "--lambda", "0.3", "--mu",
+                     "0.3", "--auto", "--levels", "6",
+                     "--units", "absolute"]) == 0
+    got = [float(line.split(",")[2])
+           for line in capsys.readouterr().out.splitlines()[1:]]
+    n = 120
+    a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    h = (np.kron(np.eye(2), a.T @ a) + 0.5 * np.kron(np.diag([1.0, -1.0]), np.eye(n))
+         + 0.3 * np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), a + a.T))
+    assert len(got) == 6
+    assert np.abs(np.array(got) - np.linalg.eigvalsh(h)[:6]).max() < 1e-12
+
+
+def test_crossings_ar_sweep_through_equal_couplings(capsys):
+    # the grid holds lam = mu = 0.2 exactly
+    from susyjc import cli
+    assert cli.main(["crossings", "--model", "ar", "--lambda", "0.05:0.6:12",
+                     "--mu", "0.2", "--auto", "--format", "json"]) == 0
+    _validate(json.loads(capsys.readouterr().out))
 
 
 def test_crossings_jc():
@@ -731,9 +785,6 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert b"unrecognized arguments: --auto" in cp.stderr, cp.stderr
     assert run_cli("spectrum", "--model", "ajc", "--lambda", "0.5",
                    "--n-max", "20").returncode == 2  # ajc sweeps --mu
-    cp = run_cli("spectrum", "--model", "ar", "--lambda", "0.3", "--mu", "0.3",
-                 "--n-max", "20")
-    assert cp.returncode == 2  # isotropic point
     cp = run_cli("wigner", "--label", "seven")
     assert cp.returncode == 2
     cp = run_cli("wigner", "--label", "minus:5", "--n-max", "3",

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susyjc.algebra import commutator
-from susyjc.errors import DimensionMismatch, EqualCouplings
+from susyjc.errors import DimensionMismatch
 from susyjc.hilbert import (BandedOp, HilbertConfig, ModelParams, boson_op,
                             exchange_op, excitation_number, jc_to_ajc_rotation,
                             parity_chains, parity_op, spin_op, su11_generator)
@@ -157,8 +157,6 @@ def test_hamiltonians_exactly_hermitian():
 def test_model_guards():
     with pytest.raises(ValueError):
         parity_chains(CFG, ModelParams(), "rabi")
-    with pytest.raises(EqualCouplings):
-        parity_chains(CFG, ModelParams(lam=0.3, mu=0.3), "ar")
     # jc ignores mu, ajc ignores lam
     h1 = parity_chains(CFG, ModelParams(lam=0.5, mu=0.0), "jc").dense()
     h2 = parity_chains(CFG, ModelParams(lam=0.5, mu=9.0), "jc").dense()
@@ -196,9 +194,11 @@ _coupling = st.floats(-3.0, 3.0, allow_nan=False)
 # LAPACK paths that square couplings (numpy's eigvalsh among them) lose 5e-4
 @example(model="ar", n_max=16, omega=0.0, omega0=0.0, lam=1.0,
          mu=3.098750209914305e-160, theta=0.0)
+# lam == mu: the quantum Rabi model, regular in the lab frame
+@example(model="ar", n_max=30, omega=1.0, omega0=1.0, lam=0.3, mu=0.3,
+         theta=0.0)
 def test_parity_chains_match_the_kron_sum(model, n_max, omega, omega0, lam,
                                           mu, theta):
-    assume(model != "ar" or lam != mu)
     cfg = HilbertConfig(n_max)
     params = ModelParams(omega=omega, omega0=omega0, lam=lam, mu=mu, theta=theta)
     h = parity_chains(cfg, params, model).dense()

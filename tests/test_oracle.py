@@ -11,8 +11,8 @@ from susyjc.far import far_chains, far_from_alphas
 from susyjc.hilbert import HilbertConfig, ModelParams, ParityChains, parity_chains
 from susyjc.jc import DressedLabel, ground_state_critical
 from susyjc.oracle import (_EXCITATION, _ground_label, _real_chain, _sectors,
-                           _splits, certify_cutoff, certify_truncation,
-                           eigenvalues, find_crossings)
+                           certify_cutoff, certify_truncation, eigenvalues,
+                           find_crossings)
 
 
 def test_certify_truncation_on_decoupled_model():
@@ -197,8 +197,8 @@ def test_dense_lowest_level_matches_the_tridiagonal_solver(chain):
     # at m = 1025), so this allows twice that
     from scipy.linalg import eigvalsh_tridiagonal
     diag, off = chain
-    assume(not _splits(off))
-    got = oracle._chain_eigenvalues(diag, off, dense=True, lowest=True)
+    assume(_sectors(diag, off) is None)
+    got = oracle._chain_eigenvalues(diag, off, None, dense=True, lowest=True)
     assert np.array_equal(got, oracle._dense_eigenvalues(diag, off)[:1])
     ref = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     scale = max(np.abs(diag).max(), off.max())
