@@ -33,8 +33,8 @@ _EXPORTS = {
                 "parity_chains", "parity_op", "spin_op", "su11_generator"),
     "jc": ("CrossingRecord", "DressedLabel", "coupling_for", "crossing_pair",
            "dressed_energy", "dressed_state", "ground_state_critical",
-           "lowest_closed_levels", "mixing_angle", "rabi_frequency",
-           "reduced_density", "von_neumann_entropy"),
+           "lowest_closed_levels", "rabi_frequency", "reduced_density",
+           "von_neumann_entropy"),
     "oracle": ("EigenSolution", "certify_cutoff", "certify_truncation",
                "eigenvalues", "find_crossings"),
     "wigner": ("WignerGrid", "laguerre_pair", "numeric_evaluator",

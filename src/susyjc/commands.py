@@ -197,6 +197,7 @@ def cmd_spectrum(merged: dict) -> int:
     unit, units_name = _energy_unit(merged, model)
 
     xs, ks, energies, closed = [], [], [], []
+    skipped = None
     for x in sweep:
         try:
             builder, params = at(x)
@@ -204,6 +205,7 @@ def cmd_spectrum(merged: dict) -> int:
             if points is None:  # a bare value has no other point to show
                 raise
             print(f"susyjc: skipping sweep point {x!r}: {exc}", file=sys.stderr)
+            skipped = exc
             continue
         found = (_certify(builder, merged).eigenvalues if merged["n_max"] is None
                  else eigenvalues(builder(merged["n_max"])))[:levels].tolist()
@@ -212,6 +214,8 @@ def cmd_spectrum(merged: dict) -> int:
         energies += found
         closed += (lowest_closed_levels(params, len(found), model)
                    if model in LABEL_MODELS else [(None, None)] * len(found))
+    if not xs:  # every point was skipped: no data to show
+        raise skipped
 
     labels = [label for _, label in closed]
     _emit(merged, {"kind": "spectrum", "model": model,

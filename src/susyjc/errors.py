@@ -22,7 +22,7 @@ class InvalidN(SusyJCError):
 
 
 class DegenerateAngle(SusyJCError):
-    """Mixing angle undefined because detuning and coupling both vanish."""
+    """Dressed state undefined because detuning and coupling both vanish."""
 
 
 class InvalidLabel(SusyJCError):

@@ -30,7 +30,6 @@ __all__ = [
     "CrossingRecord",
     "coupling_for",
     "rabi_frequency",
-    "mixing_angle",
     "dressed_energy",
     "dressed_state",
     "lowest_closed_levels",
@@ -92,20 +91,6 @@ def rabi_frequency(n_total: int, params: ModelParams, model: str = "jc") -> floa
     return _omega_n(n_total, params.delta, coupling_for(model, params))
 
 
-def mixing_angle(n_total: int, params: ModelParams, model: str = "jc") -> float:
-    """Sector mixing angle beta(N) = atan2(2 g sqrt(N), delta) folded to
-    [-pi/2, pi/2]; equals pi/2 on resonance."""
-    if int(n_total) != n_total or n_total < 1:
-        raise InvalidN("mixing_angle needs a positive integer N")
-    g = coupling_for(model, params)
-    if params.delta == 0.0 and g == 0.0:
-        raise DegenerateAngle("mixing angle undefined at delta = 0 with zero coupling")
-    beta = math.atan2(2.0 * g * math.sqrt(n_total), params.delta)
-    if beta > math.pi / 2.0:
-        beta -= math.pi
-    return beta
-
-
 def dressed_energy(label: DressedLabel, params: ModelParams) -> float:
     """Closed-form eigenvalue of the labeled level.
 
@@ -124,19 +109,18 @@ def dressed_state(label: DressedLabel, params: ModelParams,
     """Closed-form eigenvector on the composite space, as amplitudes.
 
     The global phase makes the amplitude of lowest composite index real
-    positive. jc sectors live on {|g,N>, |e,N-1>}, ajc sectors on
-    {|g,N-1>, |e,N>}; the two are images of each other under the exact pi/2
-    spin rotation.
+    positive. An ajc sector is the jc sector under the exact pi/2 spin
+    rotation: its |g> and |e> slots hold N - 1 and N photons instead of N
+    and N - 1, the phase e^{i theta} is conjugated, and its plus branch takes
+    the jc minus amplitudes.
     """
     n = label.n_total
     if cfg.n_max < n:
         raise TruncationTooSmall(f"n_max={cfg.n_max} cannot hold a level with N={n}")
     amp = np.zeros(cfg.dim, dtype=complex)
+    ajc = label.model == "ajc"
     if n == 0:
-        if label.model == "jc":
-            amp[cfg.index("g", 0)] = 1.0
-        else:
-            amp[cfg.index("e", 0)] = 1.0
+        amp[cfg.index("e" if ajc else "g", 0)] = 1.0
         return amp
 
     delta = params.delta
@@ -147,45 +131,38 @@ def dressed_state(label: DressedLabel, params: ModelParams,
     c_hi = math.sqrt((omega_n + delta) / (2.0 * omega_n))  # weight of |g,N>-like slot
     c_lo = math.sqrt((omega_n - delta) / (2.0 * omega_n))
     phase = np.exp(1j * params.theta)
-    if label.model == "jc":
-        if label.branch == "plus":
-            amp[cfg.index("g", n)] = c_lo
-            amp[cfg.index("e", n - 1)] = phase * c_hi
-        else:
-            amp[cfg.index("g", n)] = c_hi
-            amp[cfg.index("e", n - 1)] = -phase * c_lo
+    if ajc:
+        phase = np.conj(phase)
+    g_slot, e_slot = cfg.index("g", n - ajc), cfg.index("e", n - 1 + ajc)
+    if (label.branch == "plus") != ajc:
+        amp[g_slot], amp[e_slot] = c_lo, phase * c_hi
     else:
-        if label.branch == "plus":
-            amp[cfg.index("g", n - 1)] = c_hi
-            amp[cfg.index("e", n)] = -np.conj(phase) * c_lo
-        else:
-            amp[cfg.index("g", n - 1)] = c_lo
-            amp[cfg.index("e", n)] = np.conj(phase) * c_hi
+        amp[g_slot], amp[e_slot] = c_hi, -phase * c_lo
     return amp
 
 
 def lowest_closed_levels(params: ModelParams, count: int,
                          model: str = "jc") -> list[tuple[float, DressedLabel]]:
     """Lowest `count` closed-form levels, sorted ascending by energy; ties
-    keep the order (minus, 0), (plus, 1), (minus, 1), (plus, 2), ... For
-    omega > 0 the plus branch rises with N and the minus branch is convex in
-    N with its minimum at N* = (g^4/omega^2 - delta^2)/(4 g^2), so only the
-    singlet, (plus, 1..count) and (minus, N* +/- count) are ranked, and
-    N* > 2^53 raises InvalidN. For omega <= 0 all N <= 2 count + 8 are."""
+    keep the order (minus, 0), (plus, 1), (minus, 1), (plus, 2), ... The
+    plus branch rises with N and the minus branch is convex in N with its
+    minimum at N* = (g^4/omega^2 - delta^2)/(4 g^2), so only the singlet,
+    (plus, 1..count) and (minus, N* +/- count) are ranked. InvalidN when no
+    closed level is lowest: at omega <= 0, where the levels fall without
+    bound as N grows, and at N* > 2^53."""
     if count < 1:
         raise InvalidN("count must be >= 1")
+    if not params.omega > 0:
+        raise InvalidN(f"no closed level is lowest at omega = {params.omega!r} <= 0")
     g = coupling_for(model, params)
-    if params.omega > 0:
-        # (g/omega)^2 - (delta/g)^2, with no square that overflows on its own
-        x, y = (g / params.omega, params.delta / g) if g else (0.0, 0.0)
-        n_star = (x - y) * (x + y) / 4.0
-        if not n_star <= 2.0 ** 53:
-            raise InvalidN(f"the lowest minus level sits at N = {n_star!r} > 2^53")
-        centre = round(max(n_star, 0.0))
-        sectors = [("plus", n) for n in range(1, count + 1)] + [
-            ("minus", n) for n in range(max(1, centre - count), centre + count + 1)]
-    else:
-        sectors = [(b, n) for n in range(1, 2 * count + 9) for b in BRANCHES]
+    # (g/omega)^2 - (delta/g)^2, with no square that overflows on its own
+    x, y = (g / params.omega, params.delta / g) if g else (0.0, 0.0)
+    n_star = (x - y) * (x + y) / 4.0
+    if not n_star <= 2.0 ** 53:
+        raise InvalidN(f"the lowest minus level sits at N = {n_star!r} > 2^53")
+    centre = round(max(n_star, 0.0))
+    sectors = [("plus", n) for n in range(1, count + 1)] + [
+        ("minus", n) for n in range(max(1, centre - count), centre + count + 1)]
     labels = [DressedLabel(b, n, model) for b, n in [("minus", 0)] + sectors]
     ranked = sorted((dressed_energy(lab, params),
                      2 * lab.n_total - (lab.branch == "plus"), lab) for lab in labels)

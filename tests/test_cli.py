@@ -33,7 +33,7 @@ def test_help_runs():
     assert b"spectrum" in cp.stdout and b"wigner" in cp.stdout
 
 
-# the 63 names the package exports
+# the 62 names the package exports
 PACKAGE_EXPORTS = {
     "CrossingRecord", "DegenerateAngle", "DegenerateCouplings",
     "DimensionMismatch", "DressedLabel", "EigenSolution",
@@ -49,7 +49,7 @@ PACKAGE_EXPORTS = {
     "far_spectrum_shape", "find_crossings", "frame_unitary",
     "ground_state_critical", "interior_mask", "jc_approximation",
     "jc_to_ajc_rotation", "lab_frame_offset", "laguerre_pair",
-    "lowest_closed_levels", "mixing_angle", "numeric_evaluator",
+    "lowest_closed_levels", "numeric_evaluator",
     "parity_chains", "parity_op", "quadrature_weights", "rabi_frequency",
     "reduced_density", "run_all_checks", "spin_op", "squeeze_parameter",
     "su11_generator", "von_neumann_entropy", "wigner_closed_jc",
@@ -59,7 +59,7 @@ PACKAGE_EXPORTS = {
 
 def test_package_exports_are_in_each_module_all():
     # every name of the package's lazy table is in its module's __all__ and
-    # is that module's object, the table holds the package's 63 names,
+    # is that module's object, the table holds the package's 62 names,
     # and every module's __all__ names only what the module defines
     import importlib
     import susyjc
@@ -70,7 +70,7 @@ def test_package_exports_are_in_each_module_all():
             assert name in module.__all__, (module_name, name)
             assert getattr(susyjc, name) is getattr(module, name), name
         exported += names
-    assert len(PACKAGE_EXPORTS) == 63
+    assert len(PACKAGE_EXPORTS) == 62
     assert sorted(exported) == sorted(susyjc.__all__) == sorted(PACKAGE_EXPORTS)
     package = Path(susyjc.__file__)
     for path in package.parent.glob("[!_]*.py"):
@@ -155,6 +155,17 @@ def test_spectrum_far_skips_degenerate_sweep_point():
     lines = cp.stdout.decode().splitlines()
     assert len(lines) == 4  # header + the surviving alphaR=2 point
     assert all(line.split(",")[0] == "2.0" for line in lines[1:])
+
+
+def test_spectrum_far_refuses_a_sweep_whose_every_point_is_skipped(capsys):
+    # alphaR = -1 and 1 both sit on the isotropic line: no row to show
+    from susyjc import cli
+    assert cli.main(["spectrum", "--model", "far", "--alphaR=-1:1:2",
+                     "--n-max", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("skipping sweep point") == 2
+    assert err.splitlines()[-1].startswith("susyjc: parameter error: ")
 
 
 def test_spectrum_far_refuses_a_bare_degenerate_value(capsys):
@@ -309,7 +320,8 @@ def test_light_jobs_load_no_scipy():
 
 def test_the_argv_surface_loads_no_numpy(tmp_path):
     # import, --help and every refusal of argparse or the config merge run
-    # on the standard library; the first accepted job loads numpy
+    # on the standard library; --help loads four susyjc modules and no
+    # scipy, and the first accepted job loads numpy
     config = tmp_path / "unknown.json"
     config.write_text('{"bogus": 1}')
     code = (
@@ -322,6 +334,10 @@ def test_the_argv_surface_loads_no_numpy(tmp_path):
         "            main(argv)\n"
         "        except SystemExit as exc:\n"
         "            assert exc.code == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'susyjc')\n"
+        "assert loaded == ['susyjc', 'susyjc.cli', 'susyjc.constants',\n"
+        "                  'susyjc.errors'], loaded\n"
+        "assert 'scipy' not in sys.modules\n"
         "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
         "    for argv in (['verify', '--n-max', '4096'],\n"
         "                 ['wigner', '--points', '5000'],\n"
@@ -695,8 +711,9 @@ def test_schema_and_cli_agree(command, config, tmp_path, capsys):
 # inputs refused before any work: non-finite numbers (flags, bare sweep
 # values, config values), numbers outside their flag's bounds, and
 # allocations sized from the input; then parameters whose chain entries,
-# far coefficients, closed levels or Wigner values overflow, a
-# ground-state hop that no positive coupling makes (omega < 0), a result
+# far coefficients, closed levels or Wigner values overflow, jc/ajc levels
+# with no lowest closed level (omega <= 0), a ground-state hop that no
+# positive coupling makes (omega < 0), a result
 # that overflows in --units omega0 (refused by the emitter, in either format
 # and before an --output file is created), and an output file that cannot
 # be written
@@ -743,6 +760,8 @@ REFUSED = [
     ["spectrum", "--model", "jc", "--omega", "1e-200", "--lambda", "1",
      "--n-max", "8"],
     ["spectrum", "--model", "jc", "--lambda", "1e154", "--n-max", "8"],
+    ["spectrum", "--model", "ajc", "--mu", "1", "--omega", "-1", "--n-max", "20",
+     "--levels", "4"],
     ["crossings", "--model", "jc", "--omega=-0.5", "--omega0=-1",
      "--lambda", "0.05:2:30", "--n-max", "20"],
     ["wigner", "--label", "minus:1", "--lambda", "1e308"],

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +12,7 @@ from susyjc.errors import (DegenerateAngle, InvalidLabel, InvalidN,
 from susyjc.hilbert import HilbertConfig, ModelParams, parity_chains
 from susyjc.jc import (DressedLabel, coupling_for, crossing_pair,
                        dressed_energy, dressed_state, ground_state_critical,
-                       lowest_closed_levels, mixing_angle, rabi_frequency,
+                       lowest_closed_levels, rabi_frequency,
                        reduced_density, von_neumann_entropy)
 
 
@@ -44,20 +46,6 @@ def test_rabi_frequency_anchors():
         rabi_frequency(0, params)
 
 
-def test_mixing_angle():
-    assert mixing_angle(3, ModelParams(lam=0.5)) == math.pi / 2
-    assert mixing_angle(1, ModelParams(omega0=2.0, lam=0.0)) == 0.0
-    with pytest.raises(DegenerateAngle):
-        mixing_angle(1, ModelParams(lam=0.0))
-    # below resonance atan2 passes pi/2 and is folded back by pi, so the
-    # angle lies in (-pi/2, 0) with tan(beta) = 2 g sqrt(N) / delta = -1.2
-    for model, knob in (("jc", "lam"), ("ajc", "mu")):
-        beta = mixing_angle(1, ModelParams(omega=1.0, omega0=0.5, **{knob: 0.3}),
-                            model)
-        assert -math.pi / 2 < beta < 0
-        assert math.tan(beta) == pytest.approx(-1.2, rel=4 * 2.0 ** -52)
-
-
 def test_singlet_energy():
     assert dressed_energy(DressedLabel("minus", 0), ModelParams(omega0=1.7)) == -0.85
 
@@ -74,26 +62,51 @@ def test_closed_energies_match_oracle():
 
 def test_dressed_states_are_eigenvectors():
     cfg = HilbertConfig(30)
-    params = ModelParams(omega=0.9, omega0=1.4, lam=0.6, theta=0.8)
-    h = parity_chains(cfg, params, "jc").dense()
-    for label in [DressedLabel("minus", 0), DressedLabel("minus", 3),
-                  DressedLabel("plus", 3), DressedLabel("plus", 7)]:
-        st = dressed_state(label, params, cfg)
-        e = dressed_energy(label, params)
-        assert np.linalg.norm(h @ st - e * st) < 1e-12
-        assert abs(np.linalg.norm(st) - 1.0) < 1e-14
-    # the twin model, with its own phase convention
-    pa = ModelParams(omega=0.9, omega0=1.4, mu=0.6, theta=0.8)
-    ha = parity_chains(cfg, pa, "ajc").dense()
-    for label in [DressedLabel("minus", 0, "ajc"), DressedLabel("plus", 2, "ajc")]:
-        st = dressed_state(label, pa, cfg)
-        e = dressed_energy(label, pa)
-        assert np.linalg.norm(ha @ st - e * st) < 1e-12
+    for model, knob in (("jc", "lam"), ("ajc", "mu")):
+        params = ModelParams(omega=0.9, omega0=1.4, theta=0.8, **{knob: 0.6})
+        h = parity_chains(cfg, params, model).dense()
+        for branch, n in [("minus", 0), ("minus", 1), ("plus", 2), ("minus", 3),
+                          ("plus", 3), ("plus", 7)]:
+            label = DressedLabel(branch, n, model)
+            st = dressed_state(label, params, cfg)
+            e = dressed_energy(label, params)
+            assert np.linalg.norm(h @ st - e * st) < 1e-12, label
+            assert abs(np.linalg.norm(st) - 1.0) < 1e-14, label
+            if label.n_total:
+                # the phase convention: the |g> amplitude, at the lowest
+                # composite index, is real and nonnegative
+                g_row = st.reshape(2, cfg.n_fock)[0]
+                (g_amp,) = g_row[g_row != 0]
+                assert g_amp.imag == 0.0 and g_amp.real >= 0.0, label
+
+
+def test_dressed_states_are_pinned_bitwise():
+    # sha256 of the amplitudes over the four (model, branch) slot cases, above
+    # and below resonance, at omega < 0 and at three nonzero phases
+    cfg = HilbertConfig(12)
+    digest = hashlib.sha256()
+    for model, branch, n, (omega, omega0, g), theta in itertools.product(
+            ("jc", "ajc"), ("plus", "minus"), (1, 2, 5, 11),
+            ((0.9, 1.4, 0.6), (1.0, 0.5, 0.3), (1.0, 1.0, 0.7), (-0.4, 1.7, 1.9)),
+            (0.8, -2.3, 6.5)):
+        knob = {"lam": g} if model == "jc" else {"mu": g}
+        params = ModelParams(omega=omega, omega0=omega0, theta=theta, **knob)
+        digest.update(dressed_state(DressedLabel(branch, n, model), params,
+                                    cfg).tobytes())
+    assert digest.hexdigest() == \
+        "c0904c629f5f23b82c520c573b10ab63df2bddd666c0cf3dc0acfd48d21df24f"
 
 
 def test_dressed_state_needs_room():
     with pytest.raises(TruncationTooSmall):
         dressed_state(DressedLabel("minus", 9), ModelParams(lam=1.0), HilbertConfig(5))
+
+
+def test_dressed_state_of_a_degenerate_sector():
+    # on resonance with zero coupling both slots of a sector are degenerate
+    for model in ("jc", "ajc"):
+        with pytest.raises(DegenerateAngle):
+            dressed_state(DressedLabel("plus", 1, model), ModelParams(), HilbertConfig(4))
 
 
 def test_lowest_levels_sorted_and_ground_tracks_coupling():
@@ -162,9 +175,10 @@ def test_lowest_levels_rank_a_bounded_window(monkeypatch):
     # jc_1024 of the benchmark: the minimum of the minus branch near N = 278
     lowest_closed_levels(ModelParams(omega=0.03, lam=1.0), 11)
     assert len(calls) <= 3 * 11 + 2
-    del calls[:]
-    lowest_closed_levels(ModelParams(omega=-1.0, lam=1.0), 4)
-    assert len(calls) == 1 + 2 * (2 * 4 + 8)
+    # at omega <= 0 the levels fall without bound, so none is lowest
+    for omega in (-1.0, 0.0):
+        with pytest.raises(InvalidN):
+            lowest_closed_levels(ModelParams(omega=omega, lam=1.0), 4)
     with pytest.raises(InvalidN):
         lowest_closed_levels(ModelParams(omega=1e-200, lam=1.0), 3)
     with pytest.raises(InvalidN):
