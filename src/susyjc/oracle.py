@@ -3,19 +3,20 @@ level-crossing finder.
 
 The oracle never uses the closed forms: it diagonalizes the truncated
 Hamiltonian, certifies convergence by doubling the Fock cutoff, and locates
-ground-state crossings between the two parity chains by scanning and
-bisecting their ground-energy gap, so closed-form results can be validated
-against it. Every solve takes parity chains, by one of three routes:
-chains that split into excitation-number sectors (jc/ajc) sector by sector
-in numpy; a Hamiltonian's other chains (ar/far), full spectrum or lowest
-level alike, as dense symmetric matrices by numpy's LAPACK while the
-process's dense work stays within DENSE_BUDGET; past the budget by SciPy's
-tridiagonal solver, imported on first use. A crossing search takes its
-route once, before its grid: the grid goes to SciPy whole unless all of
-it fits in the budget. Both full-spectrum routes end in the same LAPACK
-dsterf, so their eigenvalues are bitwise equal; a lowest level differs by
-rounding only. So importing the package, solving jc/ajc, or certifying or
-searching an ar/far run within the budget loads no SciPy.
+ground-state crossings between the two parity chains by scanning their
+ground-energy gap and refining each sign change by false position, so
+closed-form results can be validated against it. Every solve takes parity
+chains. A full spectrum takes one of three routes: chains that split into
+excitation-number sectors (jc/ajc) sector by sector in numpy; a
+Hamiltonian's other chains (ar/far) as dense symmetric matrices by numpy's
+LAPACK while the process's dense work stays within DENSE_BUDGET, and past
+the budget by SciPy's tridiagonal solver, imported on first use. Both end
+in the same LAPACK dsterf, so their eigenvalues are bitwise equal. A
+crossing search needs only lowest levels: it takes them from the sectors
+of a chain that splits, and by Laguerre's method, O(n) per step, from any
+other, so it neither spends the budget nor loads SciPy. So importing the package, solving
+jc/ajc, searching for crossings, or certifying an ar/far run within the
+budget loads no SciPy.
 """
 
 from __future__ import annotations
@@ -39,14 +40,12 @@ __all__ = [
     "CAP_N_MAX",
 ]
 
-# rows^2 summed over the dense solves of a process, checked before each
-# Hamiltonian's (and before each crossing search's grid): about 0.17 s of
-# dense solves on a 2-CPU host, half the cost of importing scipy.linalg. A
-# short run never pays the import, and a long one pays at most about one
-# import more than with SciPy from the start. The count is per process,
-# like the import it stands in for; both routes give the same eigenvalues
-# (a lowest level to rounding, too little to move any crossing tested), so
-# it changes cost only.
+# rows^2 summed over the dense full-spectrum solves of a process, checked
+# before each Hamiltonian's: about 0.17 s of dense solves on a 2-CPU host,
+# half the cost of importing scipy.linalg. A short run never pays the
+# import, and a long one pays at most about one import more than with SciPy
+# from the start. The count is per process, like the import it stands in
+# for; both routes give the same eigenvalues, so it changes cost only.
 DENSE_BUDGET = 2 ** 21
 _dense_spent = 0
 
@@ -110,40 +109,70 @@ def _dense_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a, UPLO="L")
 
 
-def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, split,
-                       dense: bool = False, lowest: bool = False) -> np.ndarray:
-    """Eigenvalues of one real chain (only the lowest if lowest), given its
-    _sectors split: unsorted when the chain splits; a chain that does not
-    split is solved dense if dense, else by SciPy."""
+def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, split, dense: bool) -> np.ndarray:
+    """Eigenvalues of one real chain, given its _sectors split: unsorted when
+    the chain splits; a chain that does not split is solved dense if dense,
+    else by SciPy."""
     if split is not None:
         _, lows, highs = split
-        return lows.min(keepdims=True) if lowest else np.concatenate([lows, highs])
+        return np.concatenate([lows, highs])
     if dense:
-        return _dense_eigenvalues(diag, off)[:1 if lowest else None]
+        return _dense_eigenvalues(diag, off)
     from scipy.linalg import eigvalsh_tridiagonal
-    if lowest:
-        return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     return eigvalsh_tridiagonal(diag, off)
 
 
-def _routed_chains(h: ParityChains, dense: bool = True) -> tuple[list, bool]:
-    """The real chains of h as (diag, off, sectors or None), and whether
-    those that do not split are solved dense: if dense and their rows^2
-    still fit in DENSE_BUDGET, which is then charged with them. One check
-    covers them all, so they take one route."""
-    global _dense_spent
-    chains = [(d, e, _sectors(d, e))
-              for d, e in (_real_chain(d, e) for d, e in zip(h.diag, h.off))]
-    work = sum(d.size ** 2 for d, _, split in chains if split is None)
-    dense = dense and _dense_spent + work <= DENSE_BUDGET
-    _dense_spent += work if dense else 0
-    return chains, dense
+def _lowest(diag: np.ndarray, off: np.ndarray) -> float:
+    """Lowest eigenvalue of the real chain (diag, off >= 0), by Laguerre's
+    method on det(T - x) from the Gershgorin lower bound. The LDL^T pivots
+    d_k and their x-derivatives give G = p'/p and H = -G' in O(n); below
+    the lowest root every pivot is positive, and for a real-rooted p the
+    iterates rise to that root monotonically, cubically for a simple one.
+    A pivot <= 0 means x has reached it. The chain is scaled by its largest
+    entry before the couplings are squared, as LAPACK's dsterf does."""
+    scale = max(float(np.abs(diag).max()), float(off.max(initial=0.0)))
+    if scale == 0.0:
+        return 0.0
+    a, b = diag / scale, off / scale
+    radius = np.zeros(diag.size)
+    radius[1:] = b
+    radius[:-1] += b
+    x = float((a - radius).min())
+    a, c, n = a.tolist(), [0.0, *(b * b).tolist()], diag.size
+    tol = 2.0 * np.finfo(float).eps
+    while True:
+        d, u, w, g, h = 1.0, 0.0, 0.0, 0.0, 0.0  # u = d_k'/d_k, w = d_k''/d_k
+        for a_k, c_k in zip(a, c):
+            r = c_k / d
+            d = a_k - x - r
+            if d <= 0.0:
+                return x * scale
+            u, w = (r * u - 1.0) / d, r * (w - 2.0 * u * u) / d
+            g += u
+            h += u * u - w
+        step = n / (((n - 1) * max(n * h - g * g, 0.0)) ** 0.5 - g)
+        # stop where the step falls to rounding (a NaN one stops too)
+        if not step > tol * max(abs(x), 1.0):
+            return x * scale
+        x += step
+
+
+def _chains(h: ParityChains) -> list:
+    """The real chains of h as (diag, off, sectors or None)."""
+    return [(d, e, _sectors(d, e))
+            for d, e in (_real_chain(d, e) for d, e in zip(h.diag, h.off))]
 
 
 def eigenvalues(h: ParityChains) -> np.ndarray:
     """All eigenvalues, ascending, solved one chain (or sector) at a time
-    and merged."""
-    chains, dense = _routed_chains(h)
+    and merged. The chains that do not split are solved dense if their
+    rows^2 still fit in DENSE_BUDGET, which is then charged with them, else
+    by SciPy: one check covers them all, so they take one route."""
+    global _dense_spent
+    chains = _chains(h)
+    work = sum(d.size ** 2 for d, _, split in chains if split is None)
+    dense = _dense_spent + work <= DENSE_BUDGET
+    _dense_spent += work if dense else 0
     return np.sort(np.concatenate([_chain_eigenvalues(*chain, dense) for chain in chains]))
 
 
@@ -207,6 +236,45 @@ def _ground_label(h: ParityChains, chain: int, model: str) -> DressedLabel:
     raise ValueError(f"the chain does not conserve the {model} excitation number")
 
 
+def _false_position(f: Callable[[float], float], a: float, b: float,
+                    f_a: float, f_b: float, xtol: float) -> tuple[float, float]:
+    """Shrink the sign bracket [a, b] of f to width <= xtol, by Anderson-
+    Bjorck false position: when one end is kept twice in a row its value is
+    scaled down, and each step lies at least xtol/2 inside the bracket. A
+    step bisects when the last two have not halved the bracket, and a
+    bisection counts as one of the two only for the step right after it,
+    so every two steps after the first two halve it and the count stays
+    within twice bisection's plus two. A point where f is exactly 0 closes
+    the bracket on itself."""
+    kept = "a"  # b counts as the latest point
+    # the widths before the last two steps; a bisection sets (0, inf), so
+    # the step after it is free and the next must halve the bracket alone
+    last, before_last = np.inf, np.inf
+    while b - a > xtol:
+        width = b - a
+        bisect = width > 0.5 * max(last, before_last)
+        if bisect:
+            x = 0.5 * (a + b)
+        else:
+            x = (a * f_b - b * f_a) / (f_b - f_a)
+        x = min(max(x, a + 0.5 * xtol), b - 0.5 * xtol)
+        last, before_last = (0.0, np.inf) if bisect else (width, last)
+        f_x = f(x)
+        if f_x == 0.0:
+            return x, x
+        if (f_x < 0) == (f_a < 0):
+            if kept == "b":
+                m = 1.0 - f_x / f_a
+                f_b *= m if m > 0 else 0.5
+            a, f_a, kept = x, f_x, "b"
+        else:
+            if kept == "a":
+                m = 1.0 - f_x / f_b
+                f_a *= m if m > 0 else 0.5
+            b, f_b, kept = x, f_x, "a"
+    return a, b
+
+
 def find_crossings(builder: Callable[[float], ParityChains],
                    coupling_range: tuple[float, float], *,
                    grid_points: int = 400,
@@ -216,13 +284,17 @@ def find_crossings(builder: Callable[[float], ParityChains],
     parity chain of builder(x) to the other.
 
     The sector gap g(x) = E0(chain 0) - E0(chain 1) is sampled on a uniform
-    grid, and every sign change between grid points is a crossing: it is
-    bisected to xtol on the sign of g, and a midpoint where g is exactly 0
-    is the crossing itself, as is a grid point where g is exactly 0 between
-    samples of opposite sign. Levels of one chain never cross (the chain
-    couples them) unless the chain splits into blocks, as the jc/ajc chains
-    do into excitation-number sectors; their ground state steps N -> N + 1,
-    and sectors N and N + 1 lie on different chains.
+    grid, and every sign change between grid points is a crossing: its
+    bracket is refined to width xtol by false position on g, and the record
+    is the final bracket's midpoint, within xtol/2 of the sign change. An
+    evaluated point where g is exactly 0 is the crossing itself, as is a
+    grid point where g is exactly 0 between samples of opposite sign. Each
+    lowest level comes from the stacked sector solve where the chain
+    splits, else from _lowest; neither loads SciPy or spends DENSE_BUDGET.
+    Levels of one chain never cross (the chain couples them) unless the
+    chain splits into blocks, as the jc/ajc chains do into excitation-number
+    sectors; their ground state steps N -> N + 1, and sectors N and N + 1
+    lie on different chains.
 
     label_model 'jc' or 'ajc' labels each side (minus, N) by the conserved
     excitation number (N+ for jc, N- for ajc) of the sector holding the
@@ -237,22 +309,13 @@ def find_crossings(builder: Callable[[float], ParityChains],
     if label_model not in (None, *_EXCITATION):
         raise ValueError(f"label_model must be None or one of {tuple(_EXCITATION)}")
     grid = np.linspace(lo, hi, grid_points)
-    # the search takes its route once: the grid goes dense only if
-    # grid_points solves of every chain fit in the budget (a chain that
-    # splits at one coupling may not at the next), else the whole search
-    # goes to SciPy, so no search pays for dense solves and the import on
-    # one grid. Each solve is then charged, and past the grid each
-    # bisection step is checked like any other Hamiltonian
-    first = builder(grid[0])
-    rows = sum(d.size ** 2 for d in first.diag)
-    dense = _dense_spent + grid_points * rows <= DENSE_BUDGET
 
-    def gap(h):
-        chains, routed = _routed_chains(h, dense)
-        e0, e1 = (_chain_eigenvalues(*chain, routed, lowest=True)[0] for chain in chains)
+    def gap(x):
+        e0, e1 = (_lowest(d, e) if split is None else split[1].min()
+                  for d, e, split in _chains(builder(x)))
         return float(e0 - e1)
 
-    gaps = np.array([gap(first)] + [gap(builder(x)) for x in grid[1:]])
+    gaps = np.array([gap(x) for x in grid])
 
     def label(x, g):
         # the ground state lies on chain 0 where g < 0, on chain 1 where g > 0
@@ -265,17 +328,9 @@ def find_crossings(builder: Callable[[float], ParityChains],
     for i, j in zip(signed[:-1], signed[1:]):
         if (gaps[i] < 0) == (gaps[j] < 0):
             continue
-        a, b, g_a, g_b = grid[i], grid[j], gaps[i], gaps[j]
         if j > i + 1:  # g is exactly 0 on the grid in between
             a = b = grid[i + 1]
-        while b - a > xtol:
-            mid = 0.5 * (a + b)
-            g_mid = gap(builder(mid))
-            if g_mid == 0.0:
-                a = b = mid
-            elif (g_mid < 0) == (g_a < 0):
-                a, g_a = mid, g_mid
-            else:
-                b, g_b = mid, g_mid
-        records.append(CrossingRecord(label(a, g_a), label(b, g_b), 0.5 * (a + b)))
+        else:
+            a, b = _false_position(gap, grid[i], grid[j], gaps[i], gaps[j], xtol)
+        records.append(CrossingRecord(label(a, gaps[i]), label(b, gaps[j]), 0.5 * (a + b)))
     return records

@@ -333,6 +333,10 @@ CLI_CASES = [
                   "--levels", "4", "--n-max", "40"]),
     ("crossings", ["crossings", "--model", "jc", "--lambda", "0.5:1.5:16",
                    "--n-max", "40"]),
+    ("ar_crossings", ["crossings", "--model", "ar", "--lambda", "0.3:1.5:20",
+                      "--mu", "0.2", "--n-max", "40"]),
+    ("far_crossings", ["crossings", "--model", "far", "--alpha0", "1",
+                       "--alphaR", "1.05:4:10", "--n-max", "40"]),
     ("wigner", ["wigner", "--label", "minus:1", "--lambda", "1.0",
                 "--window", "2", "--points", "21"]),
     ("verify", ["verify", "--n-max", "16"]),

@@ -92,7 +92,7 @@ def test_find_crossings_between_chains_only():
     recs = find_crossings(crossing, (-1.0, 1.0), grid_points=41)
     assert len(recs) == 1 and recs[0].coupling == 0.0
     assert recs[0].left is None and recs[0].right is None
-    # off the grid the sign change is bisected to xtol
+    # off the grid the sign change is refined to xtol
     recs = find_crossings(crossing, (-1.0, 1.0), grid_points=40, xtol=1e-9)
     assert len(recs) == 1 and abs(recs[0].coupling) <= 1e-9
     # a gap that touches 0 without changing sign is no crossing
@@ -187,22 +187,55 @@ def test_dense_chain_solve_equals_the_tridiagonal_solver(chain):
     assert np.array_equal(got, eigvalsh_tridiagonal(*chain))
 
 
+@st.composite
+def _lowest_chains(draw):
+    """A real chain for the lowest-level solver: an ar or far chain from the
+    builders, or a random one of 1..600 states at an entry scale in
+    1e-150..1e150 with zero couplings (a reducible chain), couplings at
+    eps times the scale (dropped by `_real_chain`) and, if drawn, two equal
+    uncoupled blocks (an exactly degenerate lowest level)."""
+    kind = draw(st.sampled_from(["random", "ar", "far"]))
+    if kind != "random":
+        cfg = HilbertConfig(draw(st.integers(0, 300)))
+        if kind == "ar":
+            h = parity_chains(cfg, ModelParams(
+                omega=draw(st.floats(0.05, 2.0)), omega0=draw(st.floats(-3.0, 3.0)),
+                lam=draw(st.floats(-3.0, 3.0)), mu=draw(st.floats(-3.0, 3.0))), "ar")
+        else:
+            alpha_r = draw(st.floats(1.05, 5.0))
+            h = far_chains(cfg, far_from_alphas(draw(st.floats(0.0, 1.0)), 1.0, alpha_r))
+        chain = draw(st.integers(0, 1))
+        return _real_chain(h.diag[chain], h.off[chain])
+    m = draw(st.integers(1, 600))
+    scale = 10.0 ** draw(st.floats(-150.0, 150.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    diag, off = rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m - 1)
+    off[rng.random(m - 1) < draw(st.floats(0.0, 1.0))] = 0.0
+    off[rng.random(m - 1) < draw(st.floats(0.0, 0.5))] *= np.finfo(float).eps
+    if m >= 2 and draw(st.booleans()):
+        k = m // 2
+        diag[k:2 * k], off[k:2 * k - 1] = diag[:k], off[:k - 1]
+        off[k - 1] = 0.0
+        off[2 * k - 1:] = 0.0
+        diag[2 * k:] = 1.0
+    return _real_chain(scale * diag, scale * off)
+
+
 @settings(max_examples=300, deadline=None)
-@given(chain=_real_chains())
-def test_dense_lowest_level_matches_the_tridiagonal_solver(chain):
-    # a chain that does not split takes its lowest level from the dense full
-    # spectrum, where SciPy's stebz bisects for it alone: the two agree to
-    # rounding. Over 20,000 random draws of 2-600 rows the spread peaked at
-    # 0.58 (m + 8) eps times the largest entry, and it grows with m (102 eps
-    # at m = 1025), so this allows twice that
+@given(chain=_lowest_chains())
+def test_lowest_level_matches_the_dense_and_tridiagonal_solvers(chain):
+    # Laguerre's method on the chain's pivots against numpy's dense eigvalsh
+    # and SciPy's selective bisection, within the bound the dense and SciPy
+    # lowest levels were held to; without the scaling step the squared
+    # couplings overflow or underflow at the scale ends and this fails
     from scipy.linalg import eigvalsh_tridiagonal
     diag, off = chain
-    assume(_sectors(diag, off) is None)
-    got = oracle._chain_eigenvalues(diag, off, None, dense=True, lowest=True)
-    assert np.array_equal(got, oracle._dense_eigenvalues(diag, off)[:1])
+    got = oracle._lowest(diag, off)
+    scale = max(np.abs(diag).max(), off.max(initial=0.0))
+    bound = 2 * (diag.size + 8) * np.finfo(float).eps * scale
+    assert abs(got - oracle._dense_eigenvalues(diag, off)[0]) <= bound
     ref = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    scale = max(np.abs(diag).max(), off.max())
-    assert abs(got[0] - ref[0]) <= 2 * (diag.size + 8) * np.finfo(float).eps * scale
+    assert abs(got - ref[0]) <= bound
 
 
 def test_results_do_not_depend_on_the_dense_budget(monkeypatch):
@@ -240,38 +273,84 @@ def test_results_do_not_depend_on_the_dense_budget(monkeypatch):
 
 
 def test_crossings_do_not_depend_on_the_dense_budget(monkeypatch):
-    # a crossing search routes its grid once: dense if every grid solve
-    # fits in the budget, else SciPy for the whole search; past the grid,
-    # each bisection step is checked alone. The lowest levels of the two
-    # routes differ by rounding, but not the crossings they bracket
+    # a crossing search solves lowest levels only, by the sector solve or
+    # by _lowest: no dense solve, no charge to the budget, and the same
+    # couplings with the budget empty and with it spent
     sizes = []
     dense = oracle._dense_eigenvalues
     monkeypatch.setattr(oracle, "_dense_eigenvalues",
                         lambda d, e: sizes.append(d.size) or dense(d, e))
-    grid_points, rows = 20, 2 * 41 ** 2
-    # the grid fits, and three bisection steps after it
-    part_way = oracle.DENSE_BUDGET - (grid_points + 3) * rows
     ar = lambda x: parity_chains(HilbertConfig(40),
                                  ModelParams(omega=1.0, omega0=1.0, lam=x, mu=0.2), "ar")
     far = lambda x: far_chains(HilbertConfig(40), far_from_alphas(0.01, 1.0, x))
-    for builder, coupling_range in ((ar, (0.3, 1.5)), (far, (0.1, 8.0))):
-        runs = {}
-        for spent in (0, part_way, oracle.DENSE_BUDGET + 1):
+    for builder, coupling_range in ((ar, (0.0, 1.5)), (far, (0.1, 8.0))):
+        runs = []
+        for spent in (0, oracle.DENSE_BUDGET + 1):
             monkeypatch.setattr(oracle, "_dense_spent", spent)
-            sizes.clear()
-            records = find_crossings(builder, coupling_range, grid_points=grid_points)
-            runs[spent] = (np.array([rec.coupling for rec in records]), len(sizes))
-        assert runs[0][0].size == 1 and runs[0][1] > 2 * grid_points
-        assert runs[part_way][1] == 2 * (grid_points + 3)
-        assert runs[oracle.DENSE_BUDGET + 1][1] == 0
-        for couplings, _ in runs.values():
-            assert np.array_equal(couplings, runs[0][0])
-    # the grid check counts every chain: the ar chains split at lam = 0 but
-    # not at the next grid point, and a grid one short of room runs all SciPy
-    monkeypatch.setattr(oracle, "_dense_spent", oracle.DENSE_BUDGET - grid_points * rows + 1)
-    sizes.clear()
-    find_crossings(ar, (0.0, 1.5), grid_points=grid_points)
+            records = find_crossings(builder, coupling_range, grid_points=20)
+            assert oracle._dense_spent == spent
+            runs.append([rec.coupling for rec in records])
+        assert len(runs[0]) == 1 and runs[0] == runs[1]
     assert sizes == []
+
+
+def _gap_builder(gap, calls):
+    """A builder of two one-state chains whose gap is gap(x), counting its
+    calls."""
+    return lambda x: calls.append(x) or _chains([gap(x)], [0.0])
+
+
+def test_false_position_returns_an_exact_zero():
+    # the grid cell [0.5, 1.5] of a linear gap: the first false-position
+    # step lands on its zero, 1.0, where the gap is exactly 0
+    calls = []
+    recs = find_crossings(_gap_builder(lambda x: x - 1.0, calls), (0.5, 2.5),
+                          grid_points=3)
+    assert [rec.coupling for rec in recs] == [1.0]
+    assert len(calls) == 3 + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=st.floats(0.0, 1.0), noise=st.floats(0.0, 0.5), step=st.booleans(),
+       height=st.floats(1e-3, 1e6), xtol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]))
+def test_false_position_needs_at_most_twice_bisections_count(root, noise, step,
+                                                             height, xtol):
+    # a step gap gives false position no slope to use (a lopsided one keeps
+    # it on one side), and a noisy one (pseudo-random at the xtol scale) a
+    # misleading one: each still ends on a sign bracket <= xtol within
+    # 2 x bisection's count + 2 evaluations
+    calls = []
+
+    def gap(x):
+        calls.append(x)
+        if step:
+            return -1.0 if x < root else height
+        return x - root + noise * math.sin(1e12 * x)
+
+    a, b = -0.5, 1.5
+    g_a, g_b = gap(a), gap(b)
+    assume((g_a < 0) != (g_b < 0))
+    calls.clear()
+    a, b = oracle._false_position(gap, a, b, g_a, g_b, xtol)
+    assert len(calls) <= 2 * math.ceil(math.log2(2.0 / xtol)) + 2
+    assert b - a <= xtol
+    assert a == b and gap(a) == 0.0 or (gap(a) < 0) != (gap(b) < 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega=st.floats(0.3, 2.0), omega0=st.floats(0.1, 3.0), mu=st.floats(0.0, 0.6))
+def test_ar_first_hop_law(omega, omega0, mu):
+    # the ar ground state first hops between the chains at lam^2 - mu^2 =
+    # omega omega0. Over 360 draws, the corners of this box included, the
+    # first crossing matched the law within 4.9e-10: the xtol/2 of the
+    # refinement, plus rounding that grows where the gap flattens (1.1e-10
+    # at omega 0.3, omega0 3, mu 0.6, where a cutoff of 192 does no better)
+    xtol = 1e-9
+    law = math.sqrt(omega * omega0 + mu * mu)
+    builder = lambda x: parity_chains(HilbertConfig(96), ModelParams(
+        omega=omega, omega0=omega0, lam=x, mu=mu), "ar")
+    recs = find_crossings(builder, (0.5 * law, 1.05 * law), grid_points=20, xtol=xtol)
+    assert abs(recs[0].coupling - law) <= xtol
 
 
 def test_labels_need_a_conserved_excitation_number():
