@@ -9,9 +9,9 @@ rotating-model approximation gets as the counter-rotating coupling shrinks.
 
 import numpy as np
 
-from susyjc import (DressedLabel, HilbertConfig, ModelParams, approx_spectrum,
-                    effective_hamiltonian, eigenvalues, frame_unitary,
-                    jc_approximation, lab_frame_offset, parity_chains,
+from susyjc import (HilbertConfig, ModelParams, effective_hamiltonian,
+                    eigenvalues, frame_unitary, jc_approximation,
+                    lab_frame_offset, lowest_closed_levels, parity_chains,
                     quadrature_weights, squeeze_parameter)
 
 params = ModelParams(omega=1.0, omega0=1.0, lam=0.4, mu=0.15)
@@ -49,16 +49,16 @@ print(f"\nlab - effective offset: {shift.mean():+.12f}"
 # detuning and coupling. The validity figure 2*lam*mu/(lam^2+mu^2) tracks
 # the size of what was dropped; halving mu roughly quarters the error.
 print("\nmu        validity   worst relative error (lowest 8 levels)")
-levels = [DressedLabel("minus", 0)] + [
-    DressedLabel(b, n) for n in (1, 2, 3, 4) for b in ("minus", "plus")]
 for mu in (0.0025, 0.00125, 0.000625):
     p = ModelParams(omega=1.0, omega0=1.0, lam=0.1, mu=mu)
-    validity = jc_approximation(p).validity
+    approx = jc_approximation(p)
     exact = eigenvalues(parity_chains(HilbertConfig(200), p, "ar"))
-    est = np.sort([approx_spectrum(l, p) for l in levels])[:8]
-    est = est + lab_frame_offset(p)
+    # the effective JC model's lowest 8 levels, moved by omega_scaled/2 into
+    # the squeezed frame and by lab_frame_offset into the lab frame
+    est = np.array([e for e, _ in lowest_closed_levels(approx.params, 8)])
+    est = est + approx.params.omega / 2 + lab_frame_offset(p)
     err = np.abs(est - exact[:8]) / np.abs(exact[:8])
-    print(f"{mu:<9} {validity:<10.4f} {err.max():.3e}")
+    print(f"{mu:<9} {approx.validity:<10.4f} {err.max():.3e}")
 
 w = quadrature_weights(params)
 print("\nparametric-term quadrature weights:", w,

@@ -9,8 +9,8 @@ and of V^dag H V fixes the constant empirically to
     E_lab[k] = E_squeezed[k] - omega/2
 
 i.e. `lab_frame_offset` returns -omega/2 (checked at n_max=200 over the
-lowest levels; see tests). Dropping the drive term yields closed approximate
-levels via `jc_approximation` / `approx_spectrum`, trustworthy when
+lowest levels; see tests). Dropping the drive term leaves the JC model
+`jc_approximation`, evaluated by the `jc` closed forms and trustworthy when
 `validity` = 2*lam*mu/(lam^2+mu^2) is small.
 """
 
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCouplings, InvalidLabel
-from .hilbert import (HilbertConfig, ModelParams, _ladder, exchange_op, spin_op,
-                      su11_generator)
-from .jc import DressedLabel
+from .hilbert import (HilbertConfig, ModelParams, exchange_op, jc_to_ajc_rotation,
+                      spin_op, su11_generator)
+from .jc import DressedLabel, dressed_energy
 
 __all__ = [
     "SqueezedFrame",
@@ -55,11 +55,11 @@ class SqueezedFrame:
 
 @dataclass(frozen=True)
 class JCApproximation:
-    """Effective JC parameters after dropping the parametric drive."""
+    """The JC model left after dropping the parametric drive (params.omega,
+    .delta and .lam are omega_scaled, delta_ar and lambda_ar) and the
+    validity ratio of the drive (small = good)."""
 
-    delta_ar: float
-    lambda_ar: float
-    omega_scaled: float
+    params: ModelParams
     validity: float
 
 
@@ -86,11 +86,10 @@ def frame_unitary(cfg: HilbertConfig, params: ModelParams) -> SqueezedFrame:
     amount for which conjugation maps the lab Hamiltonian onto
     `effective_hamiltonian` entrywise (plus the `lab_frame_offset` constant);
     doubling it preserves the spectrum, being unitary, but not the matrix
-    identity. The first factor is diagonal, the second is [[0, 1], [-1, 0]]
-    on the spin, and the squeeze is 1 (x) exp(-i xi ky), since Ky = 1 (x) ky
-    on the spin-major basis; exp(-i xi ky) is u diag(exp(-i xi w)) u^dag from
-    numpy's eigh of the boson block ky = u diag(w) u^dag, Hermitian also when
-    truncated. So the whole unitary is (spin factor) (x) (boson block).
+    identity. The first factor is diagonal, the second is the spin factor of
+    `jc_to_ajc_rotation`, and the squeeze is 1 (x) exp(-i xi ky) for the
+    boson block ky of `su11_generator`'s Ky = 1 (x) ky, from numpy's eigh
+    of ky. So the whole unitary is (spin factor) (x) (boson block).
     """
     sign = _guard_couplings(params.lam, params.mu)
     xi = squeeze_parameter(params.lam, params.mu)
@@ -98,15 +97,12 @@ def frame_unitary(cfg: HilbertConfig, params: ModelParams) -> SqueezedFrame:
     phase = np.exp(-1j * params.theta * np.arange(n_fock))
     block = np.diag(phase)
     if xi != 0.0:
-        ky = -1j * (_ladder(n_fock, -2) - _ladder(n_fock, 2)) / 4.0
-        w, u = np.linalg.eigh(ky.dense())
+        w, u = np.linalg.eigh(su11_generator(cfg, "y").dense()[:n_fock, :n_fock])
         block = phase[:, None] * ((u * np.exp(-1j * xi * w)[None, :]) @ u.conj().T)
     flipped = params.mu > params.lam
-    # the spin factor of hilbert.jc_to_ajc_rotation, exp(-i pi/2 sigma_y)
-    spin = np.array([[0.0, 1.0], [-1.0, 0.0]]) if flipped else np.eye(2)
-    v = np.kron(spin, block)
+    spin = jc_to_ajc_rotation(HilbertConfig(0)).dense() if flipped else np.eye(2)
     return SqueezedFrame(xi=xi, theta_rotation_applied=flipped, sign=sign,
-                         unitary=v)
+                         unitary=np.kron(spin, block))
 
 
 def effective_hamiltonian(cfg: HilbertConfig, params: ModelParams) -> np.ndarray:
@@ -129,41 +125,31 @@ def effective_hamiltonian(cfg: HilbertConfig, params: ModelParams) -> np.ndarray
 
 
 def jc_approximation(params: ModelParams) -> JCApproximation:
-    """Effective detuning, coupling, and scaled boson frequency of the
-    drive-free JC model, plus the validity ratio (small = good)."""
+    """The drive-free JC model of the squeezed frame: boson frequency
+    omega_scaled = omega (lam^2 + mu^2)/|lam^2 - mu^2|, spin splitting
+    sgn(lam - mu) omega0 and coupling sgn(lam - mu) sqrt|lam^2 - mu^2|."""
     sign = _guard_couplings(params.lam, params.mu)
     l2, m2 = params.lam ** 2, params.mu ** 2
     dif = abs(l2 - m2)
-    omega_scaled = params.omega * (l2 + m2) / dif
-    return JCApproximation(
-        delta_ar=sign * params.omega0 - omega_scaled,
-        lambda_ar=sign * math.sqrt(dif),
-        omega_scaled=omega_scaled,
-        validity=2.0 * params.lam * params.mu / (l2 + m2),
-    )
+    jc = ModelParams(omega=params.omega * (l2 + m2) / dif,
+                     omega0=sign * params.omega0, lam=sign * math.sqrt(dif))
+    return JCApproximation(jc, validity=2.0 * params.lam * params.mu / (l2 + m2))
 
 
 def approx_spectrum(label: DressedLabel, params: ModelParams) -> float:
-    """Approximate squeezed-frame eigenvalue for a dressed label:
-
-        ground (minus, 0):  -delta_ar / 2
-        (plus/minus, N):    omega_scaled*N +/- (1/2) sgn(lam-mu)
-                                * sqrt(delta_ar^2 + 4 lambda_ar^2 N)
-
-    The branch sign multiplies sgn(lam-mu), so for mu > lam the plus branch
-    is the lower member of each pair. Subtract omega/2 (`lab_frame_offset`)
-    to compare against lab-frame eigenvalues.
-    """
+    """Approximate squeezed-frame eigenvalue of a dressed label: the
+    `dressed_energy` of `jc_approximation(params).params` plus
+    omega_scaled/2, with the branches swapped for mu > lam (the plus branch
+    is then the lower member of each pair); label.model is ignored.
+    Subtract omega/2 (`lab_frame_offset`) to compare against lab-frame
+    eigenvalues."""
     if not isinstance(label, DressedLabel):
         raise InvalidLabel("label must be a DressedLabel")
-    ap = jc_approximation(params)
-    n = label.n_total
-    if n == 0:
-        return -0.5 * ap.delta_ar
-    split = math.hypot(ap.delta_ar, 2.0 * ap.lambda_ar * math.sqrt(n))
-    branch = 1.0 if label.branch == "plus" else -1.0
-    sign = 1.0 if params.lam > params.mu else -1.0
-    return ap.omega_scaled * n + 0.5 * branch * sign * split
+    jc = jc_approximation(params).params
+    branch = label.branch
+    if params.mu > params.lam and label.n_total:
+        branch = "plus" if branch == "minus" else "minus"
+    return dressed_energy(DressedLabel(branch, label.n_total), jc) + 0.5 * jc.omega
 
 
 def lab_frame_offset(params: ModelParams) -> float:

@@ -143,12 +143,13 @@ def _require(merged: dict, key: str, why: str):
 
 
 def _energy_unit(merged: dict, model: str) -> tuple[float, str]:
-    """Scale for reported energies/couplings. The factorizable model derives
-    its own frequencies from the alphas, so it always reports absolute."""
+    """Scale for reported energies/couplings: a positive --omega0, or 1 for
+    --units absolute and for far, whose frequencies come from the alphas."""
     if model == "far" or merged["units"] == "absolute":
         return 1.0, "absolute"
-    if merged["omega0"] == 0.0:
-        raise UsageError("--units omega0 needs a nonzero --omega0")
+    if not merged["omega0"] > 0.0:
+        raise UsageError(f"--units omega0 needs a positive --omega0, got "
+                         f"{merged['omega0']!r}; use --units absolute")
     return merged["omega0"], "omega0"
 
 
@@ -242,6 +243,17 @@ def cmd_crossings(merged: dict) -> int:
         raise UsageError("crossings need a min:max:points sweep")
     lo, hi = sweep[0], sweep[-1]
     unit, units_name = _energy_unit(merged, model)
+    if model == "far":
+        # far_from_alphas refuses the isotropic line |alphaR| == |alphaQ|, so
+        # a search across it would bracket a crossing at a point it refuses
+        for line in (-abs(merged["alphaQ"]), abs(merged["alphaQ"])):
+            try:
+                if lo <= line <= hi:
+                    at(line)
+            except DegenerateCouplings:
+                raise DegenerateCouplings(
+                    f"the --alphaR sweep crosses the isotropic line |alphaR| == "
+                    f"|alphaQ| at alphaR = {line!r}; sweep each side of it") from None
 
     n_max = merged["n_max"]
     if n_max is None:

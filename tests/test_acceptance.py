@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 
 from susyjc.algebra import BITWISE_ZERO, interior_mask, run_all_checks
-from susyjc.anisotropic import (approx_spectrum, effective_hamiltonian,
-                                frame_unitary, jc_approximation,
-                                lab_frame_offset)
+from susyjc.anisotropic import (effective_hamiltonian, frame_unitary,
+                                jc_approximation, lab_frame_offset)
 from susyjc.errors import DegenerateCouplings
 from susyjc.far import far_chains, far_from_alphas, far_spectrum_shape
 from susyjc.hilbert import HilbertConfig, ModelParams, parity_chains, su11_generator
@@ -192,19 +191,16 @@ def test_criterion_07_squeezed_frame_equivalence():
 
 def test_criterion_08_jc_approximation_error_scaling():
     cfg = HilbertConfig(200)
-    labels = [DressedLabel("minus", 0)]
-    for n in range(1, 6):
-        labels += [DressedLabel("minus", n), DressedLabel("plus", n)]
     errors = []
     validities = []
     for mu in (0.0025, 0.00125, 0.000625):
         params = ModelParams(omega=1.0, omega0=1.0, lam=0.1, mu=mu)
-        validity = jc_approximation(params).validity
-        assert validity <= 0.05
-        validities.append(validity)
+        ap = jc_approximation(params)
+        assert ap.validity <= 0.05
+        validities.append(ap.validity)
         lab = np.linalg.eigh(parity_chains(cfg, params, "ar").dense()).eigenvalues[:8]
-        approx = np.sort([approx_spectrum(l, params) for l in labels])[:8]
-        approx = approx + lab_frame_offset(params)
+        approx = np.array([e for e, _ in lowest_closed_levels(ap.params, 8)])
+        approx = approx + ap.params.omega / 2 + lab_frame_offset(params)
         errors.append(float((np.abs(approx - lab)
                              / np.maximum(np.abs(lab), 1e-12)).max()))
     monotone = errors[0] > errors[1] > errors[2]

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from susyjc.anisotropic import (approx_spectrum, effective_hamiltonian,
                                 frame_unitary, jc_approximation,
@@ -12,7 +14,7 @@ from susyjc.anisotropic import (approx_spectrum, effective_hamiltonian,
 from susyjc.errors import DegenerateCouplings, InvalidLabel
 from susyjc.hilbert import (HilbertConfig, ModelParams, jc_to_ajc_rotation,
                             parity_chains, su11_generator)
-from susyjc.jc import DressedLabel
+from susyjc.jc import DressedLabel, dressed_energy, lowest_closed_levels
 
 
 def test_squeeze_parameter_anchor():
@@ -108,24 +110,96 @@ def test_spectra_agree_up_to_the_constant():
 def test_jc_approximation_parameters():
     ap = jc_approximation(ModelParams(omega=1.0, omega0=1.0, lam=0.1, mu=0.02))
     assert abs(ap.validity - 2.0 * 0.1 * 0.02 / (0.01 + 0.0004)) < 1e-15
-    assert abs(ap.omega_scaled - (0.01 + 0.0004) / (0.01 - 0.0004)) < 1e-15
-    assert abs(ap.lambda_ar - math.sqrt(0.01 - 0.0004)) < 1e-15
-    # validity is symmetric in the two couplings, the sign flips
+    assert abs(ap.params.omega - (0.01 + 0.0004) / (0.01 - 0.0004)) < 1e-15
+    assert abs(ap.params.lam - math.sqrt(0.01 - 0.0004)) < 1e-15
+    assert (ap.params.omega0, ap.params.mu) == (1.0, 0.0)
+    # validity is symmetric in the two couplings; the coupling and the spin
+    # splitting take the sign of lam - mu
     swapped = jc_approximation(ModelParams(lam=0.02, mu=0.1))
     assert abs(swapped.validity - ap.validity) < 1e-15
-    assert swapped.lambda_ar < 0 < ap.lambda_ar
+    assert swapped.params.lam < 0 < ap.params.lam
+    assert swapped.params.omega0 == -1.0
+    # the effective detuning is delta_ar = sgn(lam - mu) omega0 - omega_scaled
+    for p in (ModelParams(omega=1.0, omega0=1.0, lam=0.1, mu=0.02),
+              ModelParams(omega=0.7, omega0=-0.3, lam=0.2, mu=1.3),
+              ModelParams(omega=2.9, omega0=1.7, lam=0.0, mu=0.45)):
+        l2, m2 = p.lam ** 2, p.mu ** 2
+        sign = 1 if p.lam > p.mu else -1
+        delta_ar = sign * p.omega0 - p.omega * (l2 + m2) / abs(l2 - m2)
+        assert jc_approximation(p).params.delta == delta_ar
+
+
+def _swapped(label, params):
+    """The label with the branches of an N >= 1 pair swapped when mu > lam:
+    approx_spectrum's label of a JC-convention label, and back."""
+    if params.mu > params.lam and label.n_total:
+        return DressedLabel("plus" if label.branch == "minus" else "minus",
+                            label.n_total)
+    return label
+
+
+_COUPLINGS = st.one_of(st.just(0.0), st.floats(0.01, 2.5))
+_OMEGA0S = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega=st.floats(0.05, 3.0), omega0=_OMEGA0S, lam=_COUPLINGS,
+       mu=_COUPLINGS, n=st.one_of(st.integers(0, 8), st.integers(0, 10 ** 6)),
+       plus=st.booleans())
+@example(omega=1.0, omega0=-0.8, lam=0.3, mu=1.1, n=3, plus=True)
+@example(omega=0.4, omega0=-2.0, lam=0.0, mu=0.7, n=5, plus=False)
+@example(omega=1.3, omega0=0.6, lam=0.9, mu=0.0, n=0, plus=False)
+def test_approx_spectrum_is_the_effective_jc_energy(omega, omega0, lam, mu, n,
+                                                    plus):
+    assume(lam != mu)
+    params = ModelParams(omega=omega, omega0=omega0, lam=lam, mu=mu)
+    jc = jc_approximation(params).params
+    label = DressedLabel("plus" if plus and n else "minus", n)
+    energy = approx_spectrum(label, params)
+    assert energy == dressed_energy(_swapped(label, params), jc) + jc.omega / 2
+    # the paper's closed form: omega_scaled N +/- sgn(lam - mu) split / 2,
+    # and -delta_ar / 2 for the singlet. Rounding reached 2.2 eps times the
+    # terms' size on 200000 wider draws (omega 1e-3..1e2, couplings up to
+    # 1e3, N up to 1e6)
+    split = math.hypot(jc.delta, 2.0 * jc.lam * math.sqrt(n))
+    sign = (1.0 if label.branch == "plus" else -1.0) * (1.0 if lam > mu else -1.0)
+    closed = jc.omega * n + 0.5 * sign * split if n else -0.5 * jc.delta
+    bound = 4 * np.finfo(float).eps * (jc.omega * n + 0.5 * split)
+    assert abs(energy - closed) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega=st.floats(0.05, 3.0), omega0=_OMEGA0S, lam=_COUPLINGS,
+       mu=_COUPLINGS, count=st.integers(1, 12))
+# the minus branch bottoms out at N* = 438 here, past a 400-sector window
+@example(omega=0.054, omega0=-2.25, lam=0.255, mu=2.33, count=8)
+def test_lowest_closed_levels_rank_the_approximate_levels(omega, omega0, lam,
+                                                          mu, count):
+    assume(lam != mu)
+    params = ModelParams(omega=omega, omega0=omega0, lam=lam, mu=mu)
+    jc = jc_approximation(params).params
+    # every label up to twice past the minus branch's minimum N*: the plus
+    # branch rises with N and the minus branch is convex in N
+    x, y = jc.lam / jc.omega, jc.delta / jc.lam
+    top = 2 * math.ceil(max((x * x - y * y) / 4.0, 0.0)) + count + 1
+    labels = [DressedLabel("minus", 0)] + [
+        DressedLabel(b, n) for n in range(1, top + 1) for b in ("minus", "plus")]
+    window = sorted(approx_spectrum(label, params) for label in labels)[:count]
+    ranked = lowest_closed_levels(jc, count)
+    assert [e + jc.omega / 2 for e, _ in ranked] == window
+    # the ranked labels come in the JC convention of jc
+    for e, label in ranked:
+        assert approx_spectrum(_swapped(label, params), params) == e + jc.omega / 2
 
 
 def test_approx_spectrum_tracks_oracle_when_validity_small():
     params = ModelParams(omega=1.0, omega0=1.0, lam=0.1, mu=0.00125)
-    assert jc_approximation(params).validity < 0.05
+    ap = jc_approximation(params)
+    assert ap.validity < 0.05
     cfg = HilbertConfig(160)
     lab = np.linalg.eigh(parity_chains(cfg, params, "ar").dense()).eigenvalues[:8]
-    labels = [DressedLabel("minus", 0)]
-    for n in range(1, 5):
-        labels += [DressedLabel("minus", n), DressedLabel("plus", n)]
-    approx = np.sort([approx_spectrum(l, params) for l in labels])[:8]
-    approx = approx + lab_frame_offset(params)
+    approx = np.array([e for e, _ in lowest_closed_levels(ap.params, 8)])
+    approx = approx + ap.params.omega / 2 + lab_frame_offset(params)
     rel = np.abs(approx - lab) / np.maximum(np.abs(lab), 1e-12)
     assert rel.max() < 0.02
     with pytest.raises(InvalidLabel):

@@ -98,6 +98,36 @@ def test_each_error_type_is_raised_and_has_a_cli_prefix():
         assert getattr(errors, name).exit_code in cli.ERROR_PREFIX, name
 
 
+def test_import_boundaries():
+    # SciPy is imported by oracle.py alone, and no module that commands
+    # reaches through `from .x import ...` imports anisotropic, which keeps
+    # the squeezed frame off every CLI path
+    import ast
+    import susyjc
+    imports = {}
+    for path in Path(susyjc.__file__).parent.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                names |= {"." + alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names.add("." * node.level + node.module)
+        imports[path.stem] = names
+    assert sorted(module for module, names in imports.items()
+                  if any(n.split(".")[0] == "scipy" for n in names)) == ["oracle"]
+    reached, todo = set(), ["commands"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo += [n[1:].split(".")[0] for n in imports[module]
+                     if n.startswith(".")]
+    assert {"commands", "oracle", "jc", "far"} <= reached
+    assert "anisotropic" not in reached
+
+
 def test_spectrum_scalar_point_csv():
     cp = run_cli("spectrum", "--model", "jc", "--lambda", "0.5",
                  "--levels", "6", "--n-max", "40")
@@ -176,6 +206,30 @@ def test_spectrum_far_refuses_a_bare_degenerate_value(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("susyjc: parameter error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,line", [
+    ("--alphaR 0.5:1.5:3 --n-max 40", 1.0),  # a grid point on the line
+    ("--alphaR 0.5:1.5:8 --n-max 40", 1.0),  # the line between grid points
+    ("--alphaQ=-1 --alphaR 0.5:2:5 --n-max 8", 1.0),
+    ("--alphaQ 0.5 --alphaR=-1:-0.2:4 --auto", -0.5),
+])
+def test_crossings_far_refuse_a_sweep_across_the_isotropic_line(
+        argv, line, monkeypatch, capsys):
+    # far_from_alphas refuses |alphaR| == |alphaQ|, so a search across the
+    # line would bracket a crossing at a point it refuses; the run is
+    # refused before any solve
+    from susyjc import cli, commands
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the refusal")
+    monkeypatch.setattr(commands, "find_crossings", no_solve)
+    monkeypatch.setattr(commands, "certify_truncation", no_solve)
+    assert cli.main(["crossings", "--model", "far", *argv.split()]) == 2
+    assert capsys.readouterr() == (
+        "", "susyjc: parameter error: the --alphaR sweep crosses the "
+            f"isotropic line |alphaR| == |alphaQ| at alphaR = {line!r}; "
+            "sweep each side of it\n")
 
 
 def test_spectrum_ar_at_equal_couplings_is_the_rabi_model(capsys):
@@ -795,7 +849,7 @@ REFUSED = [
     ["spectrum", "--model", "ajc", "--mu", "1", "--omega", "-1", "--n-max", "20",
      "--levels", "4"],
     ["crossings", "--model", "jc", "--omega=-0.5", "--omega0=-1",
-     "--lambda", "0.05:2:30", "--n-max", "20"],
+     "--lambda", "0.05:2:30", "--n-max", "20", "--units", "absolute"],
     ["wigner", "--label", "minus:1", "--lambda", "1e308"],
     ["spectrum", "--model", "ar", "--lambda", "1", "--mu", "0.3", "--omega0",
      "1e-320", "--n-max", "8", "--format", "json"],
@@ -895,6 +949,10 @@ REFUSAL_LINES = [
     ("spectrum --model ar --lambda 0.5 --mu 0:1:3",
      "--mu must be a scalar for --model ar"),
     ("wigner --label plus:x", "--label N must be an integer, got 'x'"),
+    ("spectrum --model jc --omega0=-1 --lambda 0.5 --levels 3 --n-max 20",
+     "--units omega0 needs a positive --omega0, got -1.0; use --units absolute"),
+    ("crossings --model jc --omega0=-0.5 --lambda 0.05:3:30 --n-max 40",
+     "--units omega0 needs a positive --omega0, got -0.5; use --units absolute"),
 ]
 
 
@@ -908,6 +966,20 @@ def test_refusals_print_one_line(argv, line, tmp_path, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr() == (
         "", "susyjc: error: " + line.replace("{dir}", str(tmp_path)) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --model jc --omega0=-1 --lambda 0.5 --levels 3 --n-max 20",
+    "crossings --model jc --omega0=-0.5 --lambda 0.05:3:30 --n-max 40"])
+def test_a_negative_omega0_is_reported_in_absolute_units(argv, capsys):
+    # in units of a negative omega0 every value flipped its sign, residuals
+    # included: those units are refused, and absolute ones are printed
+    from susyjc import cli
+    assert cli.main(argv.split()) == 2
+    capsys.readouterr()
+    assert cli.main(argv.split() + ["--units", "absolute"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows and all(float(row["residual"]) >= 0.0 for row in rows)
 
 
 # extreme finite values, each put through every template below
