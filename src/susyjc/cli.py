@@ -8,14 +8,15 @@ or the susyjc script), the CLI gives BLAS one thread unless
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set; a call of main(argv)
 leaves the environment as it is.
 
-Exit codes: 0 ok, 2 usage or parameter error (including a non-finite number,
-a config value its flag would not accept, a number outside BOUNDS, or
-sweep points above MAX_POINTS, all refused before any work, parameters
-that overflow, a result that is not finite in the requested units, and an
-output file that cannot be written), 3 truncation did not converge
-(including a pinned cutoff that certifies fewer than the 3 levels far
-needs), 4 internal consistency failure (factorization mismatch, phase-space
-support overflow, failed verification). errors.py sets each error's code.
+Exit codes: 0 ok, 2 usage or parameter error (including a flag its run in
+RUNS does not read or requires, a non-finite number, a config value its
+flag would not accept, a number outside BOUNDS, or sweep points above
+MAX_POINTS, all refused before any work, parameters that overflow, a
+result that is not finite in the requested units, and an output file that
+cannot be written), 3 truncation did not converge (including a pinned
+cutoff that certifies fewer than the 3 levels far needs), 4 internal
+consistency failure (factorization mismatch, phase-space support overflow,
+failed verification). errors.py sets each error's code.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ MAX_POINTS = 1001
 BOUNDS = {"levels": (1, False, None), "n_max": (2, False, CAP_N_MAX),
           "points": (16, False, MAX_POINTS),
           **{dest: (0.0, True, None) for dest in
-             ("conv_tol", "xtol", "min_gap", "window", "tol", "shape_tol")}}
+             ("conv_tol", "xtol", "window", "tol", "shape_tol")}}
 
 
 # stderr prefix of each exit code a library error can carry
@@ -73,7 +74,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--output", help="output path (default stdout)")
-        p.add_argument("--units", choices=("omega0", "absolute"))
         p.add_argument("--n-max", dest="n_max", type=int,
                        help="fixed Fock cutoff")
         if auto:
@@ -83,13 +83,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def sweep(p):  # spectrum and crossings
         p.add_argument("--model", choices=MODELS)
+        p.add_argument("--units", choices=("omega0", "absolute"))
         p.add_argument("--omega", type=float)
         p.add_argument("--omega0", type=float)
         p.add_argument("--lambda",
                        help="rotating coupling; sweep syntax min:max:points")
         p.add_argument("--mu", help="counter-rotating coupling; sweepable "
                                     "for --model ajc")
-        p.add_argument("--theta", type=float)
         p.add_argument("--alpha0", type=float)
         p.add_argument("--alphaQ", type=float)
         p.add_argument("--alphaR", help="factorization coefficient; sweep "
@@ -105,8 +105,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(p)
     sweep(p)
     p.add_argument("--xtol", type=float)
-    p.add_argument("--min-gap", dest="min_gap", type=float,
-                   help="accepted for old configs; has no effect")
 
     p = sub.add_parser("wigner", help="Wigner grid of a dressed level")
     common(p)
@@ -134,23 +132,40 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--conv-tol", dest="conv_tol", type=float)
     p.add_argument("--shape-tol", dest="shape_tol", type=float)
 
-    return parser, {name: {a.dest: a for a in p._actions}
+    return parser, {name: {a.dest: a for a in p._actions if a.dest != "help"}
                     for name, p in sub.choices.items()}
 
 
-# defaults, each stated once: _OUTPUT for every subcommand, the groups for
-# the subcommands that share their flags (crossings certifies 4 levels)
-_OUTPUT = {"format": "csv", "units": "omega0"}
-_CERTIFY = {"levels": 11, "conv_tol": 1e-10}
+# The flags each run reads, with their defaults (REQUIRED: none); a run
+# refuses any other. A run is keyed by its subcommand and the flags that
+# select it: --model, wigner's --source, and "--n-max N" where a pinned
+# cutoff replaces certification.
+REQUIRED = object()
+_EVERY_RUN = {"config": None, "format": "csv", "output": None}
 _FREQUENCIES = {"omega": 1.0, "omega0": 1.0}
-_SWEEP = {**_FREQUENCIES, **_CERTIFY, "theta": 0.0, "alpha0": 0.01, "alphaQ": 1.0}
-DEFAULTS = {
-    "spectrum": _SWEEP,
-    "crossings": {**_SWEEP, "levels": 4, "xtol": 1e-9},
-    "wigner": {**_FREQUENCIES, "model": "jc", "lambda": 0.0, "mu": 0.0,
-               "window": 3.0, "points": 101, "source": "closed"},
+_MODEL_READS = {"jc": {**_FREQUENCIES, "units": "omega0", "lambda": REQUIRED},
+                "ajc": {**_FREQUENCIES, "units": "omega0", "mu": REQUIRED},
+                "ar": {**_FREQUENCIES, "units": "omega0", "lambda": REQUIRED,
+                       "mu": 0.0},
+                "far": {"alpha0": 0.01, "alphaQ": 1.0, "alphaR": REQUIRED}}
+_PINNED = (" --n-max N", {"n_max": None})
+_AUTO = {"n_max": None, "auto": None, "conv_tol": 1e-10}
+RUNS = {
+    **{f"{cmd} --model {m}{pin}": {"model": REQUIRED, **reads, **more, **cutoff}
+       for cmd, more, auto in (("spectrum", {"levels": 11}, _AUTO),
+                               ("crossings", {"xtol": 1e-9}, {**_AUTO, "levels": 4}))
+       for m, reads in _MODEL_READS.items()
+       for pin, cutoff in (("", auto), _PINNED)},
+    **{f"wigner --model {m} --source {source}": {
+        "model": m, "source": source, **_FREQUENCIES, SWEEP_FLAG[m]: 0.0,
+        "label": REQUIRED, "window": 3.0, "points": 101, **cutoff}
+       for m in LABEL_MODELS
+       for source, cutoff in (("closed", {}),
+                              ("numeric", dict.fromkeys(("n_max", "auto"))))},
     "verify": {"n_max": 64, "tol": 1e-12},
-    "far": {**_CERTIFY, "shape_tol": 1e-8},
+    **{f"far{pin}": {**dict.fromkeys(("alpha0", "alphaQ", "alphaR"), REQUIRED),
+                     "conv_tol": 1e-10, "shape_tol": 1e-8, **cutoff}
+       for pin, cutoff in (("", {**_AUTO, "levels": 11}), _PINNED)},
 }
 
 
@@ -184,9 +199,11 @@ def _config_value(action: argparse.Action, key: str, value):
 
 
 def _merge_config(args: argparse.Namespace, actions: dict) -> dict:
-    """Flags first, then config-file values, then hard defaults. actions maps
-    each flag dest of the subcommand to its argparse.Action."""
-    merged = dict(vars(args))
+    """Flags first, then config-file values, then the defaults of the run
+    they select in RUNS; the result holds the flags that run reads. actions
+    maps each flag dest of the subcommand to its argparse.Action."""
+    merged = {key: value for key, value in vars(args).items()
+              if value is not None and key != "command"}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -198,17 +215,33 @@ def _merge_config(args: argparse.Namespace, actions: dict) -> dict:
         if not isinstance(from_file, dict):
             raise UsageError("config file must hold a JSON object")
         for key, value in from_file.items():
-            if key not in actions or key not in merged:
+            if key not in actions:
                 raise UsageError(f"unknown config key {key!r} for "
                                  f"subcommand {args.command!r}")
-            value = _config_value(actions[key], key, value)
-            if merged[key] is None:
-                merged[key] = value
-    for key, value in {**_OUTPUT, **DEFAULTS[args.command]}.items():
-        if merged.get(key) is None:
-            merged[key] = value
-    if merged.get("n_max") is not None and merged.get("auto"):
+            merged.setdefault(key, _config_value(actions[key], key, value))
+    if "n_max" in merged and merged.get("auto"):
         raise UsageError("--n-max and --auto are mutually exclusive")
+    # the run: --model (wigner's defaults to jc), wigner's --source (closed),
+    # and a pinned --n-max where the run has a pinned twin
+    if args.command == "wigner":
+        merged.setdefault("model", "jc")
+        merged.setdefault("source", "closed")
+    elif args.command in ("spectrum", "crossings") and "model" not in merged:
+        raise UsageError(f"--model is required for {args.command}")
+    run = args.command + "".join(f" --{key} {merged[key]}" for key in
+                                 ("model", "source") if key in merged)
+    if "n_max" in merged and run + _PINNED[0] in RUNS:
+        run += _PINNED[0]
+    reads = {**_EVERY_RUN, **RUNS[run]}
+    for key in merged:
+        if key not in reads:
+            raise UsageError(f"{_flag(key)} is not read by {run}")
+    for key, default in reads.items():
+        if key not in merged and default is REQUIRED:
+            model = merged.get("model")  # a sweep flag is required by its model
+            why = f"--model {model}" if key == SWEEP_FLAG.get(model) else args.command
+            raise UsageError(f"{_flag(key)} is required for {why}")
+        merged.setdefault(key, default)
     for key, value in merged.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"{_flag(key)} must be finite, got {value!r}")

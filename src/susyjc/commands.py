@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .algebra import run_all_checks
-from .cli import MAX_POINTS, SWEEP_FLAG, UsageError, _flag
+from .cli import MAX_POINTS, SWEEP_FLAG, UsageError
 from .errors import DegenerateCouplings
 from .far import constraint_check, far_chains, far_from_alphas, far_spectrum_shape
 from .hilbert import HilbertConfig, ModelParams, parity_chains
@@ -136,12 +136,6 @@ def _parse_sweep(text) -> tuple[list[float], int | None]:
     return [float(x) for x in np.linspace(lo, hi, pts)], pts
 
 
-def _require(merged: dict, key: str, why: str):
-    if merged.get(key) is None:
-        raise UsageError(f"{_flag(key)} is required {why}")
-    return merged[key]
-
-
 def _energy_unit(merged: dict, model: str) -> tuple[float, str]:
     """Scale for reported energies/couplings: a positive --omega0, or 1 for
     --units absolute and for far, whose frequencies come from the alphas."""
@@ -162,18 +156,15 @@ def _sweep(merged: dict, model: str):
     bare number, at), where at(x) gives the parity-chain builder n_max ->
     ParityChains at sweep value x and the parameters it builds from
     (FarParams for far, else ModelParams)."""
-    values, points = _parse_sweep(_require(merged, SWEEP_FLAG[model],
-                                           f"for --model {model}"))
+    values, points = _parse_sweep(merged[SWEEP_FLAG[model]])
     if model == "far":
         def at(x):
             fp = far_from_alphas(merged["alpha0"], merged["alphaQ"], x)
             return (lambda n: far_chains(HilbertConfig(n), fp)), fp
         return values, points, at
-    fixed = {"omega": merged["omega"], "omega0": merged["omega0"],
-             "theta": merged["theta"]}
+    fixed = {"omega": merged["omega"], "omega0": merged["omega0"]}
     if model == "ar":
-        mu, mu_points = _parse_sweep("0.0" if merged["mu"] is None
-                                     else merged["mu"])
+        mu, mu_points = _parse_sweep(merged["mu"])
         if mu_points is not None:
             raise UsageError("--mu must be a scalar for --model ar")
         fixed["mu"] = mu[0]
@@ -192,7 +183,7 @@ def _certify(builder, merged: dict):
 
 
 def cmd_spectrum(merged: dict) -> int:
-    model = _require(merged, "model", "for spectrum")
+    model = merged["model"]
     levels = merged["levels"]
     sweep, points, at = _sweep(merged, model)
     unit, units_name = _energy_unit(merged, model)
@@ -237,7 +228,7 @@ def cmd_spectrum(merged: dict) -> int:
 
 
 def cmd_crossings(merged: dict) -> int:
-    model = _require(merged, "model", "for crossings")
+    model = merged["model"]
     sweep, points, at = _sweep(merged, model)
     if points is None:
         raise UsageError("crossings need a min:max:points sweep")
@@ -301,9 +292,9 @@ def _parse_label(text: str, model: str) -> DressedLabel:
 
 def cmd_wigner(merged: dict) -> int:
     model = merged["model"]
-    label = _parse_label(_require(merged, "label", "for wigner"), model)
-    params = ModelParams(omega=merged["omega"], omega0=merged["omega0"],
-                         lam=merged["lambda"], mu=merged["mu"])
+    label = _parse_label(merged["label"], model)
+    params = ModelParams(omega=merged["omega"], omega0=merged["omega0"], **{
+        "mu" if model == "ajc" else "lam": merged[SWEEP_FLAG[model]]})
     window = merged["window"]
     points = merged["points"]
 
@@ -315,7 +306,7 @@ def cmd_wigner(merged: dict) -> int:
                              f"got {label.n_total}")
         evaluator = lambda alpha: wigner_closed_jc(label, params, alpha)
     else:
-        if merged.get("n_max") is not None:
+        if merged["n_max"] is not None:
             n_max = merged["n_max"]
         else:
             corner = 2.0 * window * window
@@ -357,8 +348,6 @@ def cmd_verify(merged: dict) -> int:
 
 
 def cmd_far(merged: dict) -> int:
-    for key in ("alpha0", "alphaQ", "alphaR"):
-        _require(merged, key, "for far")
     (alpha_r,), _, at = _sweep(merged, "far")
     builder, fp = at(alpha_r)
     if merged["n_max"] is not None:

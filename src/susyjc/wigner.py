@@ -115,22 +115,24 @@ def wigner_closed_jc(label: DressedLabel, params: ModelParams, alpha):
     (upper signs: plus branch). Accepts a scalar or ndarray alpha.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    r2 = np.abs(alpha) ** 2
+    # W depends on |alpha|^2 alone: evaluate each distinct value once
+    r2, where = np.unique(np.abs(alpha).ravel() ** 2, return_inverse=True)
     gauss = np.exp(-2.0 * r2)
     n = label.n_total
     if n == 0:
         out = (2.0 / math.pi) * gauss
-        return float(out) if out.ndim == 0 else out
-    omega_n = rabi_frequency(n, params, label.model)
-    if omega_n == 0.0:
-        raise DegenerateAngle("Wigner form undefined in a degenerate sector")
-    lag_below, lag_n = laguerre_pair(n, 4.0 * r2)
-    sign = 1.0 if label.branch == "plus" else -1.0
-    # the scalar weights (Omega -/+ delta)/Omega are formed first, so a
-    # subnormal Omega (weights 1 on resonance) does not overflow
-    bracket = ((omega_n - sign * params.delta) / omega_n) * lag_n \
-        - ((omega_n + sign * params.delta) / omega_n) * lag_below
-    out = ((-1.0) ** n) * gauss / math.pi * bracket
+    else:
+        omega_n = rabi_frequency(n, params, label.model)
+        if omega_n == 0.0:
+            raise DegenerateAngle("Wigner form undefined in a degenerate sector")
+        lag_below, lag_n = laguerre_pair(n, 4.0 * r2)
+        sign = 1.0 if label.branch == "plus" else -1.0
+        # the scalar weights (Omega -/+ delta)/Omega are formed first, so a
+        # subnormal Omega (weights 1 on resonance) does not overflow
+        bracket = ((omega_n - sign * params.delta) / omega_n) * lag_n \
+            - ((omega_n + sign * params.delta) / omega_n) * lag_below
+        out = ((-1.0) ** n) * gauss / math.pi * bracket
+    out = out[where].reshape(alpha.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -766,7 +766,7 @@ SCHEMA_CASES = [
     ("spectrum", {"model": "jc", "lambda": 0.5, "n_max": 4096}),
     ("spectrum", {"model": "jc", "lambda": 0.5, "n_max": 1}),
     ("spectrum", {"model": "jc", "lambda": 0.5, "n_max": 10, "levels": 0}),
-    ("spectrum", {"model": "jc", "lambda": 0.5, "n_max": 10, "conv_tol": 0}),
+    ("spectrum", {"model": "jc", "lambda": 0.5, "conv_tol": 0}),
     ("wigner", {"label": "minus:0", "points": 16}),
     ("wigner", {"label": "minus:0", "points": 15}),
     ("wigner", {"label": "minus:0", "points": 5000}),
@@ -888,8 +888,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     cp = run_cli("verify", "--auto")  # verify takes no --auto at all
     assert cp.returncode == 2
     assert b"unrecognized arguments: --auto" in cp.stderr, cp.stderr
-    assert run_cli("spectrum", "--model", "ajc", "--lambda", "0.5",
-                   "--n-max", "20").returncode == 2  # ajc sweeps --mu
+    cp = run_cli("spectrum", "--model", "ajc", "--n-max", "20")
+    assert cp.returncode == 2  # ajc sweeps --mu
+    assert cp.stderr == b"susyjc: error: --mu is required for --model ajc\n"
     cp = run_cli("wigner", "--label", "seven")
     assert cp.returncode == 2
     cp = run_cli("wigner", "--label", "minus:5", "--n-max", "3",
@@ -924,7 +925,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 # config files named by REFUSAL_LINES, written into the test's directory
 REFUSAL_CONFIGS = {"auto.json": '{"auto": "yes"}', "bad.json": "{bad",
-                   "list.json": "[1, 2]"}
+                   "list.json": "[1, 2]", "mu.json": '{"mu": 0.3}'}
 
 # refusals and the one stderr line each prints; {dir} is the config directory
 REFUSAL_LINES = [
@@ -953,6 +954,40 @@ REFUSAL_LINES = [
      "--units omega0 needs a positive --omega0, got -1.0; use --units absolute"),
     ("crossings --model jc --omega0=-0.5 --lambda 0.05:3:30 --n-max 40",
      "--units omega0 needs a positive --omega0, got -0.5; use --units absolute"),
+    ("crossings --lambda 0.5:1.5:4", "--model is required for crossings"),
+    ("spectrum --model jc", "--lambda is required for --model jc"),
+    ("crossings --model ajc --n-max 8", "--mu is required for --model ajc"),
+    ("spectrum --model far --n-max 8", "--alphaR is required for --model far"),
+    ("far --alphaQ 1 --alphaR 2", "--alpha0 is required for far"),
+    # a flag or config key that the run does not read
+    ("spectrum --model jc --lambda 0.5 --mu 0.3 --n-max 8",
+     "--mu is not read by spectrum --model jc --n-max N"),
+    ("spectrum --model jc --lambda 0.5 --config {dir}/mu.json",
+     "--mu is not read by spectrum --model jc"),
+    ("spectrum --model ajc --mu 0.5 --lambda 0.3",
+     "--lambda is not read by spectrum --model ajc"),
+    ("spectrum --model jc --lambda 0.5 --alphaQ 2 --n-max 8",
+     "--alphaQ is not read by spectrum --model jc --n-max N"),
+    ("spectrum --model far --alphaR 2 --omega 0.5 --n-max 8",
+     "--omega is not read by spectrum --model far --n-max N"),
+    ("crossings --model far --alphaR 1.5:3:4 --units absolute",
+     "--units is not read by crossings --model far"),
+    ("spectrum --model jc --lambda 0.5 --n-max 8 --conv-tol 1e-9",
+     "--conv-tol is not read by spectrum --model jc --n-max N"),
+    ("crossings --model jc --lambda 0.5:1.5:4 --n-max 8 --levels 3",
+     "--levels is not read by crossings --model jc --n-max N"),
+    ("crossings --model jc --lambda 0.5:1.5:4 --n-max 8 --conv-tol 1e-9",
+     "--conv-tol is not read by crossings --model jc --n-max N"),
+    ("far --alpha0 0.01 --alphaQ 1 --alphaR 2 --n-max 60 --levels 3",
+     "--levels is not read by far --n-max N"),
+    ("wigner --label minus:1 --lambda 0.5 --mu 0.2",
+     "--mu is not read by wigner --model jc --source closed"),
+    ("wigner --model ajc --label minus:1 --lambda 0.5",
+     "--lambda is not read by wigner --model ajc --source closed"),
+    ("wigner --label minus:1 --n-max 60",
+     "--n-max is not read by wigner --model jc --source closed"),
+    ("wigner --label minus:1 --auto",
+     "--auto is not read by wigner --model jc --source closed"),
 ]
 
 
@@ -966,6 +1001,104 @@ def test_refusals_print_one_line(argv, line, tmp_path, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr() == (
         "", "susyjc: error: " + line.replace("{dir}", str(tmp_path)) + "\n")
+
+
+# a value each flag takes, as argv text; a config file holds the same text,
+# which passes through the flag's type (--auto is a switch, true in a config)
+FLAG_VALUES = {"omega": "0.9", "omega0": "1.1", "lambda": "0.5", "mu": "0.2",
+               "alpha0": "0.01", "alphaQ": "1", "alphaR": "2", "levels": "3",
+               "conv_tol": "1e-9", "xtol": "1e-9", "units": "absolute",
+               "n_max": "8", "label": "minus:1", "window": "2",
+               "points": "16", "tol": "1e-9", "shape_tol": "1e-8"}
+
+
+def test_each_run_reads_its_flags_and_refuses_the_rest(tmp_path, monkeypatch,
+                                                       capsys):
+    # every run of cli.RUNS, given each flag of its subcommand's parser as a
+    # flag and as a config key: a flag outside the run's entry is refused
+    # with one line naming the flag and the run, one inside it is merged
+    from susyjc import cli, commands
+    merged_runs = []
+    monkeypatch.setattr(commands, "run",
+                        lambda command, merged: merged_runs.append(merged) or 0)
+    _, actions = cli._build_parser()
+    cfg = tmp_path / "run.json"
+    refused = 0
+    for run, reads in cli.RUNS.items():
+        command = run.split()[0]
+        base = run.replace("--n-max N", "--n-max 8").split()
+        base += [word for key, default in reads.items()
+                 if default is cli.REQUIRED and f"--{key} " not in run
+                 for word in (f"--{key}", FLAG_VALUES[key])]
+        assert cli.main(base) == 0, base
+        assert capsys.readouterr() == ("", ""), base
+        for key, action in actions[command].items():
+            if key in ("help", "config", "format", "output") \
+                    or f"--{key}" in base:
+                continue  # read by every run, or set to select this one
+            if key == "n_max" and run + " --n-max N" in cli.RUNS:
+                continue  # --n-max selects the run's pinned twin
+            flag = action.option_strings[0]
+            value = True if key == "auto" else FLAG_VALUES[key]
+            cfg.write_text(json.dumps({key: value}))
+            if key not in reads:
+                pinned_auto = key == "auto" and "--n-max" in run
+                refused += not pinned_auto
+                line = ("--n-max and --auto are mutually exclusive"
+                        if pinned_auto else f"{flag} is not read by {run}")
+            for argv in (base + [flag] + ([] if value is True else [value]),
+                         base + ["--config", str(cfg)]):
+                del merged_runs[:]
+                code = cli.main(argv)
+                out, err = capsys.readouterr()
+                if key in reads:
+                    assert (code, out, err) == (0, "", ""), argv
+                    assert merged_runs[0][key] is not None, argv
+                else:
+                    assert (code, out, err) == (
+                        2, "", f"susyjc: error: {line}\n"), argv
+    # spectrum and crossings x 4 models x pinned or certified, wigner x 2
+    # models x 2 sources, verify, and far pinned or certified; a refused
+    # (run, flag) pair is counted once, leaving out --auto at a pinned cutoff
+    assert len(cli.RUNS) == 23
+    assert refused == 85
+
+
+@pytest.mark.parametrize("argv,config,line", [
+    ("spectrum --model jc --lambda 0.5 --theta 0.3", '{"theta": 0.3}',
+     "unknown config key 'theta' for subcommand 'spectrum'"),
+    ("crossings --model jc --lambda 0.5:1.5:4 --min-gap 1e-3",
+     '{"min_gap": 1e-3}', "unknown config key 'min_gap' for subcommand "
+                          "'crossings'"),
+    ("wigner --label minus:1 --units absolute", '{"units": "absolute"}',
+     "unknown config key 'units' for subcommand 'wigner'"),
+    ("verify --units absolute", '{"units": "absolute"}',
+     "unknown config key 'units' for subcommand 'verify'"),
+    ("far --alpha0 0.01 --alphaQ 1 --alphaR 2 --units absolute",
+     '{"units": "absolute"}', "unknown config key 'units' for subcommand 'far'"),
+])
+def test_flags_that_no_run_reads_are_not_parsed(argv, config, line, tmp_path):
+    # no run of these subcommands reads the flag, so argparse refuses it,
+    # and a config file's key is unknown
+    flag = argv.split("--")[-1].split()[0]
+    cp = run_cli(*argv.split())
+    assert cp.returncode == 2 and cp.stdout == b""
+    assert f"unrecognized arguments: --{flag}".encode() in cp.stderr
+    cfg = tmp_path / "run.json"
+    cfg.write_text(config)
+    cp = run_cli(*argv.split()[:-2], "--config", str(cfg))
+    assert (cp.returncode, cp.stdout) == (2, b"")
+    assert cp.stderr == f"susyjc: error: {line}\n".encode()
+
+
+def test_the_readme_examples_run():
+    from susyjc import cli
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [line[len("$ susyjc "):].split()
+                for line in readme.splitlines() if line.startswith("$ susyjc ")]
+    assert len(examples) == 5
+    for argv in examples:
+        assert cli.main(argv + ["--output", os.devnull]) == 0, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -1000,7 +1133,7 @@ EXTREME_TEMPLATES = [
     "crossings --model far --alphaQ={v} --alphaR 0.5:2:5 --n-max 8",
     "wigner --label minus:1 --lambda={v} --points 16",
     "wigner --label plus:1 --omega0={v} --lambda 0.5 --source numeric "
-    "--n-max 8 --points 16 --units absolute",
+    "--n-max 8 --points 16",
     "verify --n-max 8 --tol={v}",
     "far --alpha0={v} --alphaQ 1 --alphaR 2 --n-max 8",
     "far --alpha0 0.1 --alphaQ={v} --alphaR 2 --n-max 8",
