@@ -28,9 +28,9 @@ _EXPORTS = {
                "TruncationTooSmall"),
     "far": ("FarParams", "SpectrumShape", "constraint_check", "far_chains",
             "far_from_alphas", "far_spectrum_shape"),
-    "hilbert": ("HilbertConfig", "ModelParams", "ParityChains", "boson_op",
-                "exchange_op", "excitation_number", "jc_to_ajc_rotation",
-                "parity_chains", "parity_op", "spin_op", "su11_generator"),
+    "hilbert": ("HilbertConfig", "ModelParams", "ParityChains", "exchange_op",
+                "excitation_number", "jc_to_ajc_rotation", "parity_chains",
+                "parity_op", "spin_op", "su11_generator"),
     "jc": ("CrossingRecord", "DressedLabel", "coupling_for", "crossing_pair",
            "dressed_energy", "dressed_state", "ground_state_critical",
            "lowest_closed_levels", "rabi_frequency", "reduced_density",

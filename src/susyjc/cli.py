@@ -2,11 +2,12 @@
 
 Parsing, the config merge and every refusal they raise use only the
 standard library: --help and a refused argv exit before numpy or any
-numeric module loads. main hands an accepted argv to commands, which runs
-the subcommand and renders its table. Run as a process (python -m susyjc
-or the susyjc script), the CLI gives BLAS one thread unless
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set; a call of main(argv)
-leaves the environment as it is.
+numeric module loads. Each subcommand's parser takes the flags that its
+runs in RUNS read, declared once in FLAGS. main hands an accepted argv to
+commands, which runs the subcommand and renders its table. Run as a
+process (python -m susyjc or the susyjc script), the CLI gives BLAS one
+thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set; a call of
+main(argv) leaves the environment as it is.
 
 Exit codes: 0 ok, 2 usage or parameter error (including a flag its run in
 RUNS does not read or requires, a non-finite number, a config value its
@@ -63,79 +64,6 @@ class UsageError(Exception):
 # argument handling
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and each subcommand's flags as {dest: argparse.Action}."""
-    parser = argparse.ArgumentParser(
-        prog="susyjc",
-        description="Spectral analysis of the JC family of models")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, auto=True):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--output", help="output path (default stdout)")
-        p.add_argument("--n-max", dest="n_max", type=int,
-                       help="fixed Fock cutoff")
-        if auto:
-            p.add_argument("--auto", action="store_const", const=True,
-                           help="auto-converge the cutoff (default when "
-                                "--n-max is absent; exclusive with it)")
-
-    def sweep(p):  # spectrum and crossings
-        p.add_argument("--model", choices=MODELS)
-        p.add_argument("--units", choices=("omega0", "absolute"))
-        p.add_argument("--omega", type=float)
-        p.add_argument("--omega0", type=float)
-        p.add_argument("--lambda",
-                       help="rotating coupling; sweep syntax min:max:points")
-        p.add_argument("--mu", help="counter-rotating coupling; sweepable "
-                                    "for --model ajc")
-        p.add_argument("--alpha0", type=float)
-        p.add_argument("--alphaQ", type=float)
-        p.add_argument("--alphaR", help="factorization coefficient; sweep "
-                                        "syntax min:max:points")
-        p.add_argument("--levels", type=int)
-        p.add_argument("--conv-tol", dest="conv_tol", type=float)
-
-    p = sub.add_parser("spectrum", help="lowest levels along a coupling sweep")
-    common(p)
-    sweep(p)
-
-    p = sub.add_parser("crossings", help="level crossings along a sweep")
-    common(p)
-    sweep(p)
-    p.add_argument("--xtol", type=float)
-
-    p = sub.add_parser("wigner", help="Wigner grid of a dressed level")
-    common(p)
-    p.add_argument("--model", choices=LABEL_MODELS)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--omega0", type=float)
-    p.add_argument("--lambda", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--label", help="dressed level, e.g. minus:0 or plus:3")
-    p.add_argument("--window", type=float)
-    p.add_argument("--points", type=int,
-                   help=f"grid points per axis, 16 to {MAX_POINTS}")
-    p.add_argument("--source", choices=("closed", "numeric"))
-
-    p = sub.add_parser("verify", help="operator-identity residual table")
-    common(p, auto=False)  # verify has no cutoff search
-    p.add_argument("--tol", type=float)
-
-    p = sub.add_parser("far", help="factorizable-model report")
-    common(p)
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--alphaQ", type=float)
-    p.add_argument("--alphaR", type=float)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--conv-tol", dest="conv_tol", type=float)
-    p.add_argument("--shape-tol", dest="shape_tol", type=float)
-
-    return parser, {name: {a.dest: a for a in p._actions if a.dest != "help"}
-                    for name, p in sub.choices.items()}
-
-
 # The flags each run reads, with their defaults (REQUIRED: none); a run
 # refuses any other. A run is keyed by its subcommand and the flags that
 # select it: --model, wigner's --source, and "--n-max N" where a pinned
@@ -167,6 +95,60 @@ RUNS = {
                      "conv_tol": 1e-10, "shape_tol": 1e-8, **cutoff}
        for pin, cutoff in (("", {**_AUTO, "levels": 11}), _PINNED)},
 }
+
+# the argparse keywords of every flag, in --help order; a subcommand adds
+# those that its runs in RUNS read
+FLAGS = {
+    "config": {"help": "JSON config file; flags override it"},
+    "format": {"choices": ("csv", "json")},
+    "output": {"help": "output path (default stdout)"},
+    "n_max": {"type": int, "help": "fixed Fock cutoff"},
+    "auto": {"action": "store_const", "const": True,
+             "help": "auto-converge the cutoff (default when --n-max is "
+                     "absent; exclusive with it)"},
+    "model": {"choices": MODELS},
+    "units": {"choices": ("omega0", "absolute")},
+    **dict.fromkeys(("omega", "omega0", "lambda", "mu"), {"type": float}),
+    "label": {"help": "dressed level, e.g. minus:0 or plus:3"},
+    "window": {"type": float},
+    "points": {"type": int, "help": f"grid points per axis, 16 to {MAX_POINTS}"},
+    "source": {"choices": ("closed", "numeric")},
+    **dict.fromkeys(("alpha0", "alphaQ", "alphaR"), {"type": float}),
+    "levels": {"type": int},
+    **dict.fromkeys(("conv_tol", "xtol", "tol", "shape_tol"), {"type": float}),
+}
+# spectrum and crossings take a sweep flag as text (a number or
+# min:max:points), and wigner's --model takes the closed-form models
+_SWEEPS = {"lambda": {"help": "rotating coupling; sweep syntax min:max:points"},
+           "mu": {"help": "counter-rotating coupling; sweepable for --model ajc"},
+           "alphaR": {"help": "factorization coefficient; sweep syntax "
+                              "min:max:points"}}
+_FLAGS_OF = {"spectrum": _SWEEPS, "crossings": _SWEEPS,
+             "wigner": {"model": {"choices": LABEL_MODELS}}}
+_COMMANDS = {"spectrum": "lowest levels along a coupling sweep",
+             "crossings": "level crossings along a sweep",
+             "wigner": "Wigner grid of a dressed level",
+             "verify": "operator-identity residual table",
+             "far": "factorizable-model report"}
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and each subcommand's flags as {dest: argparse.Action}:
+    the flags of FLAGS that the subcommand's runs in RUNS read."""
+    parser = argparse.ArgumentParser(
+        prog="susyjc",
+        description="Spectral analysis of the JC family of models")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, text in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        reads = set(_EVERY_RUN).union(*(keys for run, keys in RUNS.items()
+                                        if run.split()[0] == command))
+        for dest, keywords in FLAGS.items():
+            if dest in reads:
+                keywords = _FLAGS_OF.get(command, {}).get(dest, keywords)
+                p.add_argument(_flag(dest), dest=dest, **keywords)
+    return parser, {name: {a.dest: a for a in p._actions if a.dest != "help"}
+                    for name, p in sub.choices.items()}
 
 
 def _config_value(action: argparse.Action, key: str, value):

@@ -26,7 +26,6 @@ __all__ = [
     "HilbertConfig",
     "ModelParams",
     "BandedOp",
-    "boson_op",
     "spin_op",
     "exchange_op",
     "excitation_number",
@@ -249,29 +248,6 @@ def _kron(cfg: HilbertConfig, s: np.ndarray, b: BandedOp) -> BandedOp:
 
 # ---------------------------------------------------------------------------
 # public factories
-
-
-def boson_op(cfg: HilbertConfig, kind: str) -> BandedOp:
-    """Boson operator tensored with the spin identity.
-
-    kind: 'annihilate', 'create', 'number', 'position_q', 'momentum_p'.
-    Quadratures are q = (a^dag + a)/sqrt(2), p = i(a^dag - a)/sqrt(2).
-    """
-    a = _ladder(cfg.n_fock, 1)
-    adag = _ladder(cfg.n_fock, -1)
-    if kind == "annihilate":
-        b = a
-    elif kind == "create":
-        b = adag
-    elif kind == "number":
-        b = BandedOp.diagonal(cfg.n_fock, np.arange(cfg.n_fock, dtype=float))
-    elif kind == "position_q":
-        b = (adag + a) / np.sqrt(2.0)
-    elif kind == "momentum_p":
-        b = 1j * (adag - a) / np.sqrt(2.0)
-    else:
-        raise ValueError(f"unknown boson operator kind {kind!r}")
-    return _kron(cfg, _I2, b)
 
 
 def spin_op(cfg: HilbertConfig, kind: str) -> BandedOp:

@@ -79,6 +79,8 @@ def _displacement(eig: tuple[np.ndarray, np.ndarray], alpha: complex) -> np.ndar
 def _check_density(rho: np.ndarray) -> None:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("rho must be a square matrix")
+    if not np.isfinite(rho).all():  # NaN fails every test below
+        raise ValueError("rho must be finite")
     if abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValueError("rho must have unit trace")
     if float(np.abs(rho - rho.conj().T).max()) > 1e-10:

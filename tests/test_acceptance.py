@@ -62,6 +62,23 @@ def test_criterion_02_casimir_interior_value():
     assert dev < 1e-14
 
 
+def _chains_eigh(h, cfg):
+    """Eigenvalues and composite-basis eigenvectors of a ParityChains, from
+    its two tridiagonal chains; chain vectors land as in ParityChains.dense."""
+    evals, blocks = [], []
+    for c, spin in enumerate(cfg.chain_spin()):
+        chain = (np.diag(h.diag[c]) + np.diag(h.off[c], -1)
+                 + np.diag(np.conj(h.off[c]), 1))
+        w, u = np.linalg.eigh(chain)
+        block = np.zeros((cfg.dim, cfg.n_fock), dtype=complex)
+        block[spin * cfg.n_fock + np.arange(cfg.n_fock)] = u
+        evals.append(w)
+        blocks.append(block)
+    evals = np.concatenate(evals)
+    order = np.argsort(evals, kind="stable")
+    return evals[order], np.hstack(blocks)[:, order]
+
+
 def test_criterion_03_closed_forms_match_oracle():
     t0 = time.monotonic()
     rng = np.random.default_rng(20260813)
@@ -75,7 +92,7 @@ def test_criterion_03_closed_forms_match_oracle():
         model = "jc" if trial % 2 == 0 else "ajc"
         params = (ModelParams(omega=omega, omega0=omega0, lam=g) if model == "jc"
                   else ModelParams(omega=omega, omega0=omega0, mu=g))
-        evals, evecs = np.linalg.eigh(parity_chains(cfg, params, model).dense())
+        evals, evecs = _chains_eigh(parity_chains(cfg, params, model), cfg)
         closed = lowest_closed_levels(params, 12, model)
         for k, (e_closed, label) in enumerate(closed):
             e_num = evals[k]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from susyjc.algebra import commutator
 from susyjc.errors import DimensionMismatch
-from susyjc.hilbert import (BandedOp, HilbertConfig, ModelParams, boson_op,
+from susyjc.hilbert import (BandedOp, HilbertConfig, ModelParams, _ladder,
                             exchange_op, excitation_number, jc_to_ajc_rotation,
                             parity_chains, parity_op, spin_op, su11_generator)
 from susyjc.oracle import eigenvalues
@@ -44,25 +44,22 @@ def test_boson_index_layout():
 
 
 def test_ladder_matrix_elements():
-    a = boson_op(CFG, "annihilate").dense()
-    adag = boson_op(CFG, "create").dense()
-    for n in range(1, CFG.n_fock):
-        ket = CFG.basis_state("g", n)
-        out = a @ ket
-        assert abs(out[CFG.index("g", n - 1)] - np.sqrt(n)) < 1e-15
+    nf = CFG.n_fock
+    a = _ladder(nf, 1).dense()
+    adag = _ladder(nf, -1).dense()
+    a2 = _ladder(nf, 2).dense()
+    for n in range(1, nf):
+        ket = np.eye(nf)[n]
+        assert abs((a @ ket)[n - 1] - np.sqrt(n)) < 1e-15
+    # a^2 holds single-rounded sqrt(n (n-1)), a @ a up to rounding
+    for n in range(2, nf):
+        assert a2[n - 2, n] == np.sqrt(n * (n - 1.0))
+    assert np.abs(a2 - a @ a).max() < 1e-14
+    assert np.array_equal(adag, a.T)
+    assert np.array_equal(_ladder(nf, -2).dense(), a2.T)
     # creation drops out of the top level
-    assert np.allclose(adag @ CFG.basis_state("g", CFG.n_max), 0.0)
-    num = boson_op(CFG, "number").dense()
-    assert np.allclose(np.diag(num).real, np.concatenate([np.arange(13), np.arange(13)]))
-
-
-def test_quadrature_commutator_is_i_on_interior():
-    q = boson_op(CFG, "position_q").dense()
-    p = boson_op(CFG, "momentum_p").dense()
-    comm = q @ p - p @ q
-    mask = CFG.boson_index() < CFG.n_max
-    sub = comm[np.ix_(mask, mask)] - 1j * np.eye(int(mask.sum()))
-    assert np.abs(sub).max() < 1e-14
+    assert np.allclose(adag @ np.eye(nf)[CFG.n_max], 0.0)
+    assert np.allclose(np.diag(adag @ a).real, np.arange(nf))
 
 
 def test_spin_ops():
@@ -170,7 +167,7 @@ def test_delta_is_derived():
 def _kron_reference(cfg, p, model):
     """The Hamiltonian as a sum of lifted operators, term by term."""
     phase = np.exp(1j * p.theta)
-    h = p.omega * boson_op(cfg, "number").dense()
+    h = p.omega * np.diag(cfg.boson_index().astype(complex))
     sz = spin_op(cfg, "sigma_z").dense()
     q = p.lam * (phase * exchange_op(cfg, "Q", "plus").dense()
                  + np.conj(phase) * exchange_op(cfg, "Q", "minus").dense())
@@ -302,12 +299,6 @@ def _kron_factory(cfg, name, *args):
     kz = np.diag((2.0 * np.arange(nf) + 1.0) / 4.0).astype(complex)
     boson = lambda b: np.kron(np.eye(2), b)
     spin = lambda s: np.kron(s, np.eye(nf))
-    if name == "boson":
-        return boson({
-            "annihilate": a, "create": adag,
-            "number": np.diag(np.arange(nf, dtype=float)).astype(complex),
-            "position_q": (adag + a) / np.sqrt(2.0),
-            "momentum_p": 1j * (adag - a) / np.sqrt(2.0)}[args[0]])
     if name == "spin":
         return spin({"sigma_z": _SZ, "sigma_plus": _SP, "sigma_minus": _SM,
                      "sigma_x": _SP + _SM, "sigma_y": -1j * (_SP - _SM),
@@ -335,10 +326,8 @@ def _kron_factory(cfg, name, *args):
 
 
 _FACTORIES = (
-    [("boson", boson_op, (k,)) for k in
-     ("annihilate", "create", "number", "position_q", "momentum_p")]
-    + [("spin", spin_op, (k,)) for k in
-       ("sigma_z", "sigma_plus", "sigma_minus", "sigma_x", "sigma_y", "s_z")]
+    [("spin", spin_op, (k,)) for k in
+     ("sigma_z", "sigma_plus", "sigma_minus", "sigma_x", "sigma_y", "s_z")]
     + [("exchange", exchange_op, (f, s)) for f in "QR"
        for s in ("plus", "minus", "x", "y")]
     + [("excitation", excitation_number, (s,)) for s in ("plus", "minus")]

@@ -68,6 +68,13 @@ def test_density_matrix_validation():
     not_psd = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
         numeric_evaluator(not_psd)
+    # NaN fails every comparison above, and inf - inf is NaN, so either
+    # passed them
+    for bad in (np.nan, np.inf):
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        rho[0, 1] = rho[1, 0] = bad
+        with pytest.raises(ValueError, match="^rho must be finite$"):
+            numeric_evaluator(rho)
 
 
 def test_support_guard_fires_on_large_displacement():
