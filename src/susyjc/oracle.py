@@ -28,7 +28,7 @@ import numpy as np
 
 from .constants import CAP_N_MAX
 from .errors import NoConvergence
-from .hilbert import HilbertConfig, ParityChains
+from .hilbert import ParityChains
 from .jc import CrossingRecord, DressedLabel
 
 __all__ = [
@@ -220,19 +220,18 @@ def certify_cutoff(builder: Callable[[int], ParityChains], n_max: int,
 _EXCITATION = {"jc": lambda spin, n: n + spin, "ajc": lambda spin, n: n + 1 - spin}
 
 
-def _ground_label(h: ParityChains, chain: int, model: str) -> DressedLabel:
-    """(minus, N) label of the chain's ground state, read from the sector
-    that holds it: both states of a sector have the same excitation number.
-    Raises ValueError unless the chain splits into sectors of the model's N."""
-    split = _sectors(*_real_chain(h.diag[chain], h.off[chain]))
-    spin = HilbertConfig(h.n_max).chain_spin()[chain]
-    n_k = _EXCITATION[model](spin, np.arange(spin.size))
+def _ground_label(split, chain: int, model: str) -> DressedLabel:
+    """(minus, N) label of the ground state of parity chain `chain`, read
+    from its _sectors split: both states of a sector have the same
+    excitation number, and chain c holds |(c + k) mod 2, k>. Raises
+    ValueError unless the chain splits into sectors of the model's N."""
     if split is not None:
         starts, lows, highs = split
+        n_k = lambda k: _EXCITATION[model]((chain + k) % 2, k)
         pairs = starts[:highs.size]
-        if (n_k[pairs] == n_k[pairs + 1]).all():
-            ground = starts[np.lexsort((starts, lows))[0]]
-            return DressedLabel("minus", int(n_k[ground]), model)
+        if (n_k(pairs) == n_k(pairs + 1)).all():
+            ground = starts[lows == lows.min()].min()
+            return DressedLabel("minus", int(n_k(ground)), model)
     raise ValueError(f"the chain does not conserve the {model} excitation number")
 
 
@@ -284,11 +283,11 @@ def find_crossings(builder: Callable[[float], ParityChains],
     parity chain of builder(x) to the other.
 
     The sector gap g(x) = E0(chain 0) - E0(chain 1) is sampled on a uniform
-    grid, and every sign change between grid points is a crossing: its
+    grid, and every sign change between sample points is a crossing: its
     bracket is refined to width xtol by false position on g, and the record
     is the final bracket's midpoint, within xtol/2 of the sign change. An
     evaluated point where g is exactly 0 is the crossing itself, as is a
-    grid point where g is exactly 0 between samples of opposite sign. Each
+    sample point where g is exactly 0 between samples of opposite sign. Each
     lowest level comes from the stacked sector solve where the chain
     splits, else from _lowest; neither loads SciPy or spends DENSE_BUDGET.
     Levels of one chain never cross (the chain couples them) unless the
@@ -296,10 +295,17 @@ def find_crossings(builder: Callable[[float], ParityChains],
     sectors; their ground state steps N -> N + 1, and sectors N and N + 1
     lie on different chains.
 
-    label_model 'jc' or 'ajc' labels each side (minus, N) by the conserved
-    excitation number (N+ for jc, N- for ajc) of the sector holding the
-    ground state at its bracket end (ValueError if the chain does not split
-    into sectors of that number); otherwise labels are None.
+    label_model 'jc' or 'ajc' labels each evaluated point (minus, N) by
+    the conserved excitation number (N+ for jc, N- for ajc) of the sector
+    holding its ground state, read from the sector split its gap came from,
+    so every point is built and solved once; ValueError at the first point
+    whose ground chain does not split into sectors of that number. The
+    ground N moves one sector per hop, monotonically in |x|, so a labeled
+    search also splits a grid cell across x = 0 at 0, and halves a cell
+    whose ends are more than one sector apart until each part holds at most
+    one hop or is xtol wide: hops hidden inside one grid cell are found
+    too. A record's labels are those of its bracket ends. Without a label
+    model labels are None and the grid is not subdivided.
     """
     lo, hi = float(coupling_range[0]), float(coupling_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
@@ -309,28 +315,49 @@ def find_crossings(builder: Callable[[float], ParityChains],
     if label_model not in (None, *_EXCITATION):
         raise ValueError(f"label_model must be None or one of {tuple(_EXCITATION)}")
     grid = np.linspace(lo, hi, grid_points)
+    # each evaluated point's gap, and the label of each chain that holds
+    # the ground state there: chain 0 where the gap is < 0, chain 1 where
+    # it is > 0, both where it is exactly 0
+    evaluated = {}
 
     def gap(x):
+        chains = _chains(builder(x))
         e0, e1 = (_lowest(d, e) if split is None else split[1].min()
-                  for d, e, split in _chains(builder(x)))
-        return float(e0 - e1)
+                  for d, e, split in chains)
+        g = float(e0 - e1)
+        holds = (g <= 0.0, g >= 0.0)
+        evaluated[x] = g, [_ground_label(split, c, label_model)
+                           if label_model is not None and holds[c] else None
+                           for c, (_, _, split) in enumerate(chains)]
+        return g
 
-    gaps = np.array([gap(x) for x in grid])
-
-    def label(x, g):
-        # the ground state lies on chain 0 where g < 0, on chain 1 where g > 0
-        if label_model is None:
-            return None
-        return _ground_label(builder(x), 0 if g < 0 else 1, label_model)
-
+    points = list(grid)
+    for x in points:
+        gap(x)
+    # with labels, split a cell across 0 at 0 and halve one whose ends are
+    # more than one sector apart, down to xtol (see the docstring)
+    i = 0
+    while label_model is not None and i < len(points) - 1:
+        a, b = points[i], points[i + 1]
+        straddles = a < 0.0 < b
+        mid = 0.0 if straddles else 0.5 * (a + b)
+        if straddles or b - a > xtol and a < mid < b and min(
+                abs(p.n_total - q.n_total) for p in evaluated[a][1] if p
+                for q in evaluated[b][1] if q) > 1:
+            points.insert(i + 1, mid)
+            gap(mid)
+        else:
+            i += 1
+    gaps = np.array([evaluated[x][0] for x in points])
     records: list[CrossingRecord] = []
     signed = np.flatnonzero(gaps)
     for i, j in zip(signed[:-1], signed[1:]):
         if (gaps[i] < 0) == (gaps[j] < 0):
             continue
-        if j > i + 1:  # g is exactly 0 on the grid in between
-            a = b = grid[i + 1]
+        if j > i + 1:  # g is exactly 0 on a sample point in between
+            a = b = points[i + 1]
         else:
-            a, b = _false_position(gap, grid[i], grid[j], gaps[i], gaps[j], xtol)
-        records.append(CrossingRecord(label(a, gaps[i]), label(b, gaps[j]), 0.5 * (a + b)))
+            a, b = _false_position(gap, points[i], points[j], gaps[i], gaps[j], xtol)
+        records.append(CrossingRecord(evaluated[a][1][int(gaps[i] > 0)],
+                                      evaluated[b][1][int(gaps[j] > 0)], 0.5 * (a + b)))
     return records

@@ -100,21 +100,36 @@ def test_find_crossings_between_chains_only():
     assert find_crossings(touch, (-1.0, 1.0), grid_points=41) == []
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(model=st.sampled_from(["jc", "ajc"]),
-       omega=st.floats(0.3, 2.0), omega0=st.floats(0.1, 3.0))
-def test_sector_crossings_match_the_closed_critical_couplings(model, omega, omega0):
+       omega=st.floats(0.3, 2.0), omega0=st.floats(0.1, 3.0),
+       ends=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2, unique=True),
+       grid_points=st.integers(3, 80))
+def test_sector_crossings_match_the_closed_critical_couplings(model, omega, omega0,
+                                                              ends, grid_points):
+    # every hop +-ground_state_critical(N) inside the range, and not within
+    # the refinement's reach of an end, is found once: N - 1 -> N at
+    # positive coupling, N -> N - 1 at negative. A coarse grid hides
+    # several hops in one cell, and a cell across 0 hides pairs of them
+    # (the ground N falls toward 0 and rises again). At |coupling| <= 4
+    # and omega >= 0.3 the ground sector is below N = 45, and the sectors
+    # up to N = 80 are exact at a cutoff of 80
+    lo, hi = sorted(ends)
     params = ModelParams(omega=omega, omega0=omega0)
-    crit = [ground_state_critical(n, params) for n in range(1, 5)]
+    hops, n = [], 1
+    while (x := ground_state_critical(n, params)) < max(-lo, hi) + 1e-6:
+        assume(min(abs(abs(end) - x) for end in ends) > 1e-6)
+        hops += [hop for hop in ((-x, n, n - 1), (x, n - 1, n)) if lo < hop[0] < hi]
+        n += 1
     xtol = 1e-9
-    recs = find_crossings(_jc_chains(16, model, omega=omega, omega0=omega0),
-                          (0.5 * crit[0], 0.5 * (crit[2] + crit[3])),
-                          grid_points=80, xtol=xtol, label_model=model)
-    assert len(recs) == 3
-    for n, rec in enumerate(recs, start=1):
-        assert abs(rec.coupling - crit[n - 1]) <= xtol
-        assert rec.left == DressedLabel("minus", n - 1, model)
-        assert rec.right == DressedLabel("minus", n, model)
+    recs = find_crossings(_jc_chains(80, model, omega=omega, omega0=omega0),
+                          (lo, hi), grid_points=grid_points, xtol=xtol,
+                          label_model=model)
+    assert len(recs) == len(hops)
+    for (x, left, right), rec in zip(sorted(hops), recs):
+        assert abs(rec.coupling - x) <= xtol
+        assert rec.left == DressedLabel("minus", left, model)
+        assert rec.right == DressedLabel("minus", right, model)
 
 
 def test_find_crossings_argument_guards():
@@ -156,7 +171,7 @@ def test_sector_solve_matches_the_tridiagonal_solver(model, omega, omega0, theta
             spin = HilbertConfig(n_max).chain_spin()[chain]
             n_k = _EXCITATION[model](spin, np.arange(spin.size))
             old = int(round(float(np.abs(vec[:, 0]) ** 2 @ n_k)))
-            assert _ground_label(h, chain, model) == DressedLabel("minus", old, model)
+            assert _ground_label(_sectors(d, e), chain, model) == DressedLabel("minus", old, model)
     ref = np.sort(np.concatenate(ref))
     scale = max(np.abs(h.diag).max(), np.abs(h.off).max(initial=0.0))
     # floored at one subnormal step: with subnormal entries 4 eps scale
@@ -363,11 +378,31 @@ def test_labels_need_a_conserved_excitation_number():
     # an ajc chain splits, but its sectors mix N+ values
     ajc = parity_chains(HilbertConfig(8), ModelParams(mu=0.5), "ajc")
     with pytest.raises(ValueError):
-        _ground_label(ajc, 0, "jc")
+        _ground_label(oracle._chains(ajc)[0][2], 0, "jc")
     # an ar chain whose mu deflates to zero is a jc chain
     params = ModelParams(omega0=0.7, lam=1.3)
     jc = parity_chains(HilbertConfig(40), params, "jc")
     ar = parity_chains(HilbertConfig(40), ModelParams(omega0=0.7, lam=1.3, mu=1e-300), "ar")
     assert np.array_equal(eigenvalues(ar), eigenvalues(jc))
     for chain in (0, 1):
-        assert _ground_label(ar, chain, "jc") == _ground_label(jc, chain, "jc")
+        assert (_ground_label(oracle._chains(ar)[chain][2], chain, "jc")
+                == _ground_label(oracle._chains(jc)[chain][2], chain, "jc"))
+
+
+def test_a_labeled_search_builds_each_point_once():
+    # the labels come from the sector split the gap was read from, so a
+    # 40-point jc search with two crossings builds 40 grid points and the
+    # 3 points its refinement evaluates, each once
+    calls = []
+    jc = _jc_chains(64)
+    recs = find_crossings(lambda x: calls.append(x) or jc(x), (0.5, 3.0),
+                          grid_points=40, label_model="jc")
+    assert [(r.left.n_total, r.right.n_total) for r in recs] == [(0, 1), (1, 2)]
+    assert len(calls) == len(set(calls)) == 43
+    # a chain that does not conserve N is refused at the first point
+    calls.clear()
+    ar = lambda x: calls.append(x) or parity_chains(
+        HilbertConfig(40), ModelParams(omega=1.0, omega0=1.0, lam=x, mu=0.2), "ar")
+    with pytest.raises(ValueError):
+        find_crossings(ar, (0.3, 1.5), grid_points=40, label_model="jc")
+    assert calls == [0.3]
