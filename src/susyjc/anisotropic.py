@@ -43,12 +43,11 @@ __all__ = [
 class SqueezedFrame:
     """Time-independent part of the transformation to the squeezed frame.
 
-    theta_rotation_applied records the Heaviside-step spin flip that fires
-    when the counter-rotating coupling dominates; sign is sgn(lam - mu).
+    sign is sgn(lam - mu); the unitary carries the spin flip exactly when
+    sign == -1, i.e. when the counter-rotating coupling dominates.
     """
 
     xi: float
-    theta_rotation_applied: bool
     sign: int
     unitary: np.ndarray
 
@@ -79,30 +78,26 @@ def squeeze_parameter(lam: float, mu: float) -> float:
 
 
 def frame_unitary(cfg: HilbertConfig, params: ModelParams) -> SqueezedFrame:
-    """The three-factor unitary: boson phase rotation by theta, conditional
-    pi/2 spin flip when mu > lam, then the two-photon squeeze exp(-i xi Ky).
+    """The unitary (spin flip) (x) (squeeze): the pi/2 spin flip of
+    `jc_to_ajc_rotation` when mu > lam (else the spin identity), and the
+    two-photon squeeze exp(-i xi ky) on the boson block ky of
+    `su11_generator`'s Ky = 1 (x) ky, from numpy's eigh of ky.
 
     The squeeze angle is atanh(min/max of the couplings) = xi/2, the unique
     amount for which conjugation maps the lab Hamiltonian onto
     `effective_hamiltonian` entrywise (plus the `lab_frame_offset` constant);
     doubling it preserves the spectrum, being unitary, but not the matrix
-    identity. The first factor is diagonal, the second is the spin factor of
-    `jc_to_ajc_rotation`, and the squeeze is 1 (x) exp(-i xi ky) for the
-    boson block ky of `su11_generator`'s Ky = 1 (x) ky, from numpy's eigh
-    of ky. So the whole unitary is (spin factor) (x) (boson block).
+    identity.
     """
     sign = _guard_couplings(params.lam, params.mu)
     xi = squeeze_parameter(params.lam, params.mu)
     n_fock = cfg.n_fock
-    phase = np.exp(-1j * params.theta * np.arange(n_fock))
-    block = np.diag(phase)
+    block = np.eye(n_fock, dtype=complex)
     if xi != 0.0:
         w, u = np.linalg.eigh(su11_generator(cfg, "y").dense()[:n_fock, :n_fock])
-        block = phase[:, None] * ((u * np.exp(-1j * xi * w)[None, :]) @ u.conj().T)
-    flipped = params.mu > params.lam
-    spin = jc_to_ajc_rotation(HilbertConfig(0)).dense() if flipped else np.eye(2)
-    return SqueezedFrame(xi=xi, theta_rotation_applied=flipped, sign=sign,
-                         unitary=np.kron(spin, block))
+        block = (u * np.exp(-1j * xi * w)[None, :]) @ u.conj().T
+    spin = jc_to_ajc_rotation(HilbertConfig(0)).dense() if sign == -1 else np.eye(2)
+    return SqueezedFrame(xi=xi, sign=sign, unitary=np.kron(spin, block))
 
 
 def effective_hamiltonian(cfg: HilbertConfig, params: ModelParams) -> np.ndarray:

@@ -98,7 +98,7 @@ class HilbertConfig:
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: boson frequency omega, spin splitting omega0,
-    rotating coupling lam, counter-rotating coupling mu, coupling phase theta.
+    rotating coupling lam, counter-rotating coupling mu.
 
     The detuning is always derived, never stored independently.
     """
@@ -107,7 +107,6 @@ class ModelParams:
     omega0: float = 1.0
     lam: float = 0.0
     mu: float = 0.0
-    theta: float = 0.0
 
     @property
     def delta(self) -> float:
@@ -366,13 +365,13 @@ class ParityChains:
     Chain c holds the states |s_k, k>, k = 0..n_max, with spin
     s_k = (c + k) mod 2: chain 0 is |g,0>, |e,1>, |g,2>, ... and chain 1 its
     mirror |e,0>, |g,1>, |e,2>, .... diag[c, k] is the real energy of
-    |s_k, k>, and off[c, k] = <s_{k+1}, k+1|H|s_k, k> is complex. Storage and
-    assembly are O(n_max).
+    |s_k, k>, and off[c, k] = <s_{k+1}, k+1|H|s_k, k>: real for jc/ajc/ar,
+    complex for far. Storage and assembly are O(n_max).
     """
 
     n_max: int
     diag: np.ndarray  # (2, n_max + 1), real
-    off: np.ndarray   # (2, n_max), complex
+    off: np.ndarray   # (2, n_max), real or complex
 
     def dense(self) -> np.ndarray:
         """The same operator in the spin-major composite basis. Each upper
@@ -393,10 +392,10 @@ class ParityChains:
 def parity_chains(cfg: HilbertConfig, params: ModelParams, model: str) -> ParityChains:
     """Hamiltonian of the requested model as its two parity chains.
 
-    'jc'  : omega n + omega0 sigma_z/2 + lam (e^{i theta} Q+ + e^{-i theta} Q-)
-    'ajc' : omega n - omega0 sigma_z/2 - mu (e^{-i theta} R- + e^{i theta} R+)
-    'ar'  : jc plus  mu (e^{-i theta} R- + e^{i theta} R+); at lam == mu this
-            is the quantum Rabi model, regular in this lab frame
+    'jc'  : omega n + omega0 sigma_z/2 + lam (Q+ + Q-)
+    'ajc' : omega n - omega0 sigma_z/2 - mu (R- + R+)
+    'ar'  : jc plus  mu (R- + R+); at lam == mu this is the quantum Rabi
+            model, regular in this lab frame
 
     The jc model ignores mu and the ajc model ignores lam. On a chain,
     Q- = a^dag sigma- takes |e,k> to sqrt(k+1) |g,k+1> and R- = a^dag sigma+
@@ -411,9 +410,9 @@ def parity_chains(cfg: HilbertConfig, params: ModelParams, model: str) -> Parity
     n = np.arange(cfg.n_fock, dtype=float)
     half = 0.5 * params.omega0
     diag = params.omega * n - half * sz if model == "ajc" else params.omega * n + half * sz
-    step = np.conj(np.exp(1j * params.theta)) * np.sqrt(np.arange(1.0, cfg.n_fock))
+    step = np.sqrt(np.arange(1.0, cfg.n_fock))
     zero = np.zeros_like(step)
     q_minus = params.lam * step if model != "ajc" else zero
-    r_minus = {"jc": zero, "ajc": -(params.mu * step), "ar": params.mu * step}[model]
+    r_minus = {"jc": zero, "ajc": -params.mu * step, "ar": params.mu * step}[model]
     off = np.where(spin[:, :-1] == 1, q_minus, r_minus)
     return ParityChains(cfg.n_max, diag, off)

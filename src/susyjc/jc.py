@@ -108,11 +108,10 @@ def dressed_state(label: DressedLabel, params: ModelParams,
                   cfg: HilbertConfig) -> np.ndarray:
     """Closed-form eigenvector on the composite space, as amplitudes.
 
-    The global phase makes the amplitude of lowest composite index real
-    positive. An ajc sector is the jc sector under the exact pi/2 spin
+    The amplitudes are real (in a complex array), and the one of lowest
+    composite index is positive. An ajc sector is the jc sector under the exact pi/2 spin
     rotation: its |g> and |e> slots hold N - 1 and N photons instead of N
-    and N - 1, the phase e^{i theta} is conjugated, and its plus branch takes
-    the jc minus amplitudes.
+    and N - 1, and its plus branch takes the jc minus amplitudes.
     """
     n = label.n_total
     if cfg.n_max < n:
@@ -130,14 +129,11 @@ def dressed_state(label: DressedLabel, params: ModelParams,
                               "(delta = 0 with zero coupling)")
     c_hi = math.sqrt((omega_n + delta) / (2.0 * omega_n))  # weight of |g,N>-like slot
     c_lo = math.sqrt((omega_n - delta) / (2.0 * omega_n))
-    phase = np.exp(1j * params.theta)
-    if ajc:
-        phase = np.conj(phase)
     g_slot, e_slot = cfg.index("g", n - ajc), cfg.index("e", n - 1 + ajc)
     if (label.branch == "plus") != ajc:
-        amp[g_slot], amp[e_slot] = c_lo, phase * c_hi
+        amp[g_slot], amp[e_slot] = c_lo, c_hi
     else:
-        amp[g_slot], amp[e_slot] = c_hi, -phase * c_lo
+        amp[g_slot], amp[e_slot] = c_hi, -c_lo
     return amp
 
 

@@ -21,6 +21,7 @@ budget loads no SciPy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -237,8 +238,9 @@ def _ground_label(split, chain: int, model: str) -> DressedLabel:
 
 def _false_position(f: Callable[[float], float], a: float, b: float,
                     f_a: float, f_b: float, xtol: float) -> tuple[float, float]:
-    """Shrink the sign bracket [a, b] of f to width <= xtol, by Anderson-
-    Bjorck false position: when one end is kept twice in a row its value is
+    """Shrink the sign bracket [a, b] of f to width <= xtol, or to two
+    adjacent floats where xtol is below their spacing, by Anderson-Bjorck
+    false position: when one end is kept twice in a row its value is
     scaled down, and each step lies at least xtol/2 inside the bracket. A
     step bisects when the last two have not halved the bracket, and a
     bisection counts as one of the two only for the step right after it,
@@ -249,7 +251,7 @@ def _false_position(f: Callable[[float], float], a: float, b: float,
     # the widths before the last two steps; a bisection sets (0, inf), so
     # the step after it is free and the next must halve the bracket alone
     last, before_last = np.inf, np.inf
-    while b - a > xtol:
+    while b - a > xtol and math.nextafter(a, b) < b:
         width = b - a
         bisect = width > 0.5 * max(last, before_last)
         if bisect:
@@ -284,8 +286,9 @@ def find_crossings(builder: Callable[[float], ParityChains],
 
     The sector gap g(x) = E0(chain 0) - E0(chain 1) is sampled on a uniform
     grid, and every sign change between sample points is a crossing: its
-    bracket is refined to width xtol by false position on g, and the record
-    is the final bracket's midpoint, within xtol/2 of the sign change. An
+    bracket is refined to width xtol (or to two adjacent floats, where xtol
+    is below their spacing) by false position on g, and the record is the
+    final bracket's midpoint, within xtol/2 of the sign change. An
     evaluated point where g is exactly 0 is the crossing itself, as is a
     sample point where g is exactly 0 between samples of opposite sign. Each
     lowest level comes from the stacked sector solve where the chain

@@ -28,17 +28,20 @@ def test_squeeze_parameter_anchor():
 
 def test_frame_unitary_is_unitary_and_records_flip():
     cfg = HilbertConfig(40)
+    nf = cfg.n_fock
     fr = frame_unitary(cfg, ModelParams(lam=0.3, mu=0.1))
-    assert not fr.theta_rotation_applied
     assert fr.sign == 1
+    # no spin flip: each spin keeps its own block
+    assert not fr.unitary[:nf, nf:].any() and not fr.unitary[nf:, :nf].any()
     assert np.abs(fr.unitary.conj().T @ fr.unitary - np.eye(cfg.dim)).max() < 1e-12
     fr2 = frame_unitary(cfg, ModelParams(lam=0.1, mu=0.3))
-    assert fr2.theta_rotation_applied
     assert fr2.sign == -1
+    # the spin flip: the two spins' blocks trade places
+    assert not fr2.unitary[:nf, :nf].any() and not fr2.unitary[nf:, nf:].any()
 
 
 @pytest.mark.parametrize("params", [ModelParams(lam=0.3, mu=0.1),
-                                    ModelParams(lam=0.1, mu=0.3, theta=0.7),
+                                    ModelParams(lam=0.1, mu=0.3),
                                     ModelParams(omega=0.5, omega0=0.2, lam=1.1,
                                                 mu=0.25)])
 def test_frame_unitary_matches_the_composite_space_operators(params):
@@ -49,10 +52,9 @@ def test_frame_unitary_matches_the_composite_space_operators(params):
         fr = frame_unitary(cfg, params)
         w, u = np.linalg.eigh(
             su11_generator(cfg, "y").dense()[:cfg.n_fock, :cfg.n_fock])
-        phase = np.exp(-1j * params.theta * np.arange(cfg.n_fock))
-        block = phase[:, None] * ((u * np.exp(-1j * fr.xi * w)[None, :]) @ u.conj().T)
+        block = (u * np.exp(-1j * fr.xi * w)[None, :]) @ u.conj().T
         spin = (jc_to_ajc_rotation(HilbertConfig(0)).dense()
-                if fr.theta_rotation_applied else np.eye(2))
+                if params.mu > params.lam else np.eye(2))
         assert np.array_equal(fr.unitary, np.kron(spin, block)), n_max
 
 
@@ -86,7 +88,6 @@ def _frame_defect(params, n_max=140, keep=40):
 
 def test_conjugation_reproduces_effective_hamiltonian():
     assert _frame_defect(ModelParams(lam=0.3, mu=0.1)) < 1e-12
-    assert _frame_defect(ModelParams(lam=0.3, mu=0.1, theta=0.7)) < 1e-12
     # counter-rotating-dominated branch goes through the extra spin flip
     assert _frame_defect(ModelParams(lam=0.1, mu=0.3)) < 1e-12
     assert _frame_defect(ModelParams(omega=0.5, omega0=0.2, lam=1.1, mu=0.25)) < 1e-12

@@ -281,6 +281,15 @@ def test_crossings_ar_sweep_through_equal_couplings(capsys):
     _validate(json.loads(capsys.readouterr().out))
 
 
+def test_crossings_stop_when_xtol_is_below_the_float_spacing():
+    # the refinement ends on two adjacent floats instead of looping on them
+    cmd = [sys.executable, "-m", "susyjc", "crossings", "--model", "ar", "--mu",
+           "0.2", "--lambda", "0.5:1.7:4", "--n-max", "8", "--xtol", "1e-300"]
+    cp = subprocess.run(cmd, capture_output=True, timeout=30)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.decode().splitlines()[1] == ",,,,1.0198039027511006,"
+
+
 def test_crossings_jc():
     cp = run_cli("crossings", "--model", "jc", "--lambda", "0.5:1.5:40",
                  "--n-max", "60", "--format", "json")

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -130,23 +128,23 @@ def test_su11_generators():
 def test_parity_conserved_by_full_coupled_model():
     par = parity_op(CFG).dense()
     assert np.abs(par @ par - np.eye(CFG.dim)).max() == 0.0
-    h = parity_chains(CFG, ModelParams(lam=0.6, mu=0.2, theta=0.4), "ar").dense()
+    h = parity_chains(CFG, ModelParams(lam=0.6, mu=0.2), "ar").dense()
     assert np.abs(h @ par - par @ h).max() < 1e-14
 
 
 def test_jc_to_ajc_rotation_is_exact():
     u = jc_to_ajc_rotation(CFG).dense()
     assert np.abs(u.conj().T @ u - np.eye(CFG.dim)).max() == 0.0
-    params = ModelParams(omega=1.1, omega0=0.8, lam=0.5, mu=0.5, theta=0.3)
+    params = ModelParams(omega=1.1, omega0=0.8, lam=0.5, mu=0.5)
     h_jc = parity_chains(CFG, params, "jc").dense()
     h_ajc = parity_chains(CFG, params, "ajc").dense()
     assert np.abs(u.conj().T @ h_jc @ u - h_ajc).max() < 1e-15
 
 
 def test_hamiltonians_exactly_hermitian():
-    for model, params in [("jc", ModelParams(lam=0.9, theta=1.1)),
-                          ("ajc", ModelParams(mu=0.4, theta=-0.7)),
-                          ("ar", ModelParams(lam=0.9, mu=0.2, theta=0.5))]:
+    for model, params in [("jc", ModelParams(lam=0.9)),
+                          ("ajc", ModelParams(mu=0.4)),
+                          ("ar", ModelParams(lam=0.9, mu=0.2))]:
         h = parity_chains(CFG, params, model).dense()
         assert np.abs(h - h.conj().T).max() == 0.0
 
@@ -166,13 +164,12 @@ def test_delta_is_derived():
 
 def _kron_reference(cfg, p, model):
     """The Hamiltonian as a sum of lifted operators, term by term."""
-    phase = np.exp(1j * p.theta)
     h = p.omega * np.diag(cfg.boson_index().astype(complex))
     sz = spin_op(cfg, "sigma_z").dense()
-    q = p.lam * (phase * exchange_op(cfg, "Q", "plus").dense()
-                 + np.conj(phase) * exchange_op(cfg, "Q", "minus").dense())
-    r = p.mu * (np.conj(phase) * exchange_op(cfg, "R", "minus").dense()
-                + phase * exchange_op(cfg, "R", "plus").dense())
+    q = p.lam * (exchange_op(cfg, "Q", "plus").dense()
+                 + exchange_op(cfg, "Q", "minus").dense())
+    r = p.mu * (exchange_op(cfg, "R", "minus").dense()
+                + exchange_op(cfg, "R", "plus").dense())
     if model == "jc":
         return h + 0.5 * p.omega0 * sz + q
     if model == "ajc":
@@ -185,19 +182,17 @@ _coupling = st.floats(-3.0, 3.0, allow_nan=False)
 
 @settings(max_examples=60, deadline=None)
 @given(model=st.sampled_from(["jc", "ajc", "ar"]), n_max=st.integers(0, 60),
-       omega=_coupling, omega0=_coupling, lam=_coupling, mu=_coupling,
-       theta=st.floats(-math.pi, math.pi))
+       omega=_coupling, omega0=_coupling, lam=_coupling, mu=_coupling)
 # a coupling whose square is subnormal, next to O(1) entries: eigenvalue-only
 # LAPACK paths that square couplings (numpy's eigvalsh among them) lose 5e-4
 @example(model="ar", n_max=16, omega=0.0, omega0=0.0, lam=1.0,
-         mu=3.098750209914305e-160, theta=0.0)
+         mu=3.098750209914305e-160)
 # lam == mu: the quantum Rabi model, regular in the lab frame
-@example(model="ar", n_max=30, omega=1.0, omega0=1.0, lam=0.3, mu=0.3,
-         theta=0.0)
+@example(model="ar", n_max=30, omega=1.0, omega0=1.0, lam=0.3, mu=0.3)
 def test_parity_chains_match_the_kron_sum(model, n_max, omega, omega0, lam,
-                                          mu, theta):
+                                          mu):
     cfg = HilbertConfig(n_max)
-    params = ModelParams(omega=omega, omega0=omega0, lam=lam, mu=mu, theta=theta)
+    params = ModelParams(omega=omega, omega0=omega0, lam=lam, mu=mu)
     h = parity_chains(cfg, params, model).dense()
     # the chains assemble the same products of the same floats
     assert np.array_equal(h, _kron_reference(cfg, params, model))

@@ -145,19 +145,18 @@ def test_find_crossings_argument_guards():
 @settings(max_examples=200, deadline=None)
 @given(model=st.sampled_from(["jc", "ajc"]),
        omega=st.floats(-3.0, 3.0), omega0=st.floats(-3.0, 3.0),
-       theta=st.floats(-math.pi, math.pi),
        coupling=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
        n_max=st.integers(0, 300))
-@example(model="jc", omega=0.0, omega0=2.2250738585e-313, theta=0.0,
+@example(model="jc", omega=0.0, omega0=2.2250738585e-313,
          coupling=2.2250738585e-313, n_max=259)
-def test_sector_solve_matches_the_tridiagonal_solver(model, omega, omega0, theta,
+def test_sector_solve_matches_the_tridiagonal_solver(model, omega, omega0,
                                                      coupling, n_max):
     # jc/ajc chains split into excitation-number sectors and are solved in
     # numpy; the reference is SciPy's tridiagonal solver on the same chain
     from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
     knob = "lam" if model == "jc" else "mu"
     h = parity_chains(HilbertConfig(n_max), ModelParams(
-        omega=omega, omega0=omega0, theta=theta, **{knob: coupling}), model)
+        omega=omega, omega0=omega0, **{knob: coupling}), model)
     ref = []
     for chain in (0, 1):
         d, e = _real_chain(h.diag[chain], h.off[chain])
@@ -350,6 +349,27 @@ def test_false_position_needs_at_most_twice_bisections_count(root, noise, step,
     assert len(calls) <= 2 * math.ceil(math.log2(2.0 / xtol)) + 2
     assert b - a <= xtol
     assert a == b and gap(a) == 0.0 or (gap(a) < 0) != (gap(b) < 0)
+
+
+def test_false_position_stops_at_adjacent_floats():
+    # xtol below the float spacing: the bracket can shrink no further once
+    # its ends are adjacent floats, and the search must stop there. The
+    # evaluation budget stands in for a timeout: a search that loops on the
+    # adjacent pair spends it and fails
+    c = 1.2599210498948732
+    calls = []
+
+    def gap(x):
+        calls.append(x)
+        if len(calls) > 1000:
+            raise RuntimeError("false position did not stop")
+        return 1.0 if x >= c else -1.0
+
+    a, b = oracle._false_position(gap, 1.0, 2.0, -1.0, 1.0, 1e-300)
+    assert math.nextafter(a, b) == b
+    assert a < c <= b
+    # within 2 x the 52 bisections that reach adjacent floats in [1, 2], + 2
+    assert len(calls) <= 2 * 52 + 2
 
 
 @settings(max_examples=60, deadline=None)
