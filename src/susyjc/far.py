@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCouplings, FactorizationMismatch, NoConvergence
-from .hilbert import HilbertConfig, ParityChains
+from .hilbert import HilbertConfig, ModelParams, ParityChains, parity_chains
 from .oracle import EigenSolution
 
 __all__ = [
@@ -115,41 +115,38 @@ def far_from_alphas(alpha0: complex, alpha_q: complex,
 
 
 def far_chains(cfg: HilbertConfig, fp: FarParams) -> ParityChains:
-    """Build (A A^dag + A^dag A)/2 on the two parity chains and,
-    independently, the explicit coupled model with the derived parameters;
-    refuse to return unless the two agree entrywise on the interior (boson
-    level < n_max) within FACTORIZATION_TOL times the largest interior entry
-    magnitude (at least 1), since rounding grows with the entries, which
-    grow like omega n_max.
+    """Build (A A^dag + A^dag A)/2 on the two parity chains and refuse to
+    return unless it agrees entrywise on the interior (boson level < n_max)
+    with the ar chains at the derived (omega, omega0, lam, mu) plus omega_c,
+    within FACTORIZATION_TOL times the largest interior entry magnitude (at
+    least 1), since rounding grows with the entries, which grow like omega
+    n_max.
 
     On a chain, A = alpha0 + alphaQ Q- + alphaR R- is lower bidiagonal: alpha0
     on the diagonal and b_k = alpha sqrt(k+1) below it, with alpha = alphaQ
     where level k holds |e> and alphaR where it holds |g>. So the factorized
     form has diagonal |alpha0|^2 + (|b_{k-1}|^2 + |b_k|^2)/2 and
-    off-diagonal conj(alpha0) b_k. Raising out of the top level is dropped,
-    which removes |b_{n_max}|^2 from the edge diagonal only; hence the
-    interior restriction. The spectrum is nonnegative by construction.
+    off-diagonal conj(alpha0) b_k, whose phases a diagonal unitary removes
+    from every level: the chains are built real, off-diagonal |alpha0| |b_k|.
+    Raising out of the top level is dropped, which removes |b_{n_max}|^2 from
+    the edge diagonal only; hence the interior restriction. The spectrum is
+    nonnegative by construction.
     """
     spin = cfg.chain_spin()
     from_e = spin[:, :-1] == 1
     steps = np.arange(1.0, cfg.n_fock)
-    b = np.where(from_e, fp.alpha_q, fp.alpha_r) * np.sqrt(steps)
+    b = np.where(from_e, abs(fp.alpha_q), abs(fp.alpha_r)) * np.sqrt(steps)
     b2 = np.where(from_e, abs(fp.alpha_q) ** 2, abs(fp.alpha_r) ** 2) * steps
     diag = abs(fp.alpha0) ** 2 + 0.5 * (np.pad(b2, ((0, 0), (1, 0)))
                                         + np.pad(b2, ((0, 0), (0, 1))))
-    fact = ParityChains(cfg.n_max, diag, np.conj(fp.alpha0) * b)
+    fact = ParityChains(cfg.n_max, diag, abs(fp.alpha0) * b)
 
-    n = np.arange(cfg.n_fock, dtype=float)
-    expl_diag = fp.omega * n + fp.omega0 * (spin - 0.5) + fp.omega_c
-    coupling = np.where(from_e, fp.lam * cmath.exp(-1j * fp.phi_lambda),
-                        fp.mu * cmath.exp(-1j * fp.phi_mu))
-    expl_off = coupling * np.sqrt(steps)
-
+    expl = parity_chains(cfg, ModelParams(fp.omega, fp.omega0, fp.lam, fp.mu), "ar")
     inner = cfg.n_max
-    defect = max(np.abs(fact.diag[:, :inner] - expl_diag[:, :inner]).max(initial=0.0),
-                 np.abs(fact.off[:, :inner - 1] - expl_off[:, :inner - 1]).max(initial=0.0))
-    scale = max(1.0, np.abs(expl_diag[:, :inner]).max(initial=0.0),
-                np.abs(expl_off[:, :inner - 1]).max(initial=0.0))
+    pairs = [(fact.diag[:, :inner], expl.diag[:, :inner] + fp.omega_c),
+             (fact.off[:, :inner - 1], expl.off[:, :inner - 1])]
+    defect = max(np.abs(f - e).max(initial=0.0) for f, e in pairs)
+    scale = max(1.0, *(np.abs(e).max(initial=0.0) for _, e in pairs))
     if defect > FACTORIZATION_TOL * scale:
         raise FactorizationMismatch(
             f"factorized and explicit forms differ by {defect:.3e} (> "

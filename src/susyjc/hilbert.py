@@ -8,10 +8,11 @@ hold on the interior projector only; see the algebra module.
 
 Every operator factory returns a `BandedOp`, the few nonzero diagonals of
 the (2*(n_max+1))-square matrix, built in O(n_max); its sums and products
-stay O(n_max). Every Hamiltonian is a `ParityChains`. The `.dense()` of
-either is the only way to a matrix. All energies assume hbar = 1.
-Constructors that promise a Hermitian result build mirrored entries from
-identical floats, so ``H - H.conj().T`` is exactly zero, not merely small.
+stay O(n_max). Every Hamiltonian is a `ParityChains`, two real chains.
+The `.dense()` of either is the only way to a matrix. All energies assume
+hbar = 1. Constructors that promise a Hermitian result build mirrored
+entries from identical floats, so ``H - H.conj().T`` is exactly zero, not
+merely small.
 """
 
 from __future__ import annotations
@@ -364,19 +365,18 @@ class ParityChains:
 
     Chain c holds the states |s_k, k>, k = 0..n_max, with spin
     s_k = (c + k) mod 2: chain 0 is |g,0>, |e,1>, |g,2>, ... and chain 1 its
-    mirror |e,0>, |g,1>, |e,2>, .... diag[c, k] is the real energy of
-    |s_k, k>, and off[c, k] = <s_{k+1}, k+1|H|s_k, k>: real for jc/ajc/ar,
-    complex for far. Storage and assembly are O(n_max).
+    mirror |e,0>, |g,1>, |e,2>, .... diag[c, k] is the energy of |s_k, k>,
+    and off[c, k] = <s_{k+1}, k+1|H|s_k, k>, both real for every model.
+    Storage and assembly are O(n_max).
     """
 
     n_max: int
     diag: np.ndarray  # (2, n_max + 1), real
-    off: np.ndarray   # (2, n_max), real or complex
+    off: np.ndarray   # (2, n_max), real
 
     def dense(self) -> np.ndarray:
         """The same operator in the spin-major composite basis. Each upper
-        entry is the conjugate of its lower mirror, so H - H^dag is exactly
-        zero."""
+        entry is its lower mirror, so H - H^dag is exactly zero."""
         cfg = HilbertConfig(self.n_max)
         h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
         k = np.arange(cfg.n_fock)
@@ -384,8 +384,7 @@ class ParityChains:
         for c in (0, 1):
             idx = spin[c] * cfg.n_fock + k
             h[idx, idx] = self.diag[c]
-            h[idx[1:], idx[:-1]] = self.off[c]
-            h[idx[:-1], idx[1:]] = np.conj(self.off[c])
+            h[idx[1:], idx[:-1]] = h[idx[:-1], idx[1:]] = self.off[c]
         return h
 
 

@@ -98,7 +98,7 @@ def dressed_energy(label: DressedLabel, params: ModelParams) -> float:
     E(+/-, N) = omega (N - 1/2) +/- Omega(N)/2.
     """
     if label.n_total == 0:
-        return -0.5 * params.omega0
+        return 0.0 - 0.5 * params.omega0  # +0.0, not -0.0, at omega0 = 0
     omega_n = _omega_n(label.n_total, params.delta, coupling_for(label.model, params))
     sign = 1.0 if label.branch == "plus" else -1.0
     return params.omega * (label.n_total - 0.5) + 0.5 * sign * omega_n

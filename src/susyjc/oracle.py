@@ -62,8 +62,8 @@ class EigenSolution:
 
 
 def _real_chain(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the diagonal phase change that makes every off-diagonal entry real and
-    # nonnegative turns a chain into the real symmetric tridiagonal
+    # every chain is real; the diagonal sign change that makes each
+    # off-diagonal entry nonnegative turns it into the symmetric tridiagonal
     # (diag, |off|), with the same eigenvalues and the same |v_k|. Couplings
     # at or below eps times the largest entry are dropped: by Weyl's bound
     # that moves no eigenvalue by more than 2 eps times that entry, and it

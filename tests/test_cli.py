@@ -1147,6 +1147,21 @@ def test_a_negative_omega0_is_reported_in_absolute_units(argv, capsys):
     assert rows and all(float(row["residual"]) >= 0.0 for row in rows)
 
 
+@pytest.mark.parametrize("argv", [
+    "spectrum --model jc --omega0 0 --lambda 0.5 --units absolute --levels 4",
+    "spectrum --model ajc --omega0 0 --mu 0.5 --units absolute --levels 4"])
+def test_a_zero_closed_form_energy_prints_unsigned(argv):
+    # at omega0 = 0 the N = 0 level sits at -omega0/2 = 0, printed as the
+    # oracle prints it, not as -0.0
+    cp = run_cli(*argv.split())
+    assert cp.returncode == 0, cp.stderr
+    rows = list(csv.DictReader(io.StringIO(cp.stdout.decode())))
+    ground = [row for row in rows if row["label_N"] == "0"]
+    assert len(ground) == 1
+    assert ground[0]["closed_form_energy"] == ground[0]["energy"] == "0.0"
+    assert "-0.0," not in cp.stdout.decode()
+
+
 # extreme finite values, each put through every template below
 EXTREMES = ("1e308", "-1e308", "1e-308", "5e-324", "0", "-1", "1e154", "1e-160")
 EXTREME_TEMPLATES = [

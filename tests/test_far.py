@@ -12,7 +12,7 @@ from susyjc.errors import (DegenerateCouplings, FactorizationMismatch,
 from susyjc.far import (FarParams, constraint_check, far_chains,
                         far_from_alphas, far_spectrum_shape)
 from susyjc.hilbert import (HilbertConfig, ModelParams, exchange_op,
-                            parity_chains)
+                            parity_chains, spin_op)
 from susyjc.oracle import EigenSolution, certify_truncation, eigenvalues
 
 
@@ -85,7 +85,7 @@ def test_hand_built_params_are_caught():
 def test_gate_scales_with_the_entries():
     # entries grow like omega n_max (3.4e4 here), and so does their rounding:
     # a correct build at the cutoff cap differs from the explicit model by
-    # 1.45e-11, which an absolute 1e-11 gate would refuse
+    # 1.21e-11, which an absolute 1e-11 gate would refuse
     fp = far_from_alphas(0.01, 1.0, 5.7)
     far_chains(HilbertConfig(2048), fp)
     # a wrong build still fails, small cutoff or large
@@ -99,6 +99,10 @@ _alpha = st.builds(lambda m, p: m * cmath.exp(1j * p),
                    st.floats(0.0, 2.0), st.floats(-math.pi, math.pi))
 
 
+def _anticommutator(a_op):
+    return 0.5 * (a_op @ a_op.conj().T + a_op.conj().T @ a_op)
+
+
 @settings(max_examples=60, deadline=None)
 @given(a0=_alpha, aq=_alpha, ar=_alpha, n_max=st.integers(0, 60))
 def test_far_chains_match_the_dense_anticommutator(a0, aq, ar, n_max):
@@ -107,16 +111,31 @@ def test_far_chains_match_the_dense_anticommutator(a0, aq, ar, n_max):
     except DegenerateCouplings:
         assume(False)
     cfg = HilbertConfig(n_max)
-    a_op = (a0 * np.eye(cfg.dim) + aq * exchange_op(cfg, "Q", "minus").dense()
-            + ar * exchange_op(cfg, "R", "minus").dense())
-    ref = 0.5 * (a_op @ a_op.conj().T + a_op.conj().T @ a_op)
-    h = far_chains(cfg, fp).dense()
-    scale = max(1.0, float(np.abs(ref).max()))
+    q_minus = exchange_op(cfg, "Q", "minus").dense()
+    r_minus = exchange_op(cfg, "R", "minus").dense()
+    chains = far_chains(cfg, fp)
+    # the chains are built real, with nonnegative steps, whatever the phases
+    assert chains.off.dtype == np.float64 and (chains.off >= 0.0).all()
+    h = chains.dense()
+    real = _anticommutator(abs(a0) * np.eye(cfg.dim) + abs(aq) * q_minus
+                           + abs(ar) * r_minus)
+    scale = max(1.0, float(np.abs(real).max()))
     # every entry, the truncation edge included
-    assert np.abs(h - ref).max() < 1e-14 * scale
+    assert np.abs(h - real).max() < 1e-14 * scale
     assert np.array_equal(h, h.conj().T)
-    evals = eigenvalues(far_chains(cfg, fp))
+    # the phases change no level
+    ref = _anticommutator(a0 * np.eye(cfg.dim) + aq * q_minus + ar * r_minus)
+    evals = eigenvalues(chains)
     assert np.abs(evals - np.linalg.eigh(ref)[0]).max() < 1e-12 * scale
+    # away from the edge, the phased anticommutator is the coupled model
+    # that the report prints, phi_lambda and phi_mu included
+    q = fp.lam * cmath.exp(-1j * fp.phi_lambda) * q_minus
+    r = fp.mu * cmath.exp(-1j * fp.phi_mu) * r_minus
+    model = (fp.omega * np.diag(cfg.boson_index().astype(complex))
+             + fp.omega0 * spin_op(cfg, "s_z").dense()
+             + q + q.conj().T + r + r.conj().T + fp.omega_c * np.eye(cfg.dim))
+    inner = cfg.boson_index() < cfg.n_max
+    assert np.abs((ref - model)[np.ix_(inner, inner)]).max(initial=0.0) < 1e-14 * scale
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from susyjc.algebra import commutator
 from susyjc.errors import DimensionMismatch
+from susyjc.far import far_chains, far_from_alphas
 from susyjc.hilbert import (BandedOp, HilbertConfig, ModelParams, _ladder,
                             exchange_op, excitation_number, jc_to_ajc_rotation,
                             parity_chains, parity_op, spin_op, su11_generator)
@@ -147,6 +150,20 @@ def test_hamiltonians_exactly_hermitian():
                           ("ar", ModelParams(lam=0.9, mu=0.2))]:
         h = parity_chains(CFG, params, model).dense()
         assert np.abs(h - h.conj().T).max() == 0.0
+
+
+@pytest.mark.parametrize("model", ["jc", "ajc", "ar", "far"])
+def test_every_model_builds_real_chains(model):
+    # far's coupling phases, like a coupling sign, change no level: its
+    # chains are built real too, so dense() mirrors each step unconjugated
+    if model == "far":
+        chains = far_chains(CFG, far_from_alphas(0.3 * cmath.exp(0.7j),
+                                                 cmath.exp(-2.1j),
+                                                 0.4 * cmath.exp(1.3j)))
+    else:
+        chains = parity_chains(CFG, ModelParams(lam=0.9, mu=-0.2), model)
+    assert chains.diag.dtype == np.float64 and chains.off.dtype == np.float64
+    assert (chains.off != 0.0).any()
 
 
 def test_model_guards():
