@@ -3,9 +3,9 @@
 A single annihilation-like combination A = a0 + aQ Q- + aR R- generates a
 positive semidefinite Hamiltonian A^dag A whose parameters land exactly on a
 constrained slice of the two-coupling family. The script maps coefficient
-triples to physical parameters, confirms the factorization numerically, and
-certifies the characteristic ladder: unique ground state, paired excited
-levels, equally spaced pair centers.
+triples to physical parameters, checks that the factorized form has no
+negative level, and certifies the characteristic ladder: unique ground
+state, paired excited levels, equally spaced pair centers.
 """
 
 import numpy as np
@@ -29,8 +29,8 @@ try:
 except DegenerateCouplings as exc:
     print("\nrejected degenerate triple:", exc)
 
-# The builder assembles the factorized product and cross-checks it against
-# the explicitly built two-coupling Hamiltonian before handing it out.
+# The builder assembles the factorized product on the two parity chains;
+# every model parameter above derives from the same three coefficients.
 cfg = HilbertConfig(80)
 h = far_chains(cfg, fp).dense()
 evs = np.linalg.eigvalsh(h)

@@ -23,9 +23,8 @@ _EXPORTS = {
                     "jc_approximation", "lab_frame_offset",
                     "quadrature_weights", "squeeze_parameter"),
     "errors": ("DegenerateAngle", "DegenerateCouplings", "DimensionMismatch",
-               "FactorizationMismatch", "InvalidLabel", "InvalidN",
-               "NoConvergence", "SupportExceeded", "SusyJCError",
-               "TruncationTooSmall"),
+               "InvalidLabel", "InvalidN", "NoConvergence", "SupportExceeded",
+               "SusyJCError", "TruncationTooSmall"),
     "far": ("FarParams", "SpectrumShape", "constraint_check", "far_chains",
             "far_from_alphas", "far_spectrum_shape"),
     "hilbert": ("HilbertConfig", "ModelParams", "ParityChains", "exchange_op",

@@ -16,8 +16,8 @@ MAX_POINTS, all refused before any work, parameters that overflow, a
 result that is not finite in the requested units, and an output file that
 cannot be written), 3 truncation did not converge (including a pinned
 cutoff that certifies fewer than the 3 levels far needs), 4 internal
-consistency failure (factorization mismatch, phase-space support overflow,
-failed verification). errors.py sets each error's code.
+consistency failure (phase-space support overflow, failed verification).
+errors.py sets each error's code.
 """
 
 from __future__ import annotations
@@ -44,11 +44,12 @@ MAX_POINTS = 1001
 
 # bounds of the numeric flags, the same as in config.schema.json:
 # dest -> (lowest, lowest excluded, highest or None); flags and config
-# values alike are refused outside them
+# values alike are refused outside them. Below the window's bound its
+# square underflows, and a numeric Wigner grid slows by orders of magnitude
 BOUNDS = {"levels": (1, False, None), "n_max": (2, False, CAP_N_MAX),
-          "points": (16, False, MAX_POINTS),
+          "points": (16, False, MAX_POINTS), "window": (1e-150, False, None),
           **{dest: (0.0, True, None) for dest in
-             ("conv_tol", "xtol", "window", "tol", "shape_tol")}}
+             ("conv_tol", "xtol", "tol", "shape_tol")}}
 
 
 # stderr prefix of each exit code a library error can carry

@@ -4,7 +4,7 @@ it ends a run with: 2 (the default) for a parameter the models cannot take,
 
 __all__ = ["SusyJCError", "DimensionMismatch", "InvalidN", "DegenerateAngle",
            "InvalidLabel", "TruncationTooSmall", "DegenerateCouplings",
-           "FactorizationMismatch", "NoConvergence", "SupportExceeded"]
+           "NoConvergence", "SupportExceeded"]
 
 
 class SusyJCError(Exception):
@@ -36,11 +36,6 @@ class TruncationTooSmall(SusyJCError):
 class DegenerateCouplings(SusyJCError):
     """Couplings on the isotropic line lam == mu, where the squeezed frame
     and the factorizable map are singular (the lab-frame model is not)."""
-
-
-class FactorizationMismatch(SusyJCError):
-    """Factorized and explicit Hamiltonian forms disagree beyond tolerance."""
-    exit_code = 4
 
 
 class NoConvergence(SusyJCError):

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCouplings, FactorizationMismatch, NoConvergence
-from .hilbert import HilbertConfig, ModelParams, ParityChains, parity_chains
+from .errors import DegenerateCouplings, NoConvergence
+from .hilbert import HilbertConfig, ParityChains
 from .oracle import EigenSolution
 
 __all__ = [
@@ -54,25 +54,48 @@ __all__ = [
 ]
 
 
-# largest interior difference `far_chains` accepts between the factorized and
-# the explicit Hamiltonian, per unit of the largest interior entry (at least 1)
-FACTORIZATION_TOL = 1e-12
+def _phase(z: complex) -> float:
+    # a signed zero has phase 0 here, not cmath's +-pi
+    return cmath.phase(z) if z != 0 else 0.0
 
 
 @dataclass(frozen=True)
 class FarParams:
-    """Factorization coefficients plus every derived model parameter."""
+    """The factorization coefficients. Every model parameter is a property
+    derived from them, so none can disagree with them; `far_from_alphas`
+    builds the ones the model accepts."""
 
     alpha0: complex
     alpha_q: complex
     alpha_r: complex
-    omega: float
-    omega0: float
-    lam: float
-    mu: float
-    phi_lambda: float
-    phi_mu: float
-    omega_c: float
+
+    @property
+    def omega(self) -> float:
+        return 0.5 * (abs(self.alpha_q) ** 2 + abs(self.alpha_r) ** 2)
+
+    @property
+    def omega0(self) -> float:
+        return 0.5 * (abs(self.alpha_q) ** 2 - abs(self.alpha_r) ** 2)
+
+    @property
+    def lam(self) -> float:
+        return abs(self.alpha0 * self.alpha_q)
+
+    @property
+    def mu(self) -> float:
+        return abs(self.alpha0 * self.alpha_r)
+
+    @property
+    def phi_lambda(self) -> float:
+        return _phase(self.alpha0) - _phase(self.alpha_q)
+
+    @property
+    def phi_mu(self) -> float:
+        return _phase(self.alpha0) - _phase(self.alpha_r)
+
+    @property
+    def omega_c(self) -> float:
+        return abs(self.alpha0) ** 2 + 0.5 * self.omega
 
 
 def far_from_alphas(alpha0: complex, alpha_q: complex,
@@ -85,42 +108,24 @@ def far_from_alphas(alpha0: complex, alpha_q: complex,
     coefficient whose |alpha|^2, or whose product with another, is not a
     finite float raises ValueError.
     """
-    alpha0, alpha_q, alpha_r = complex(alpha0), complex(alpha_q), complex(alpha_r)
+    fp = FarParams(complex(alpha0), complex(alpha_q), complex(alpha_r))
     try:
-        aq2, ar2 = abs(alpha_q) ** 2, abs(alpha_r) ** 2
-        omega = 0.5 * (aq2 + ar2)
-        omega_c = abs(alpha0) ** 2 + 0.5 * omega
-        lam, mu = abs(alpha0 * alpha_q), abs(alpha0 * alpha_r)
-        finite = all(map(math.isfinite, (omega_c, lam, mu)))
+        finite = all(map(math.isfinite, (fp.omega_c, fp.lam, fp.mu)))
     except OverflowError:
         finite = False
     if not finite:
         raise ValueError("alpha0, alphaQ or alphaR is not finite or too large: "
                          "a |alpha|^2 or a product of two of them overflows")
+    aq2, ar2 = abs(fp.alpha_q) ** 2, abs(fp.alpha_r) ** 2
     if aq2 == ar2 and aq2 != 0.0:
         raise DegenerateCouplings(
             "|alphaQ| == |alphaR| puts the derived couplings on the "
             "isotropic line")
-    phi0 = cmath.phase(alpha0) if alpha0 != 0 else 0.0
-    return FarParams(
-        alpha0=alpha0, alpha_q=alpha_q, alpha_r=alpha_r,
-        omega=omega,
-        omega0=0.5 * (aq2 - ar2),
-        lam=lam,
-        mu=mu,
-        phi_lambda=phi0 - (cmath.phase(alpha_q) if alpha_q != 0 else 0.0),
-        phi_mu=phi0 - (cmath.phase(alpha_r) if alpha_r != 0 else 0.0),
-        omega_c=omega_c,
-    )
+    return fp
 
 
 def far_chains(cfg: HilbertConfig, fp: FarParams) -> ParityChains:
-    """Build (A A^dag + A^dag A)/2 on the two parity chains and refuse to
-    return unless it agrees entrywise on the interior (boson level < n_max)
-    with the ar chains at the derived (omega, omega0, lam, mu) plus omega_c,
-    within FACTORIZATION_TOL times the largest interior entry magnitude (at
-    least 1), since rounding grows with the entries, which grow like omega
-    n_max.
+    """Build (A A^dag + A^dag A)/2 on the two parity chains.
 
     On a chain, A = alpha0 + alphaQ Q- + alphaR R- is lower bidiagonal: alpha0
     on the diagonal and b_k = alpha sqrt(k+1) below it, with alpha = alphaQ
@@ -129,8 +134,9 @@ def far_chains(cfg: HilbertConfig, fp: FarParams) -> ParityChains:
     off-diagonal conj(alpha0) b_k, whose phases a diagonal unitary removes
     from every level: the chains are built real, off-diagonal |alpha0| |b_k|.
     Raising out of the top level is dropped, which removes |b_{n_max}|^2 from
-    the edge diagonal only; hence the interior restriction. The spectrum is
-    nonnegative by construction.
+    the edge diagonal only: on the interior (boson level < n_max) the chains
+    are the ar chains at the derived (omega, omega0, lam, mu) plus omega_c.
+    The spectrum is nonnegative by construction.
     """
     spin = cfg.chain_spin()
     from_e = spin[:, :-1] == 1
@@ -139,26 +145,15 @@ def far_chains(cfg: HilbertConfig, fp: FarParams) -> ParityChains:
     b2 = np.where(from_e, abs(fp.alpha_q) ** 2, abs(fp.alpha_r) ** 2) * steps
     diag = abs(fp.alpha0) ** 2 + 0.5 * (np.pad(b2, ((0, 0), (1, 0)))
                                         + np.pad(b2, ((0, 0), (0, 1))))
-    fact = ParityChains(cfg.n_max, diag, abs(fp.alpha0) * b)
-
-    expl = parity_chains(cfg, ModelParams(fp.omega, fp.omega0, fp.lam, fp.mu), "ar")
-    inner = cfg.n_max
-    pairs = [(fact.diag[:, :inner], expl.diag[:, :inner] + fp.omega_c),
-             (fact.off[:, :inner - 1], expl.off[:, :inner - 1])]
-    defect = max(np.abs(f - e).max(initial=0.0) for f, e in pairs)
-    scale = max(1.0, *(np.abs(e).max(initial=0.0) for _, e in pairs))
-    if defect > FACTORIZATION_TOL * scale:
-        raise FactorizationMismatch(
-            f"factorized and explicit forms differ by {defect:.3e} (> "
-            f"{FACTORIZATION_TOL:g} x {scale:.3g}) away from the truncation edge")
-    return fact
+    return ParityChains(diag, abs(fp.alpha0) * b)
 
 
 def constraint_check(fp: FarParams) -> dict:
     """Residuals of the two structural identities of the parameter map:
     detuning magnitude |omega0 - omega| = |alphaR|^2, and the product rule
-    2 omega omega0 = (|alphaQ|^4 - |alphaR|^4)/2. Zero (to rounding) for any
-    FarParams produced by `far_from_alphas`; nonzero flags a hand-built fp.
+    2 omega omega0 = (|alphaQ|^4 - |alphaR|^4)/2. Both are zero up to
+    rounding for every FarParams, since its parameters derive from its
+    coefficients.
     """
     aq2, ar2 = abs(fp.alpha_q) ** 2, abs(fp.alpha_r) ** 2
     return {

@@ -370,9 +370,12 @@ class ParityChains:
     Storage and assembly are O(n_max).
     """
 
-    n_max: int
     diag: np.ndarray  # (2, n_max + 1), real
     off: np.ndarray   # (2, n_max), real
+
+    @property
+    def n_max(self) -> int:
+        return self.diag.shape[1] - 1
 
     def dense(self) -> np.ndarray:
         """The same operator in the spin-major composite basis. Each upper
@@ -414,4 +417,4 @@ def parity_chains(cfg: HilbertConfig, params: ModelParams, model: str) -> Parity
     q_minus = params.lam * step if model != "ajc" else zero
     r_minus = {"jc": zero, "ajc": -params.mu * step, "ar": params.mu * step}[model]
     off = np.where(spin[:, :-1] == 1, q_minus, r_minus)
-    return ParityChains(cfg.n_max, diag, off)
+    return ParityChains(diag, off)

@@ -233,7 +233,9 @@ def test_criterion_08_jc_approximation_error_scaling():
 def test_criterion_09_far_factorization():
     rng = np.random.default_rng(4096)
     cfg = HilbertConfig(60)
+    inner = cfg.n_max
     min_eig = float("inf")
+    worst = 0.0  # interior defect per unit of the largest interior entry
     built = 0
     while built < 100:
         mags = rng.uniform(0.05, 1.5, size=3)
@@ -241,13 +243,21 @@ def test_criterion_09_far_factorization():
             continue
         phases = rng.uniform(-math.pi, math.pi, size=3)
         fp = far_from_alphas(*(m * np.exp(1j * p) for m, p in zip(mags, phases)))
-        h = far_chains(cfg, fp).dense()  # raises on disagreement
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(h).min()))
+        fact = far_chains(cfg, fp)
+        expl = parity_chains(cfg, ModelParams(fp.omega, fp.omega0, fp.lam, fp.mu),
+                             "ar")
+        pairs = [(fact.diag[:, :inner], expl.diag[:, :inner] + fp.omega_c),
+                 (fact.off[:, :inner - 1], expl.off[:, :inner - 1])]
+        defect = max(np.abs(f - e).max() for f, e in pairs)
+        scale = max(1.0, *(np.abs(e).max() for _, e in pairs))
+        worst = max(worst, defect / scale)
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(fact.dense()).min()))
         built += 1
-    ok = min_eig >= -1e-10
+    ok = worst <= 1e-12 and min_eig >= -1e-10
     _line(9, ok, f"100 random alpha-triples: both forms agree within 1e-12; "
                  f"lowest eigenvalue {min_eig:.3e}")
     assert built == 100
+    assert worst <= 1e-12
     assert min_eig >= -1e-10
 
 

@@ -56,13 +56,12 @@ def test_help_text_is_pinned(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
-# the 61 names the package exports
+# the 60 names the package exports
 PACKAGE_EXPORTS = {
     "CrossingRecord", "DegenerateAngle", "DegenerateCouplings",
-    "DimensionMismatch", "DressedLabel", "EigenSolution",
-    "FactorizationMismatch", "FarParams", "HilbertConfig", "IdentityReport",
-    "InvalidLabel", "InvalidN", "JCApproximation",
-    "ModelParams", "NoConvergence", "ParityChains", "SpectrumShape",
+    "DimensionMismatch", "DressedLabel", "EigenSolution", "FarParams",
+    "HilbertConfig", "IdentityReport", "InvalidLabel", "InvalidN",
+    "JCApproximation", "ModelParams", "NoConvergence", "ParityChains", "SpectrumShape",
     "SqueezedFrame", "SupportExceeded", "SusyJCError", "TruncationTooSmall",
     "WignerGrid", "anticommutator", "approx_spectrum", "certify_cutoff",
     "certify_truncation", "commutator", "constraint_check",
@@ -82,7 +81,7 @@ PACKAGE_EXPORTS = {
 
 def test_package_exports_are_in_each_module_all():
     # every name of the package's lazy table is in its module's __all__ and
-    # is that module's object, the table holds the package's 61 names,
+    # is that module's object, the table holds the package's 60 names,
     # and every module's __all__ names only what the module defines
     import importlib
     import susyjc
@@ -93,7 +92,7 @@ def test_package_exports_are_in_each_module_all():
             assert name in module.__all__, (module_name, name)
             assert getattr(susyjc, name) is getattr(module, name), name
         exported += names
-    assert len(PACKAGE_EXPORTS) == 61
+    assert len(PACKAGE_EXPORTS) == 60
     assert sorted(exported) == sorted(susyjc.__all__) == sorted(PACKAGE_EXPORTS)
     package = Path(susyjc.__file__)
     for path in package.parent.glob("[!_]*.py"):
@@ -1035,6 +1034,20 @@ def test_refusals_print_one_line(argv, line, tmp_path, capsys):
         "", "susyjc: error: " + line.replace("{dir}", str(tmp_path)) + "\n")
 
 
+def test_subnormal_scale_windows_are_refused(capsys):
+    # below 1e-150 the window's square underflows, and this numeric grid
+    # took 7.7 s at 1e-308 against 0.39 s at 1e-150
+    from susyjc import cli
+    argv = ("wigner --source numeric --label minus:1 --lambda 0.5 --points 16 "
+            "--n-max 100 --window").split()
+    assert cli.main([*argv, "1e-308"]) == 2
+    assert capsys.readouterr() == (
+        "", "susyjc: error: --window must be at least 1e-150, got 1e-308\n")
+    assert cli.main([*argv, "1e-150"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 1 + 16 * 16
+
+
 # a value each flag takes, as argv text; a config file holds the same text,
 # which passes through the flag's type (--auto is a switch, true in a config)
 FLAG_VALUES = {"omega": "0.9", "omega0": "1.1", "lambda": "0.5", "mu": "0.2",
@@ -1254,7 +1267,7 @@ def test_closed_levels_far_from_resonance_stay_small(capsys):
 # exit code of each library error that does not end a run with 2, and the
 # stderr prefix of each code
 EXIT_CODES = {"NoConvergence": 3, "DimensionMismatch": 4,
-              "FactorizationMismatch": 4, "SupportExceeded": 4}
+              "SupportExceeded": 4}
 PREFIXES = {2: "parameter error", 3: "convergence failure",
             4: "consistency failure"}
 

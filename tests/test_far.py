@@ -7,13 +7,31 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from susyjc.errors import (DegenerateCouplings, FactorizationMismatch,
-                           NoConvergence)
+from susyjc.errors import DegenerateCouplings, NoConvergence
 from susyjc.far import (FarParams, constraint_check, far_chains,
                         far_from_alphas, far_spectrum_shape)
 from susyjc.hilbert import (HilbertConfig, ModelParams, exchange_op,
                             parity_chains, spin_op)
 from susyjc.oracle import EigenSolution, certify_truncation, eigenvalues
+
+# largest interior difference between the far chains and the ar chains at
+# the derived parameters plus omega_c, per unit of the largest interior
+# entry (at least 1)
+FACTORIZATION_TOL = 1e-12
+
+
+def _interior_defect(chains, fp):
+    """Largest interior (boson level < n_max) difference between far chains
+    and the ar chains at fp's derived (omega, omega0, lam, mu) plus
+    omega_c, and the largest interior entry of the latter (at least 1)."""
+    n = chains.n_max
+    expl = parity_chains(HilbertConfig(n),
+                         ModelParams(fp.omega, fp.omega0, fp.lam, fp.mu), "ar")
+    pairs = [(chains.diag[:, :n], expl.diag[:, :n] + fp.omega_c),
+             (chains.off[:, :n - 1], expl.off[:, :n - 1])]
+    defect = max(np.abs(f - e).max(initial=0.0) for f, e in pairs)
+    scale = max(1.0, *(np.abs(e).max(initial=0.0) for _, e in pairs))
+    return defect, scale
 
 
 def test_parameter_map_anchor():
@@ -61,7 +79,10 @@ def test_factorized_and_explicit_forms_agree():
             mags[2] *= 1.5
         a0, aq, ar = (m * cmath.exp(1j * p) for m, p in zip(mags, phases))
         fp = far_from_alphas(a0, aq, ar)
-        h = far_chains(cfg, fp).dense()  # raises FactorizationMismatch on defect
+        chains = far_chains(cfg, fp)
+        defect, scale = _interior_defect(chains, fp)
+        assert defect <= FACTORIZATION_TOL * scale
+        h = chains.dense()
         # anticommutator of an operator with its adjoint: nonnegative
         assert np.linalg.eigvalsh(h).min() > -1e-10
         assert np.abs(h - h.conj().T).max() < 1e-14
@@ -69,14 +90,20 @@ def test_factorized_and_explicit_forms_agree():
 
 def test_hand_built_params_are_caught():
     fp = far_from_alphas(0.3, 1.0, 0.4)
-    bad = FarParams(alpha0=fp.alpha0, alpha_q=fp.alpha_q, alpha_r=fp.alpha_r,
-                    omega=fp.omega, omega0=fp.omega0 + 0.05, lam=fp.lam,
-                    mu=fp.mu, phi_lambda=fp.phi_lambda, phi_mu=fp.phi_mu,
-                    omega_c=fp.omega_c)
-    with pytest.raises(FactorizationMismatch):
-        far_chains(HilbertConfig(20), bad)
-    checks = constraint_check(bad)
-    assert checks["detuning_residual"] > 1e-3
+    # a derived parameter cannot be set apart from the coefficients
+    with pytest.raises(TypeError):
+        FarParams(alpha0=fp.alpha0, alpha_q=fp.alpha_q, alpha_r=fp.alpha_r,
+                  omega=fp.omega)
+    # replacing a coefficient re-derives every parameter
+    moved = dataclasses.replace(fp, alpha_r=0.7)
+    ref = far_from_alphas(0.3, 1.0, 0.7)
+    for name in ("omega", "omega0", "lam", "mu", "phi_lambda", "phi_mu",
+                 "omega_c"):
+        assert getattr(moved, name) == getattr(ref, name), name
+    assert moved.omega != fp.omega
+    checks = constraint_check(moved)
+    assert checks["detuning_residual"] < 1e-15
+    assert checks["exceptional_residual"] < 1e-15
     good = constraint_check(fp)
     assert good["detuning_residual"] < 1e-15
     assert good["exceptional_residual"] < 1e-15
@@ -85,14 +112,16 @@ def test_hand_built_params_are_caught():
 def test_gate_scales_with_the_entries():
     # entries grow like omega n_max (3.4e4 here), and so does their rounding:
     # a correct build at the cutoff cap differs from the explicit model by
-    # 1.21e-11, which an absolute 1e-11 gate would refuse
+    # 1.46e-11, which an absolute 1e-11 bound would refuse
     fp = far_from_alphas(0.01, 1.0, 5.7)
-    far_chains(HilbertConfig(2048), fp)
-    # a wrong build still fails, small cutoff or large
     bad = dataclasses.replace(fp, alpha_r=fp.alpha_r + 1e-6)
     for n_max in (16, 2048):
-        with pytest.raises(FactorizationMismatch):
-            far_chains(HilbertConfig(n_max), bad)
+        cfg = HilbertConfig(n_max)
+        defect, scale = _interior_defect(far_chains(cfg, fp), fp)
+        assert defect <= FACTORIZATION_TOL * scale, n_max
+        # the comparison sees a wrong build, small cutoff or large
+        defect, scale = _interior_defect(far_chains(cfg, bad), fp)
+        assert defect > FACTORIZATION_TOL * scale, n_max
 
 
 _alpha = st.builds(lambda m, p: m * cmath.exp(1j * p),

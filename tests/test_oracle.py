@@ -26,7 +26,7 @@ def test_certify_truncation_on_decoupled_model():
 
 def test_certify_truncation_gives_up_at_the_cap():
     # a builder whose lowest eigenvalue keeps drifting with the cutoff
-    builder = lambda n: ParityChains(n, np.full((2, n + 1), -float(n)), np.zeros((2, n)))
+    builder = lambda n: ParityChains(np.full((2, n + 1), -float(n)), np.zeros((2, n)))
     with pytest.raises(NoConvergence, match="n_max=2048"):
         certify_truncation(builder, k_levels=1)
     with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ def _chains(diag0, diag1, off0=()):
     """ParityChains with the given diagonals; only chain 0 is coupled."""
     diag = np.array([diag0, diag1], dtype=float)
     off = np.array([off0, np.zeros(len(off0))], dtype=complex)
-    return ParityChains(diag.shape[1] - 1, diag, off.reshape(2, -1))
+    return ParityChains(diag, off.reshape(2, -1))
 
 
 def test_find_crossings_between_chains_only():
