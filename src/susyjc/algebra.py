@@ -63,9 +63,12 @@ class IdentityReport:
 
     identity_name: str
     residual: float
-    truncation_sensitive: bool
     projector: str
     scale: float
+
+    @property
+    def truncation_sensitive(self) -> bool:
+        return self.projector != PROJ_FULL
 
     def passes(self, tol: float) -> bool:
         """residual < tol relative to the entry scale (at least 1): rounding
@@ -170,8 +173,7 @@ def _identities(cfg: HilbertConfig):
 
 
 def run_all_checks(cfg: HilbertConfig) -> list[IdentityReport]:
-    """One report per row of the identity table, in its order; a row is
-    truncation-sensitive exactly when its projector is not the full space."""
+    """One report per row of the identity table, in its order."""
     inner = interior_mask(cfg, 1)
     excited = inner.copy()
     excited[cfg.index("g", 0)] = False  # N+ kernel
@@ -181,6 +183,6 @@ def run_all_checks(cfg: HilbertConfig) -> list[IdentityReport]:
     for name, lhs, rhs, projector, *terms in _identities(cfg):
         mask = masks[projector]
         reports.append(IdentityReport(
-            name, (lhs - rhs).masked_max(mask), projector != PROJ_FULL,
-            projector, max(op.masked_max(mask) for op in (lhs, rhs, *terms))))
+            name, (lhs - rhs).masked_max(mask), projector,
+            max(op.masked_max(mask) for op in (lhs, rhs, *terms))))
     return reports

@@ -19,9 +19,9 @@ import numpy as np
 
 from .algebra import run_all_checks
 from .cli import MAX_POINTS, SWEEP_FLAG, UsageError
-from .errors import DegenerateCouplings
+from .errors import DegenerateCouplings, SupportExceeded
 from .far import constraint_check, far_chains, far_from_alphas, far_spectrum_shape
-from .hilbert import HilbertConfig, ModelParams, parity_chains
+from .hilbert import JC_AJC, HilbertConfig, ModelParams, parity_chains
 from .jc import (LABEL_MODELS, DressedLabel, ground_state_critical,
                  lowest_closed_levels, reduced_density)
 from .oracle import (CAP_N_MAX, certify_cutoff, certify_truncation, eigenvalues,
@@ -168,7 +168,7 @@ def _sweep(merged: dict, model: str):
         if mu_points is not None:
             raise UsageError("--mu must be a scalar for --model ar")
         fixed["mu"] = mu[0]
-    coupling = "mu" if model == "ajc" else "lam"
+    coupling = JC_AJC[model].coupling if model in JC_AJC else "lam"  # ar sweeps lam
 
     def at(x):
         params = ModelParams(**fixed, **{coupling: x})
@@ -294,7 +294,7 @@ def cmd_wigner(merged: dict) -> int:
     model = merged["model"]
     label = _parse_label(merged["label"], model)
     params = ModelParams(omega=merged["omega"], omega0=merged["omega0"], **{
-        "mu" if model == "ajc" else "lam": merged[SWEEP_FLAG[model]]})
+        JC_AJC[model].coupling: merged[SWEEP_FLAG[model]]})
     window = merged["window"]
     points = merged["points"]
 
@@ -316,6 +316,15 @@ def cmd_wigner(merged: dict) -> int:
                 raise UsageError(f"--window {window!r} with --label "
                                  f"{merged['label']} needs a cutoff above "
                                  f"{CAP_N_MAX}")
+            # the grid's first point is its corner, where the displaced Fock-N
+            # state classically reaches photon number (sqrt(N) + |alpha|)^2;
+            # a cutoff below that turning point fails there
+            turning = (math.sqrt(label.n_total) + math.sqrt(corner)) ** 2
+            if n_max < turning:
+                raise SupportExceeded(
+                    f"the displaced level reaches photon number {turning:.1f} "
+                    f"at the grid's corner, above the derived cutoff {n_max}; "
+                    "set a larger --n-max")
         rho = reduced_density(label, params, "boson", HilbertConfig(n_max))
         evaluator = numeric_evaluator(rho)
 
@@ -324,9 +333,9 @@ def cmd_wigner(merged: dict) -> int:
                    "label": f"{label.branch}:{label.n_total}",
                    "source": merged["source"], "window": window,
                    "points": points,
-                   "normalization_integral": float(grid.normalization_integral)},
-          {"re_alpha": np.repeat(grid.re_alpha, points).tolist(),
-           "im_alpha": np.tile(grid.im_alpha, points).tolist(),
+                   "normalization_integral": grid.normalization_integral},
+          {"re_alpha": np.repeat(grid.axis, points).tolist(),
+           "im_alpha": np.tile(grid.axis, points).tolist(),
            "w": grid.values.ravel().tolist()})
     return 0
 
@@ -340,7 +349,7 @@ def cmd_verify(merged: dict) -> int:
                    "all_pass": all(passed)},
           {"identity": [rep.identity_name for rep in reports],
            "projector": [rep.projector for rep in reports],
-           "truncation_sensitive": [bool(rep.truncation_sensitive)
+           "truncation_sensitive": [rep.truncation_sensitive
                                     for rep in reports],
            "residual": [float(rep.residual) for rep in reports],
            "passed": passed})
@@ -370,7 +379,7 @@ def cmd_far(merged: dict) -> int:
                   "spacing": float(shape.spacing),
                   "degeneracies": list(shape.degeneracies),
                   "is_equidistant": bool(shape.is_equidistant),
-                  "has_unique_ground": bool(shape.has_unique_ground)},
+                  "has_unique_ground": shape.has_unique_ground},
         "n_max_used": sol.n_max_used,
         "converged_levels": sol.converged_levels})
     return 0

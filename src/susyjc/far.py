@@ -171,7 +171,10 @@ class SpectrumShape:
     spacing: float
     degeneracies: tuple
     is_equidistant: bool
-    has_unique_ground: bool
+
+    @property
+    def has_unique_ground(self) -> bool:
+        return self.degeneracies[0] == 1
 
 
 def far_spectrum_shape(eigs: EigenSolution, tol: float = 1e-8) -> SpectrumShape:
@@ -193,8 +196,7 @@ def far_spectrum_shape(eigs: EigenSolution, tol: float = 1e-8) -> SpectrumShape:
     span = evs[-1] - evs[0]
     if span <= 0.0:
         return SpectrumShape(ground_energy=float(evs[0]), spacing=0.0,
-                             degeneracies=(k,), is_equidistant=True,
-                             has_unique_ground=False)
+                             degeneracies=(k,), is_equidistant=True)
 
     def clusters(threshold):
         bounds = np.where(np.diff(evs) > threshold)[0]
@@ -214,5 +216,4 @@ def far_spectrum_shape(eigs: EigenSolution, tol: float = 1e-8) -> SpectrumShape:
         spacing=spacing,
         degeneracies=tuple(len(c) for c in final),
         is_equidistant=equidistant,
-        has_unique_ground=len(final[0]) == 1,
     )

@@ -17,6 +17,7 @@ merely small.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "su11_generator",
     "parity_op",
     "jc_to_ajc_rotation",
+    "JC_AJC",
     "ParityChains",
     "parity_chains",
     "MODELS",
@@ -300,19 +302,14 @@ def exchange_op(cfg: HilbertConfig, family: str, sign: str) -> BandedOp:
 
 
 def excitation_number(cfg: HilbertConfig, sector: str) -> BandedOp:
-    """Total excitation number, built as an exact diagonal.
-
-    sector 'plus':  N+ = a^dag a + (1 + sigma_z)/2  (|g,n> -> n, |e,n> -> n+1)
-    sector 'minus': N- = a^dag a + (1 - sigma_z)/2  (|g,n> -> n+1, |e,n> -> n)
-    """
-    n = np.arange(cfg.n_fock, dtype=float)
-    if sector == "plus":
-        diag = np.concatenate([n, n + 1.0])
-    elif sector == "minus":
-        diag = np.concatenate([n + 1.0, n])
-    else:
+    """Total excitation number, built as an exact diagonal: N+ = a^dag a +
+    (1 + sigma_z)/2 for sector 'plus', the number jc conserves, and
+    N- = a^dag a + (1 - sigma_z)/2 for 'minus', the one ajc conserves."""
+    model = {"plus": "jc", "minus": "ajc"}.get(sector)
+    if model is None:
         raise ValueError(f"unknown excitation sector {sector!r}")
-    return BandedOp.diagonal(cfg.dim, diag)
+    excited = np.repeat(np.arange(2) == JC_AJC[model].spin, cfg.n_fock)
+    return BandedOp.diagonal(cfg.dim, cfg.boson_index() + excited)
 
 
 def su11_generator(cfg: HilbertConfig, axis: str) -> BandedOp:
@@ -356,6 +353,14 @@ def jc_to_ajc_rotation(cfg: HilbertConfig) -> BandedOp:
     composite space; U^dag H_jc(coupling c) U equals H_ajc(coupling c)."""
     u2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     return _kron(cfg, u2, BandedOp.diagonal(cfg.n_fock, 1.0))
+
+
+# ajc is jc under jc_to_ajc_rotation (R+- in place of Q+-), so the two differ
+# in two facts alone: the ModelParams coupling each reads, and the spin s whose
+# level adds one excitation to the number it conserves, n + [spin == s]
+LabelModel = namedtuple("LabelModel", "coupling spin")
+JC_AJC = {"jc": LabelModel("lam", _SPIN_OF["e"]),
+          "ajc": LabelModel("mu", _SPIN_OF["g"])}
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,9 @@ counter-rotating twin.
 
 Level labels are (branch, N) where N is the conserved total excitation number
 of the sector and branch is 'plus' or 'minus'; (minus, 0) is the unique
-singlet ground label and (plus, 0) does not exist. For the 'jc' model the
-coupling is ``lam``, for 'ajc' it is ``mu``; the two spectra coincide at
-matched coupling because the models are related by an exact pi/2 spin
-rotation.
+singlet ground label and (plus, 0) does not exist. The two models are
+related by an exact pi/2 spin rotation, and differ only as `hilbert.JC_AJC`
+states.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .errors import (
     InvalidN,
     TruncationTooSmall,
 )
-from .hilbert import HilbertConfig, ModelParams
+from .hilbert import JC_AJC, HilbertConfig, ModelParams
 
 __all__ = [
     "DressedLabel",
@@ -72,11 +71,9 @@ class CrossingRecord:
 
 def coupling_for(model: str, params: ModelParams) -> float:
     """Coupling amplitude the closed forms use for the given model."""
-    if model == "jc":
-        return params.lam
-    if model == "ajc":
-        return params.mu
-    raise InvalidLabel(f"closed forms cover 'jc' and 'ajc', got {model!r}")
+    if model not in JC_AJC:
+        raise InvalidLabel(f"closed forms cover 'jc' and 'ajc', got {model!r}")
+    return getattr(params, JC_AJC[model].coupling)
 
 
 def _omega_n(n_total: int, delta: float, g: float) -> float:
@@ -108,18 +105,17 @@ def dressed_state(label: DressedLabel, params: ModelParams,
                   cfg: HilbertConfig) -> np.ndarray:
     """Closed-form eigenvector on the composite space, as amplitudes.
 
-    The amplitudes are real (in a complex array), and the one of lowest
-    composite index is positive. An ajc sector is the jc sector under the exact pi/2 spin
-    rotation: its |g> and |e> slots hold N - 1 and N photons instead of N
-    and N - 1, and its plus branch takes the jc minus amplitudes.
+    The amplitudes are real (in a complex array), the first nonzero one
+    positive. Sector N holds the other spin's |N> and |s, N - 1>, s the spin
+    adding an excitation; the plus branch weighs the latter more at delta > 0.
     """
     n = label.n_total
     if cfg.n_max < n:
         raise TruncationTooSmall(f"n_max={cfg.n_max} cannot hold a level with N={n}")
     amp = np.zeros(cfg.dim, dtype=complex)
-    ajc = label.model == "ajc"
+    spin = JC_AJC[label.model].spin
     if n == 0:
-        amp[cfg.index("e" if ajc else "g", 0)] = 1.0
+        amp[cfg.index(1 - spin, 0)] = 1.0
         return amp
 
     delta = params.delta
@@ -127,13 +123,11 @@ def dressed_state(label: DressedLabel, params: ModelParams,
     if omega_n == 0.0:
         raise DegenerateAngle("dressed state undefined in a degenerate sector "
                               "(delta = 0 with zero coupling)")
-    c_hi = math.sqrt((omega_n + delta) / (2.0 * omega_n))  # weight of |g,N>-like slot
+    c_hi = math.sqrt((omega_n + delta) / (2.0 * omega_n))
     c_lo = math.sqrt((omega_n - delta) / (2.0 * omega_n))
-    g_slot, e_slot = cfg.index("g", n - ajc), cfg.index("e", n - 1 + ajc)
-    if (label.branch == "plus") != ajc:
-        amp[g_slot], amp[e_slot] = c_lo, c_hi
-    else:
-        amp[g_slot], amp[e_slot] = c_hi, -c_lo
+    heavy = spin if label.branch == "plus" else 1 - spin  # holds c_hi
+    for s, a in zip((0, 1), (c_lo, c_hi) if heavy else (c_hi, -c_lo)):
+        amp[cfg.index(s, n - (s == spin))] = a
     return amp
 
 

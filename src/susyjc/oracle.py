@@ -29,7 +29,7 @@ import numpy as np
 
 from .constants import CAP_N_MAX
 from .errors import NoConvergence
-from .hilbert import ParityChains
+from .hilbert import JC_AJC, ParityChains
 from .jc import CrossingRecord, DressedLabel
 
 __all__ = [
@@ -216,11 +216,6 @@ def certify_cutoff(builder: Callable[[int], ParityChains], n_max: int,
     return EigenSolution(evals, _converged_count(evals, ref, tol), n_max)
 
 
-# the excitation number each label model conserves: N+ = n + (1 + sigma_z)/2
-# for jc, N- = n + (1 - sigma_z)/2 for ajc
-_EXCITATION = {"jc": lambda spin, n: n + spin, "ajc": lambda spin, n: n + 1 - spin}
-
-
 def _ground_label(split, chain: int, model: str) -> DressedLabel:
     """(minus, N) label of the ground state of parity chain `chain`, read
     from its _sectors split: both states of a sector have the same
@@ -228,7 +223,7 @@ def _ground_label(split, chain: int, model: str) -> DressedLabel:
     ValueError unless the chain splits into sectors of the model's N."""
     if split is not None:
         starts, lows, highs = split
-        n_k = lambda k: _EXCITATION[model]((chain + k) % 2, k)
+        n_k = lambda k: k + ((chain + k) % 2 == JC_AJC[model].spin)
         pairs = starts[:highs.size]
         if (n_k(pairs) == n_k(pairs + 1)).all():
             ground = starts[lows == lows.min()].min()
@@ -315,8 +310,8 @@ def find_crossings(builder: Callable[[float], ParityChains],
         raise ValueError("coupling_range must be a finite increasing pair")
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-    if label_model not in (None, *_EXCITATION):
-        raise ValueError(f"label_model must be None or one of {tuple(_EXCITATION)}")
+    if label_model not in (None, *JC_AJC):
+        raise ValueError(f"label_model must be None or one of {tuple(JC_AJC)}")
     grid = np.linspace(lo, hi, grid_points)
     # each evaluated point's gap, and the label of each chain that holds
     # the ground state there: chain 0 where the gap is < 0, chain 1 where

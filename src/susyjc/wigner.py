@@ -33,13 +33,17 @@ LEAK_TOL = 1e-8
 
 @dataclass
 class WignerGrid:
-    """Cartesian phase-space samples; values[i, j] is W at
-    re_alpha[i] + 1j * im_alpha[j]."""
+    """Samples on a square phase-space grid; values[i, j] is W at
+    axis[i] + 1j * axis[j]."""
 
-    re_alpha: np.ndarray
-    im_alpha: np.ndarray
+    axis: np.ndarray
     values: np.ndarray
-    normalization_integral: float
+
+    @property
+    def normalization_integral(self) -> float:
+        """Trapezoid integral of W (1 for a window that holds the support)."""
+        inner = np.trapezoid(self.values, self.axis, axis=1)
+        return float(np.trapezoid(inner, self.axis))
 
 
 def laguerre_pair(order: int, x):
@@ -159,9 +163,8 @@ def numeric_evaluator(rho: np.ndarray) -> Callable:
 
 
 def wigner_grid(evaluator: Callable, window: float, points: int) -> WignerGrid:
-    """Sample W on the square [-window, window]^2 and attach the trapezoid
-    normalization integral (1 for a window that holds the support). The
-    evaluator maps an array of alphas to W, e.g. numeric_evaluator(rho) or
+    """Sample W on the square [-window, window]^2. The evaluator maps an
+    array of alphas to W, e.g. numeric_evaluator(rho) or
     lambda alpha: wigner_closed_jc(label, params, alpha)."""
     if points < 16:
         raise ValueError("points must be >= 16")
@@ -172,5 +175,4 @@ def wigner_grid(evaluator: Callable, window: float, points: int) -> WignerGrid:
     values = np.asarray(evaluator(re + 1j * im), dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("the Wigner function overflows at these parameters")
-    integral = float(np.trapezoid(np.trapezoid(values, axis, axis=1), axis))
-    return WignerGrid(axis.copy(), axis.copy(), values, integral)
+    return WignerGrid(axis, values)

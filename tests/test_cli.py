@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -1305,6 +1306,37 @@ def test_consistency_failures_exit_4(monkeypatch, capsys):
         assert code == cls.exit_code == EXIT_CODES.get(cls.__name__, 2), cls
         assert capsys.readouterr() == (
             "", f"susyjc: {PREFIXES[code]}: injected\n"), cls
+
+
+def test_a_derived_cutoff_below_the_turning_point_is_refused_early():
+    # at the grid's corner, |alpha| = sqrt(2), the displaced Fock-2000 state
+    # reaches photon number (sqrt(2000) + sqrt(2))^2 = 2128.5, above the
+    # derived cutoff 2041: refused before rho and the generator are built
+    start = time.perf_counter()
+    proc = run_cli(*("wigner --source numeric --label minus:2000 --lambda 1 "
+                     "--window 1 --points 16").split())
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (4, b"")
+    assert proc.stderr == (
+        b"susyjc: consistency failure: the displaced level reaches photon "
+        b"number 2128.5 at the grid's corner, above the derived cutoff 2041; "
+        b"set a larger --n-max\n")
+
+
+def test_a_refused_cutoff_fails_the_numeric_check_when_pinned(capsys):
+    from susyjc import cli
+    argv = ("wigner --source numeric --label minus:100 --lambda 1 --window 2 "
+            "--points 16").split()
+    assert cli.main(argv) == 4
+    assert capsys.readouterr() == ("", (
+        "susyjc: consistency failure: the displaced level reaches photon "
+        "number 164.6 at the grid's corner, above the derived cutoff 155; "
+        "set a larger --n-max\n"))
+    # the derived cutoff, pinned, runs the grid and fails at its corner
+    assert cli.main([*argv, "--n-max", "155"]) == 4
+    assert capsys.readouterr() == ("", (
+        "susyjc: consistency failure: displaced state holds 5.367e-02 "
+        "population at the cutoff; increase n_max\n"))
 
 
 def test_output_file_matches_stdout(tmp_path):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from susyjc.algebra import commutator
 from susyjc.errors import DimensionMismatch
 from susyjc.far import far_chains, far_from_alphas
-from susyjc.hilbert import (BandedOp, HilbertConfig, ModelParams, _ladder,
-                            exchange_op, excitation_number, jc_to_ajc_rotation,
-                            parity_chains, parity_op, spin_op, su11_generator)
+from susyjc.constants import LABEL_MODELS
+from susyjc.hilbert import (JC_AJC, BandedOp, HilbertConfig, ModelParams,
+                            _ladder, exchange_op, excitation_number,
+                            jc_to_ajc_rotation, parity_chains, parity_op,
+                            spin_op, su11_generator)
 from susyjc.oracle import eigenvalues
 
 CFG = HilbertConfig(12)
@@ -111,6 +113,15 @@ def test_excitation_numbers_are_exact_diagonals():
         assert nminus[CFG.index("e", n), CFG.index("e", n)] == n
     h = parity_chains(CFG, ModelParams(lam=0.7), "jc").dense()
     assert np.abs(h @ nplus - nplus @ h).max() < 1e-14
+    # the jc-to-ajc rotation carries the jc number to the ajc one
+    u = jc_to_ajc_rotation(CFG).dense()
+    assert np.array_equal(u.conj().T @ nplus @ u, nminus)
+    with pytest.raises(ValueError):
+        excitation_number(CFG, "jc")
+    # the label models' two facts: the coupling read, and the spin (1 = e)
+    # whose level adds an excitation
+    assert JC_AJC == {"jc": ("lam", 1), "ajc": ("mu", 0)}
+    assert tuple(JC_AJC) == LABEL_MODELS
 
 
 def test_su11_generators():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from susyjc.errors import (DegenerateAngle, InvalidLabel, InvalidN,
                            TruncationTooSmall)
-from susyjc.hilbert import HilbertConfig, ModelParams, parity_chains
+from susyjc.hilbert import (HilbertConfig, ModelParams, excitation_number,
+                            parity_chains)
 from susyjc.jc import (DressedLabel, coupling_for, crossing_pair,
                        dressed_energy, dressed_state, ground_state_critical,
                        lowest_closed_levels, rabi_frequency,
@@ -61,16 +62,19 @@ def test_closed_energies_match_oracle():
 
 
 def test_dressed_states_are_eigenvectors():
+    # and of the excitation number the model conserves, with eigenvalue N
     cfg = HilbertConfig(30)
-    for model, knob in (("jc", "lam"), ("ajc", "mu")):
+    for model, knob, sector in (("jc", "lam", "plus"), ("ajc", "mu", "minus")):
         params = ModelParams(omega=0.9, omega0=1.4, **{knob: 0.6})
         h = parity_chains(cfg, params, model).dense()
+        number = excitation_number(cfg, sector).diags[0]
         for branch, n in [("minus", 0), ("minus", 1), ("plus", 2), ("minus", 3),
                           ("plus", 3), ("plus", 7)]:
             label = DressedLabel(branch, n, model)
             st = dressed_state(label, params, cfg)
             e = dressed_energy(label, params)
             assert np.linalg.norm(h @ st - e * st) < 1e-12, label
+            assert np.array_equal(number * st, n * st), label
             assert abs(np.linalg.norm(st) - 1.0) < 1e-14, label
             if label.n_total:
                 # the phase convention: the |g> amplitude, at the lowest

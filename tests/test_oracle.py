@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from susyjc import oracle
 from susyjc.errors import NoConvergence
 from susyjc.far import far_chains, far_from_alphas
-from susyjc.hilbert import HilbertConfig, ModelParams, ParityChains, parity_chains
+from susyjc.hilbert import (HilbertConfig, ModelParams, ParityChains,
+                            excitation_number, parity_chains)
 from susyjc.jc import DressedLabel, ground_state_critical
-from susyjc.oracle import (_EXCITATION, _ground_label, _real_chain, _sectors,
+from susyjc.oracle import (_ground_label, _real_chain, _sectors,
                            certify_cutoff, certify_truncation, eigenvalues,
                            find_crossings)
 
@@ -142,6 +143,29 @@ def test_find_crossings_argument_guards():
         find_crossings(builder, (0.0, 1.0), label_model="ar")
 
 
+def _chain_excitations(cfg, model):
+    """The conserved excitation number of each chain level, (2, n_fock),
+    read off the excitation_number operator's diagonal through chain_spin."""
+    diag = excitation_number(cfg, {"jc": "plus", "ajc": "minus"}[model]).diags[0].real
+    return diag[cfg.chain_spin() * cfg.n_fock + np.arange(cfg.n_fock)]
+
+
+@pytest.mark.parametrize("model", ["jc", "ajc"])
+def test_ground_labels_read_the_excitation_operator(model):
+    # sink each chain level in turn far below the rest: the ground label is
+    # then that level's own excitation number
+    cfg = HilbertConfig(9)
+    knob = "lam" if model == "jc" else "mu"
+    h = parity_chains(cfg, ModelParams(omega0=1.3, **{knob: 0.4}), model)
+    n_k = _chain_excitations(cfg, model)
+    for chain in (0, 1):
+        for k in range(cfg.n_fock):
+            d, e = _real_chain(h.diag[chain].copy(), h.off[chain])
+            d[k] -= 100.0
+            label = _ground_label(_sectors(d, e), chain, model)
+            assert label == DressedLabel("minus", int(n_k[chain, k]), model)
+
+
 @settings(max_examples=200, deadline=None)
 @given(model=st.sampled_from(["jc", "ajc"]),
        omega=st.floats(-3.0, 3.0), omega0=st.floats(-3.0, 3.0),
@@ -167,8 +191,7 @@ def test_sector_solve_matches_the_tridiagonal_solver(model, omega, omega0,
         # rounded, where the ground state is not degenerate
         if d.size > 1 and ref[-1][1] - ref[-1][0] > 1e-9 * (1.0 + chain_scale):
             _, vec = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-            spin = HilbertConfig(n_max).chain_spin()[chain]
-            n_k = _EXCITATION[model](spin, np.arange(spin.size))
+            n_k = _chain_excitations(HilbertConfig(n_max), model)[chain]
             old = int(round(float(np.abs(vec[:, 0]) ** 2 @ n_k)))
             assert _ground_label(_sectors(d, e), chain, model) == DressedLabel("minus", old, model)
     ref = np.sort(np.concatenate(ref))

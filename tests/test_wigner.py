@@ -133,12 +133,12 @@ def test_grid_normalization_and_layout():
                        window=4.0, points=128)
     assert abs(grid.normalization_integral - 1.0) < 1e-6
     assert grid.values.shape == (128, 128)
-    i = np.abs(grid.re_alpha).argmin()
-    j = np.abs(grid.im_alpha).argmin()
+    assert np.array_equal(grid.axis, np.linspace(-4.0, 4.0, 128))
+    i = j = np.abs(grid.axis).argmin()
     assert abs(grid.values.max() - grid.values[i, j]) < 1e-12
     # vacuum Wigner peaks at the origin with value 2/pi
-    assert abs(grid.values[i, j] - TWO_OVER_PI * math.exp(-2 * (grid.re_alpha[i] ** 2
-                                                                + grid.im_alpha[j] ** 2))) < 1e-12
+    assert abs(grid.values[i, j] - TWO_OVER_PI * math.exp(-2 * (grid.axis[i] ** 2
+                                                                + grid.axis[j] ** 2))) < 1e-12
 
 
 def test_numeric_evaluator_fills_a_grid_in_one_call():
@@ -149,7 +149,7 @@ def test_numeric_evaluator_fills_a_grid_in_one_call():
     assert abs(grid.values[mid, mid] + TWO_OVER_PI) < 1e-12
     # the array path runs the pointwise arithmetic: values are bit-identical
     for i, j in [(0, 0), (3, 11), (mid, mid), (16, 5)]:
-        alpha = complex(grid.re_alpha[i], grid.im_alpha[j])
+        alpha = complex(grid.axis[i], grid.axis[j])
         assert grid.values[i, j] == evaluate(alpha)
 
 
