@@ -7,7 +7,8 @@ runs in RUNS read, declared once in FLAGS. main hands an accepted argv to
 commands, which runs the subcommand and renders its table. Run as a
 process (python -m susyjc or the susyjc script), the CLI gives BLAS one
 thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set; a call of
-main(argv) leaves the environment as it is.
+main(argv) leaves the environment as it is. main returns the exit code in
+every case, --help and argparse's refusals included.
 
 Exit codes: 0 ok, 2 usage or parameter error (including a flag its run in
 RUNS does not read or requires, a non-finite number, a config value its
@@ -250,7 +251,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 def _one_blas_thread() -> None:
     """Run BLAS on one thread unless the user chose a count. A job is a
-    small stacked or dense solve, where the default pool of one spinning
+    small stacked or tridiagonal solve, where the default pool of one spinning
     worker per CPU costs about a third more CPU for no wall time. The count
     is read when numpy loads, so this acts only before that."""
     if "numpy" in sys.modules or any(v in os.environ for v in _BLAS_THREAD_VARS):
@@ -266,6 +267,9 @@ def main(argv=None) -> int:
     parser, actions = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed --help (0) or a refusal (2)
+        return exc.code
+    try:
         merged = _merge_config(args, actions[args.command])
         if argv is None:  # a process entry: python -m susyjc or susyjc
             _one_blas_thread()

@@ -6,21 +6,21 @@ Hamiltonian, certifies convergence by doubling the Fock cutoff, and locates
 ground-state crossings between the two parity chains by scanning their
 ground-energy gap and refining each sign change by false position, so
 closed-form results can be validated against it. Every solve takes parity
-chains. A full spectrum takes one of three routes: chains that split into
-excitation-number sectors (jc/ajc) sector by sector in numpy; a
-Hamiltonian's other chains (ar/far) as dense symmetric matrices by numpy's
-LAPACK while the process's dense work stays within DENSE_BUDGET, and past
-the budget by SciPy's tridiagonal solver, imported on first use. Both end
-in the same LAPACK dsterf, so their eigenvalues are bitwise equal. A
-crossing search needs only lowest levels: it takes them from the sectors
-of a chain that splits, and by Laguerre's method, O(n) per step, from any
-other, so it neither spends the budget nor loads SciPy. So importing the package, solving
-jc/ajc, searching for crossings, or certifying an ar/far run within the
-budget loads no SciPy.
+chains. A full spectrum takes one of two routes: chains that split into
+excitation-number sectors (jc/ajc) sector by sector in numpy, and any other
+chain (ar/far) by LAPACK dstev on its two vectors, in O(n) memory. dstev
+is called in the LAPACK that numpy links, else in SciPy's, imported on first
+use; its eigenvalues are bitwise those of numpy's dense eigvalsh of the
+chain, which ends in the same scaled dsterf. A crossing search needs only
+lowest levels: it takes them from the sectors of a chain that splits, and
+by Laguerre's method, O(n) per step, from any other. So SciPy loads only
+where numpy's LAPACK has no dstev.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,15 +40,6 @@ __all__ = [
     "find_crossings",
     "CAP_N_MAX",
 ]
-
-# rows^2 summed over the dense full-spectrum solves of a process, checked
-# before each Hamiltonian's: about 0.17 s of dense solves on a 2-CPU host,
-# half the cost of importing scipy.linalg. A short run never pays the
-# import, and a long one pays at most about one import more than with SciPy
-# from the start. The count is per process, like the import it stands in
-# for; both routes give the same eigenvalues, so it changes cost only.
-DENSE_BUDGET = 2 ** 21
-_dense_spent = 0
 
 
 @dataclass
@@ -98,29 +89,47 @@ def _sectors(diag: np.ndarray, off: np.ndarray):
             np.concatenate([pair_evals[:, 0], diag[singles]]), pair_evals[:, 1])
 
 
-def _dense_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of the real chain (diag, off >= 0) as a dense
-    symmetric matrix. numpy's eigvalsh runs LAPACK dsyevd, whose reduction
-    to tridiagonal form leaves a tridiagonal input unchanged (every reflector
-    is the identity), and then dsterf: the solver behind SciPy's
-    eigvalsh_tridiagonal, so the two agree bitwise."""
-    n = diag.size
-    a = np.diag(diag)
-    a.flat[n::n + 1] = off
-    return np.linalg.eigvalsh(a, UPLO="L")
+@functools.cache
+def _numpy_dstev():
+    """numpy's own LAPACK dstev through ctypes, ILP64 as numpy's
+    scipy-openblas wheels export it; None where numpy's LAPACK does not
+    export it under that name."""
+    from numpy.ctypeslib import ndpointer
+    from numpy.linalg import _umath_linalg
+    try:
+        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_dstev_64_
+    except (OSError, AttributeError):
+        return None
+    i64, vector = ctypes.POINTER(ctypes.c_int64), ndpointer(np.float64, flags="C,W")
+    # JOBZ, N, D, E, Z, LDZ, WORK, INFO, and the Fortran length of JOBZ
+    routine.argtypes = [ctypes.c_char_p, i64, vector, vector, vector, i64, vector, i64,
+                        ctypes.c_size_t]
+    routine.restype = None
+    return routine
 
 
-def _chain_eigenvalues(diag: np.ndarray, off: np.ndarray, split, dense: bool) -> np.ndarray:
-    """Eigenvalues of one real chain, given its _sectors split: unsorted when
-    the chain splits; a chain that does not split is solved dense if dense,
-    else by SciPy."""
-    if split is not None:
-        _, lows, highs = split
-        return np.concatenate([lows, highs])
-    if dense:
-        return _dense_eigenvalues(diag, off)
-    from scipy.linalg import eigvalsh_tridiagonal
-    return eigvalsh_tridiagonal(diag, off)
+def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the real chain (diag, off >= 0) by LAPACK
+    dstev without vectors: it scales the chain by its largest entry and runs
+    dsterf, as numpy's dense eigvalsh does after its reduction to tridiagonal
+    form, which leaves a tridiagonal input unchanged; so the two agree
+    bitwise. LAPACK overwrites its inputs, so it gets copies; e holds at least
+    one entry, as SciPy's wrapper asks."""
+    d, e = diag.astype(np.float64), np.zeros(max(diag.size - 1, 1))
+    e[:off.size] = off
+    routine = _numpy_dstev()
+    if routine is None:
+        from scipy.linalg.lapack import dstev
+        d, _, info = dstev(d, e, compute_v=0)
+    else:
+        n, one, status = ctypes.c_int64(d.size), ctypes.c_int64(1), ctypes.c_int64()
+        scratch = np.zeros(1)  # z and work, unread without vectors
+        routine(b"N", ctypes.byref(n), d, e, scratch, ctypes.byref(one), scratch,
+                ctypes.byref(status), 1)
+        info = status.value
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return d
 
 
 def _lowest(diag: np.ndarray, off: np.ndarray) -> float:
@@ -165,16 +174,11 @@ def _chains(h: ParityChains) -> list:
 
 
 def eigenvalues(h: ParityChains) -> np.ndarray:
-    """All eigenvalues, ascending, solved one chain (or sector) at a time
-    and merged. The chains that do not split are solved dense if their
-    rows^2 still fit in DENSE_BUDGET, which is then charged with them, else
-    by SciPy: one check covers them all, so they take one route."""
-    global _dense_spent
-    chains = _chains(h)
-    work = sum(d.size ** 2 for d, _, split in chains if split is None)
-    dense = _dense_spent + work <= DENSE_BUDGET
-    _dense_spent += work if dense else 0
-    return np.sort(np.concatenate([_chain_eigenvalues(*chain, dense) for chain in chains]))
+    """All eigenvalues, ascending, solved one chain at a time and merged: a
+    chain that splits sector by sector, any other by dstev."""
+    return np.sort(np.concatenate([
+        _tridiagonal_eigenvalues(diag, off) if split is None else np.concatenate(split[1:])
+        for diag, off, split in _chains(h)]))
 
 
 def _converged_count(evals: np.ndarray, ref: np.ndarray, tol: float) -> int:
@@ -287,7 +291,7 @@ def find_crossings(builder: Callable[[float], ParityChains],
     evaluated point where g is exactly 0 is the crossing itself, as is a
     sample point where g is exactly 0 between samples of opposite sign. Each
     lowest level comes from the stacked sector solve where the chain
-    splits, else from _lowest; neither loads SciPy or spends DENSE_BUDGET.
+    splits, else from _lowest; neither runs a full-spectrum solve.
     Levels of one chain never cross (the chain couples them) unless the
     chain splits into blocks, as the jc/ajc chains do into excitation-number
     sectors; their ground state steps N -> N + 1, and sectors N and N + 1

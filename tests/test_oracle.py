@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,9 +206,9 @@ def test_sector_solve_matches_the_tridiagonal_solver(model, omega, omega0,
 
 @st.composite
 def _real_chains(draw):
-    """A chain of 2..600 states at an entry scale in 1e-150..1e150, with
+    """A chain of 1..600 states at an entry scale in 1e-150..1e150, with
     couplings of either sign or zero, made real by `_real_chain`."""
-    m = draw(st.integers(2, 600))
+    m = draw(st.integers(1, 600))
     scale = 10.0 ** draw(st.floats(-150.0, 150.0))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     off = rng.uniform(-1.0, 1.0, m - 1)
@@ -214,14 +216,28 @@ def _real_chains(draw):
     return _real_chain(scale * rng.uniform(-1.0, 1.0, m), scale * off)
 
 
+def _dense_eigvalsh(diag, off):
+    """numpy's eigvalsh of the chain (diag, off) as a dense symmetric matrix."""
+    n = diag.size
+    a = np.diag(diag)
+    a.flat[n::n + 1] = off
+    return np.linalg.eigvalsh(a, UPLO="L")
+
+
 @settings(max_examples=300, deadline=None)
 @given(chain=_real_chains())
-def test_dense_chain_solve_equals_the_tridiagonal_solver(chain):
-    # numpy's dense eigvalsh of a tridiagonal input runs the same LAPACK
-    # dsterf as SciPy's tridiagonal solver, so the two routes agree bitwise
+def test_chain_solve_equals_dense_eigvalsh_and_the_tridiagonal_solver(chain):
+    # dstev scales the chain and runs dsterf, as numpy's dense eigvalsh does
+    # after a reduction that leaves a tridiagonal input unchanged, and as
+    # SciPy's tridiagonal solver does: the routes agree bitwise, also through
+    # SciPy's dstev where numpy's LAPACK has none
     from scipy.linalg import eigvalsh_tridiagonal
-    got = oracle._dense_eigenvalues(*chain)
+    got = oracle._tridiagonal_eigenvalues(*chain)
+    assert np.array_equal(got, _dense_eigvalsh(*chain))
     assert np.array_equal(got, eigvalsh_tridiagonal(*chain))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_numpy_dstev", lambda: None)
+        assert np.array_equal(oracle._tridiagonal_eigenvalues(*chain), got)
 
 
 @st.composite
@@ -270,65 +286,90 @@ def test_lowest_level_matches_the_dense_and_tridiagonal_solvers(chain):
     got = oracle._lowest(diag, off)
     scale = max(np.abs(diag).max(), off.max(initial=0.0))
     bound = 2 * (diag.size + 8) * np.finfo(float).eps * scale
-    assert abs(got - oracle._dense_eigenvalues(diag, off)[0]) <= bound
+    assert abs(got - _dense_eigvalsh(diag, off)[0]) <= bound
     ref = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     assert abs(got - ref[0]) <= bound
 
 
-def test_results_do_not_depend_on_the_dense_budget(monkeypatch):
-    # unsplit chains go to numpy's dense solver until the process has spent
-    # DENSE_BUDGET rows^2, then to SciPy: the same solution either way, also
-    # when the budget runs out after the first rung (cutoff 32). Both chains
-    # of a Hamiltonian take one route: with room for one 33-row chain left,
-    # neither is solved dense
+def _spy_on_chain_solves(monkeypatch):
+    """The row counts of the full-spectrum chain solves from here on."""
     sizes = []
-    dense = oracle._dense_eigenvalues
-    monkeypatch.setattr(oracle, "_dense_eigenvalues",
-                        lambda d, e: sizes.append(d.size) or dense(d, e))
-    part_way = oracle.DENSE_BUDGET - 2 * 33 ** 2
-    one_chain = oracle.DENSE_BUDGET - 33 ** 2
+    solve = oracle._tridiagonal_eigenvalues
+    monkeypatch.setattr(oracle, "_tridiagonal_eigenvalues",
+                        lambda d, e: sizes.append(d.size) or solve(d, e))
+    return sizes
+
+
+def test_results_do_not_depend_on_the_lapack_route(monkeypatch):
+    # unsplit chains go to dstev in numpy's LAPACK, or in SciPy's where
+    # numpy's has none: the same solution either way, every chain solved
+    # on its two vectors, both chains of each rung
+    sizes = _spy_on_chain_solves(monkeypatch)
     ar = ModelParams(omega=1.0, omega0=1.0, lam=0.7, mu=0.2)
     for builder in (lambda n: parity_chains(HilbertConfig(n), ar, "ar"),
                     lambda n: far_chains(HilbertConfig(n), far_from_alphas(0.01, 1.0, 2.8))):
         runs = {}
-        for spent in (0, part_way, one_chain, oracle.DENSE_BUDGET,
-                      oracle.DENSE_BUDGET + 1):
-            monkeypatch.setattr(oracle, "_dense_spent", spent)
+        for route, resolver in (("numpy", oracle._numpy_dstev), ("scipy", lambda: None)):
+            monkeypatch.setattr(oracle, "_numpy_dstev", resolver)
             sizes.clear()
-            runs[spent] = (certify_truncation(builder, k_levels=8),
+            runs[route] = (certify_truncation(builder, k_levels=8),
                            certify_cutoff(builder, 64), sorted(sizes))
-        truncation, cutoff, _ = runs[0]
+        truncation, cutoff, solved = runs["numpy"]
         assert truncation.n_max_used >= 64
-        assert len(runs[0][2]) > 2 and runs[part_way][2] == [33, 33]
-        assert runs[one_chain][2] == runs[oracle.DENSE_BUDGET][2] == []
-        assert runs[oracle.DENSE_BUDGET + 1][2] == []
-        for got_truncation, got_cutoff, _ in runs.values():
+        rungs = [n + 1 for n in (32, 64, 128, 256, 512, 1024) if n <= truncation.n_max_used]
+        assert solved == sorted(2 * rungs + [65, 65, 129, 129])
+        for got_truncation, got_cutoff, got_solved in runs.values():
+            assert got_solved == solved
             for got, ref in ((got_truncation, truncation), (got_cutoff, cutoff)):
                 assert np.array_equal(got.eigenvalues, ref.eigenvalues)
                 assert (got.converged_levels, got.n_max_used) == (ref.converged_levels,
                                                                   ref.n_max_used)
 
 
-def test_crossings_do_not_depend_on_the_dense_budget(monkeypatch):
+def test_crossings_run_no_full_spectrum_solve(monkeypatch):
     # a crossing search solves lowest levels only, by the sector solve or
-    # by _lowest: no dense solve, no charge to the budget, and the same
-    # couplings with the budget empty and with it spent
-    sizes = []
-    dense = oracle._dense_eigenvalues
-    monkeypatch.setattr(oracle, "_dense_eigenvalues",
-                        lambda d, e: sizes.append(d.size) or dense(d, e))
+    # by _lowest: no chain goes to dstev, on either LAPACK route, and the
+    # couplings are the same on both
+    sizes = _spy_on_chain_solves(monkeypatch)
     ar = lambda x: parity_chains(HilbertConfig(40),
                                  ModelParams(omega=1.0, omega0=1.0, lam=x, mu=0.2), "ar")
     far = lambda x: far_chains(HilbertConfig(40), far_from_alphas(0.01, 1.0, x))
     for builder, coupling_range in ((ar, (0.0, 1.5)), (far, (0.1, 8.0))):
         runs = []
-        for spent in (0, oracle.DENSE_BUDGET + 1):
-            monkeypatch.setattr(oracle, "_dense_spent", spent)
+        for resolver in (oracle._numpy_dstev, lambda: None):
+            monkeypatch.setattr(oracle, "_numpy_dstev", resolver)
             records = find_crossings(builder, coupling_range, grid_points=20)
-            assert oracle._dense_spent == spent
             runs.append([rec.coupling for rec in records])
         assert len(runs[0]) == 1 and runs[0] == runs[1]
     assert sizes == []
+
+
+def test_the_chain_solver_is_numpys_own_lapack():
+    # numpy's wheels link scipy-openblas, which exports dstev as
+    # scipy_dstev_64_; a numpy that renames it fails here instead of
+    # quietly loading SciPy for every ar/far spectrum
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if lapack["name"] != "scipy-openblas":
+        pytest.skip(f"numpy links {lapack['name']}, not scipy-openblas")
+    assert oracle._numpy_dstev() is not None
+
+
+def test_a_chain_solve_at_the_cap_runs_in_linear_memory():
+    # the 2049-row far chains at CAP_N_MAX, solved in a fresh interpreter
+    # under tracemalloc on their two vectors: a dense matrix of one chain
+    # would take 33.6 MB, and importing SciPy alone some 15 MB
+    code = (
+        "import tracemalloc\n"
+        "from susyjc.far import far_chains, far_from_alphas\n"
+        "from susyjc.hilbert import HilbertConfig\n"
+        "from susyjc.oracle import CAP_N_MAX, eigenvalues\n"
+        "h = far_chains(HilbertConfig(CAP_N_MAX), far_from_alphas(0.01, 1.0, 2.8))\n"
+        "tracemalloc.start()\n"
+        "assert eigenvalues(h).size == 2 * (CAP_N_MAX + 1)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert cp.returncode == 0, cp.stderr
+    assert int(cp.stdout) < 1e6, int(cp.stdout)
 
 
 def _gap_builder(gap, calls):

@@ -1,12 +1,11 @@
 """The benchmark's jobs, run in-process and checked against its references.
 
 Every job variant of spectra_auto, crossing_scan and quick_jobs, and one
-seed's batch of phase_space, runs through ``cli.main`` from an unspent
-dense budget, as in a fresh process. perfbench's own ``Checker`` then
-checks each output against ``perfbench/reference/<workload>.json``: its
-schema, the recorded numbers, the closed-form residuals and, for
-phase_space, the numeric grids against their closed twins. The exit code
-must be the job's ``expect_exit``.
+seed's batch of phase_space, runs through ``cli.main`` in this process.
+perfbench's own ``Checker`` then checks each output against
+``perfbench/reference/<workload>.json``: its schema, the recorded numbers,
+the closed-form residuals and, for phase_space, the numeric grids against
+their closed twins. The exit code must be the job's ``expect_exit``.
 """
 
 import importlib.util
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from susyjc import cli, oracle
+from susyjc import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
@@ -46,18 +45,13 @@ def _runs(workload: str) -> list:
 
 @pytest.mark.parametrize("workload", ["spectra_auto", "crossing_scan",
                                       "quick_jobs", "phase_space"])
-def test_jobs_match_the_benchmark_references(workload, monkeypatch,
-                                             capsysbinary):
+def test_jobs_match_the_benchmark_references(workload, capsysbinary):
     checker = check.Checker(
         json.loads((BENCH / "reference" / f"{workload}.json").read_text()),
         json.loads(SCHEMA.read_text()))
     results = []
     for run in _runs(workload):
-        monkeypatch.setattr(oracle, "_dense_spent", 0)
-        try:
-            code = cli.main(run.args)
-        except SystemExit as exc:  # --help
-            code = exc.code
+        code = cli.main(run.args)
         results.append((run, code, capsysbinary.readouterr().out))
     problems = checker.check_batch(results)
     for run, code, _ in results:
