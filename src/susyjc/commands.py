@@ -125,6 +125,9 @@ def _parse_sweep(text) -> tuple[list[float], int | None]:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"sweep must be min:max:points, got {text!r}")
+    # ASCII digits only: int() also reads signs, spaces and underscores
+    if not (parts[2].isascii() and parts[2].isdigit()):
+        raise UsageError(f"could not parse sweep {text!r}")
     try:
         lo, hi, pts = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:

@@ -6,15 +6,15 @@ Hamiltonian, certifies convergence by doubling the Fock cutoff, and locates
 ground-state crossings between the two parity chains by scanning their
 ground-energy gap and refining each sign change by false position, so
 closed-form results can be validated against it. Every solve takes parity
-chains. A full spectrum takes one of two routes: chains that split into
-excitation-number sectors (jc/ajc) sector by sector in numpy, and any other
-chain (ar/far) by LAPACK dstev on its two vectors, in O(n) memory. dstev
-is called in the LAPACK that numpy links, else in SciPy's, imported on first
-use; its eigenvalues are bitwise those of numpy's dense eigvalsh of the
-chain, which ends in the same scaled dsterf. A crossing search needs only
-lowest levels: it takes them from the sectors of a chain that splits, and
-by Laguerre's method, O(n) per step, from any other. So SciPy loads only
-where numpy's LAPACK has no dstev.
+chains. A full spectrum solves each chain, of any model, by LAPACK dstev on
+its two vectors, in O(n) memory: in the LAPACK that numpy links, else in
+SciPy's, imported on first use. Its eigenvalues are bitwise those of numpy's
+dense eigvalsh of the chain, which ends in the same scaled dsterf; dsterf
+splits a jc/ajc chain at its zero couplings into excitation-number sectors.
+A crossing search needs only lowest levels: a stacked 2x2 solve of a
+splitting chain's sectors gives them, and the jc/ajc ground labels, and
+Laguerre's method, O(n) per step, gives any other chain's. So SciPy loads
+only where numpy's LAPACK has no dstev.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def _real_chain(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _sectors(diag: np.ndarray, off: np.ndarray):
     """Blocks of <= 2 states of a real chain with no two consecutive nonzero
-    couplings (else None): each block's first state and lowest eigenvalue,
-    2x2 blocks first, then their upper eigenvalues, from one stacked eigvalsh."""
+    couplings (else None): each block's first state and lowest eigenvalue, 2x2
+    blocks first, from one stacked eigvalsh, and the number of 2x2 blocks."""
     coupled = off != 0
     if (coupled[1:] & coupled[:-1]).any():
         return None
@@ -81,12 +81,11 @@ def _sectors(diag: np.ndarray, off: np.ndarray):
     blocks = np.zeros((pairs.size, 2, 2))
     blocks[:, 0, 0], blocks[:, 1, 1] = diag[pairs], diag[pairs + 1]
     blocks[:, 0, 1] = blocks[:, 1, 0] = off[pairs]
-    pair_evals = np.linalg.eigvalsh(blocks)
     single = np.ones(diag.size, bool)  # a mask: np.setdiff1d loads numpy.ma
     single[pairs] = single[pairs + 1] = False
     singles = np.flatnonzero(single)
     return (np.concatenate([pairs, singles]),
-            np.concatenate([pair_evals[:, 0], diag[singles]]), pair_evals[:, 1])
+            np.concatenate([np.linalg.eigvalsh(blocks)[:, 0], diag[singles]]), pairs.size)
 
 
 @functools.cache
@@ -168,17 +167,13 @@ def _lowest(diag: np.ndarray, off: np.ndarray) -> float:
 
 
 def _chains(h: ParityChains) -> list:
-    """The real chains of h as (diag, off, sectors or None)."""
-    return [(d, e, _sectors(d, e))
-            for d, e in (_real_chain(d, e) for d, e in zip(h.diag, h.off))]
+    """The real chains of h, as (diag, off) pairs."""
+    return [_real_chain(d, e) for d, e in zip(h.diag, h.off)]
 
 
 def eigenvalues(h: ParityChains) -> np.ndarray:
-    """All eigenvalues, ascending, solved one chain at a time and merged: a
-    chain that splits sector by sector, any other by dstev."""
-    return np.sort(np.concatenate([
-        _tridiagonal_eigenvalues(diag, off) if split is None else np.concatenate(split[1:])
-        for diag, off, split in _chains(h)]))
+    """All eigenvalues, ascending: each real chain's by dstev, merged."""
+    return np.sort(np.concatenate([_tridiagonal_eigenvalues(d, e) for d, e in _chains(h)]))
 
 
 def _converged_count(evals: np.ndarray, ref: np.ndarray, tol: float) -> int:
@@ -226,9 +221,9 @@ def _ground_label(split, chain: int, model: str) -> DressedLabel:
     excitation number, and chain c holds |(c + k) mod 2, k>. Raises
     ValueError unless the chain splits into sectors of the model's N."""
     if split is not None:
-        starts, lows, highs = split
+        starts, lows, n_pairs = split
         n_k = lambda k: k + ((chain + k) % 2 == JC_AJC[model].spin)
-        pairs = starts[:highs.size]
+        pairs = starts[:n_pairs]
         if (n_k(pairs) == n_k(pairs + 1)).all():
             ground = starts[lows == lows.min()].min()
             return DressedLabel("minus", int(n_k(ground)), model)
@@ -323,7 +318,7 @@ def find_crossings(builder: Callable[[float], ParityChains],
     evaluated = {}
 
     def gap(x):
-        chains = _chains(builder(x))
+        chains = [(d, e, _sectors(d, e)) for d, e in _chains(builder(x))]
         e0, e1 = (_lowest(d, e) if split is None else split[1].min()
                   for d, e, split in chains)
         g = float(e0 - e1)

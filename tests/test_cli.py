@@ -359,11 +359,11 @@ def _scipy_loaded_after(*jobs) -> bool:
 
 
 def test_light_jobs_load_no_scipy():
-    # scipy loads only where numpy's LAPACK has no dstev for the chains
-    # that do not split into excitation-number sectors (ar/far). It does
-    # not load on import, help, verify, either Wigner source, any jc/ajc
-    # spectrum, any crossing search (those solve lowest levels only), or
-    # any ar/far run below, however many rows its chains hold
+    # scipy loads only where numpy's LAPACK has no dstev, which solves every
+    # full spectrum, split jc/ajc chains as well as ar/far ones. It does not
+    # load on import, help, verify, either Wigner source, any crossing search
+    # (those solve lowest levels only), or any spectrum or far run below,
+    # however many rows its chains hold
     assert not _scipy_loaded_after(
         ["verify", "--n-max", "8"],
         ["wigner", "--label", "minus:1", "--lambda", "1", "--points", "16"],
@@ -397,6 +397,8 @@ def test_light_jobs_load_no_scipy():
         ["crossings", "--model", "far", "--alphaR", "1.2:4.95:12", "--n-max", "220"])
     assert not _scipy_loaded_after(["spectrum", "--model", "far", "--alphaR", "1:5:101",
                                     "--n-max", "512"])
+    assert not _scipy_loaded_after(["spectrum", "--model", "jc", "--omega", "0.03",
+                                    "--lambda", "1.0", "--n-max", "2048"])
     assert not _scipy_loaded_after(["spectrum", "--model", "ar", "--lambda", "0.5",
                                     "--mu", "0.2", "--n-max", "1024"])
 
@@ -813,6 +815,13 @@ SCHEMA_CASES = [
     ("wigner", {"label": "plus: 3", "lambda": 1.0, "points": 16}),
     ("verify", {"n_max": 2048, "tol": 1e-9}),
     ("verify", {"n_max": 2048, "tol": 0}),
+    ("spectrum", {"model": "jc", "lambda": "0:1:4_0", "n_max": 8}),
+    ("spectrum", {"model": "jc", "lambda": "0:1:+3", "n_max": 8}),
+    ("spectrum", {"model": "jc", "lambda": "0:1: 3", "n_max": 8}),
+    ("spectrum", {"model": "jc", "lambda": "0:1:\u0663", "n_max": 8}),
+    ("spectrum", {"model": "jc", "lambda": "0:1:5000", "n_max": 8}),
+    ("spectrum", {"model": "jc", "lambda": "0:1:1", "n_max": 8}),
+    ("spectrum", {"model": "jc", "lambda": "0:1:3\n", "n_max": 8}),
 ]
 
 
@@ -970,6 +979,7 @@ REFUSAL_LINES = [
     ("spectrum --model jc --lambda 0:1",
      "sweep must be min:max:points, got '0:1'"),
     ("spectrum --model jc --lambda a:b:3", "could not parse sweep 'a:b:3'"),
+    ("spectrum --model jc --lambda 0:1:4_0", "could not parse sweep '0:1:4_0'"),
     ("spectrum --model jc --lambda 0.5 --config {dir}/auto.json",
      "config key 'auto' must be true or false, got 'yes'"),
     ("spectrum --model jc --lambda 0.5 --config {dir}/missing.json",

@@ -177,8 +177,9 @@ def test_ground_labels_read_the_excitation_operator(model):
          coupling=2.2250738585e-313, n_max=259)
 def test_sector_solve_matches_the_tridiagonal_solver(model, omega, omega0,
                                                      coupling, n_max):
-    # jc/ajc chains split into excitation-number sectors and are solved in
-    # numpy; the reference is SciPy's tridiagonal solver on the same chain
+    # jc/ajc chains split into excitation-number sectors, which label their
+    # ground states; their spectra are solved by dstev like any other chain,
+    # and the reference is SciPy's tridiagonal solver on the same chain
     from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
     knob = "lam" if model == "jc" else "mu"
     h = parity_chains(HilbertConfig(n_max), ModelParams(
@@ -202,6 +203,55 @@ def test_sector_solve_matches_the_tridiagonal_solver(model, omega, omega0,
     # underflows to 0, while the routes may still differ by one step
     bound = max(4 * np.finfo(float).eps * scale, np.nextafter(0.0, 1.0))
     assert np.abs(eigenvalues(h) - ref).max() <= bound
+
+
+def _stacked_sector_eigenvalues(diag, off):
+    """The reference spectrum of a real chain that splits into blocks of <= 2
+    states: every 2x2 block in one stacked numpy eigvalsh, each singlet as
+    its diagonal entry, in ascending order."""
+    pairs = np.flatnonzero(off)
+    blocks = np.zeros((pairs.size, 2, 2))
+    blocks[:, 0, 0], blocks[:, 1, 1] = diag[pairs], diag[pairs + 1]
+    blocks[:, 0, 1] = blocks[:, 1, 0] = off[pairs]
+    single = np.ones(diag.size, bool)
+    single[pairs] = single[pairs + 1] = False
+    return np.sort(np.concatenate([np.linalg.eigvalsh(blocks).ravel(), diag[single]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from([("jc", "lam"), ("ajc", "mu"), ("ar", "lam"), ("ar", "mu")]),
+       exponent=st.one_of(st.floats(-140.0, 140.0), st.floats(-323.0, 302.0)),
+       omega=st.floats(-3.0, 3.0), omega0=st.floats(-3.0, 3.0),
+       coupling=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+       n_max=st.integers(0, 599))
+def test_split_chains_solve_as_the_stacked_sector_route(model, exponent, omega, omega0,
+                                                        coupling, n_max):
+    # dstev runs dsterf, which splits a chain at its zero couplings and
+    # solves each 2x2 block as numpy's eigvalsh solves a stacked one: the
+    # bits are the same unless dstev or numpy rescales, which they do
+    # where the chain's (dstev) or the block's (numpy) largest entry is
+    # outside about [1.5e-146, 6.7e145]. There the routes differ by at
+    # most 3.9 (eps scale + one subnormal step) on 72000 random chains
+    # (ar with one coupling only: the other is 0, so its chains split)
+    (name, knob), scale = model, 10.0 ** exponent
+    h = parity_chains(HilbertConfig(n_max), ModelParams(
+        omega=scale * omega, omega0=scale * omega0, **{knob: scale * coupling}), name)
+    ref, smallest_block = [], np.inf
+    for chain in (0, 1):
+        d, e = _real_chain(h.diag[chain], h.off[chain])
+        assert _sectors(d, e) is not None
+        ref.append(_stacked_sector_eigenvalues(d, e))
+        pairs = np.flatnonzero(e)
+        block_max = np.maximum.reduce([np.abs(d[pairs]), np.abs(d[pairs + 1]), e[pairs]])
+        smallest_block = min(smallest_block, block_max.min(initial=np.abs(d).max()))
+    ref = np.sort(np.concatenate(ref))
+    got = eigenvalues(h)
+    largest = max(np.abs(h.diag).max(), np.abs(h.off).max(initial=0.0))
+    if 1e-145 <= smallest_block and largest <= 1e145:
+        assert np.array_equal(got, ref)
+    else:
+        tiny = np.nextafter(0.0, 1.0)
+        assert np.abs(got - ref).max() <= 8 * (np.finfo(float).eps * largest + tiny)
 
 
 @st.composite
@@ -301,12 +351,14 @@ def _spy_on_chain_solves(monkeypatch):
 
 
 def test_results_do_not_depend_on_the_lapack_route(monkeypatch):
-    # unsplit chains go to dstev in numpy's LAPACK, or in SciPy's where
-    # numpy's has none: the same solution either way, every chain solved
-    # on its two vectors, both chains of each rung
+    # every chain, split (jc) or not (ar/far), goes to dstev in numpy's
+    # LAPACK, or in SciPy's where numpy's has none: the same solution either
+    # way, every chain solved on its two vectors, both chains of each rung
     sizes = _spy_on_chain_solves(monkeypatch)
+    jc = ModelParams(omega=0.5, lam=0.8)
     ar = ModelParams(omega=1.0, omega0=1.0, lam=0.7, mu=0.2)
-    for builder in (lambda n: parity_chains(HilbertConfig(n), ar, "ar"),
+    for builder in (lambda n: parity_chains(HilbertConfig(n), jc, "jc"),
+                    lambda n: parity_chains(HilbertConfig(n), ar, "ar"),
                     lambda n: far_chains(HilbertConfig(n), far_from_alphas(0.01, 1.0, 2.8))):
         runs = {}
         for route, resolver in (("numpy", oracle._numpy_dstev), ("scipy", lambda: None)):
@@ -329,19 +381,44 @@ def test_results_do_not_depend_on_the_lapack_route(monkeypatch):
 def test_crossings_run_no_full_spectrum_solve(monkeypatch):
     # a crossing search solves lowest levels only, by the sector solve or
     # by _lowest: no chain goes to dstev, on either LAPACK route, and the
-    # couplings are the same on both
+    # couplings and labels are the same on both
     sizes = _spy_on_chain_solves(monkeypatch)
     ar = lambda x: parity_chains(HilbertConfig(40),
                                  ModelParams(omega=1.0, omega0=1.0, lam=x, mu=0.2), "ar")
     far = lambda x: far_chains(HilbertConfig(40), far_from_alphas(0.01, 1.0, x))
-    for builder, coupling_range in ((ar, (0.0, 1.5)), (far, (0.1, 8.0))):
+    jc = _jc_chains(40, omega=1.0, omega0=1.0)
+    for builder, coupling_range, label_model in ((ar, (0.0, 1.5), None),
+                                                 (far, (0.1, 8.0), None),
+                                                 (jc, (0.5, 1.5), "jc")):
         runs = []
         for resolver in (oracle._numpy_dstev, lambda: None):
             monkeypatch.setattr(oracle, "_numpy_dstev", resolver)
-            records = find_crossings(builder, coupling_range, grid_points=20)
-            runs.append([rec.coupling for rec in records])
+            records = find_crossings(builder, coupling_range, grid_points=20,
+                                     label_model=label_model)
+            runs.append([(rec.coupling, rec.left, rec.right) for rec in records])
         assert len(runs[0]) == 1 and runs[0] == runs[1]
+    assert runs[0][0][1:] == (DressedLabel("minus", 0), DressedLabel("minus", 1))
     assert sizes == []
+
+
+def test_full_spectra_run_no_stacked_sector_solve(monkeypatch):
+    # every full spectrum, split chain or not, is solved by dstev: numpy's
+    # eigvalsh runs only where a crossing search reads a chain's sectors
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *args, **kw: calls.append(args) or eigvalsh(*args, **kw))
+    chains = lambda model, **p: lambda n: parity_chains(HilbertConfig(n), ModelParams(**p),
+                                                        model)
+    for builder in (chains("jc", lam=0.8), chains("ajc", mu=0.8),
+                    chains("ar", lam=0.7, mu=0.2), chains("ar", lam=0.7), chains("ar", mu=0.7),
+                    lambda n: far_chains(HilbertConfig(n), far_from_alphas(0.01, 1.0, 2.8))):
+        assert eigenvalues(builder(8)).size == 18
+        certify_truncation(builder, k_levels=4)
+        certify_cutoff(builder, 16)
+    assert calls == []
+    find_crossings(_jc_chains(8), (0.5, 1.5), grid_points=3)
+    assert calls
 
 
 def test_the_chain_solver_is_numpys_own_lapack():
@@ -462,15 +539,15 @@ def test_labels_need_a_conserved_excitation_number():
     # an ajc chain splits, but its sectors mix N+ values
     ajc = parity_chains(HilbertConfig(8), ModelParams(mu=0.5), "ajc")
     with pytest.raises(ValueError):
-        _ground_label(oracle._chains(ajc)[0][2], 0, "jc")
+        _ground_label(_sectors(*oracle._chains(ajc)[0]), 0, "jc")
     # an ar chain whose mu deflates to zero is a jc chain
     params = ModelParams(omega0=0.7, lam=1.3)
     jc = parity_chains(HilbertConfig(40), params, "jc")
     ar = parity_chains(HilbertConfig(40), ModelParams(omega0=0.7, lam=1.3, mu=1e-300), "ar")
     assert np.array_equal(eigenvalues(ar), eigenvalues(jc))
     for chain in (0, 1):
-        assert (_ground_label(oracle._chains(ar)[chain][2], chain, "jc")
-                == _ground_label(oracle._chains(jc)[chain][2], chain, "jc"))
+        assert (_ground_label(_sectors(*oracle._chains(ar)[chain]), chain, "jc")
+                == _ground_label(_sectors(*oracle._chains(jc)[chain]), chain, "jc"))
 
 
 def test_a_labeled_search_builds_each_point_once():
